@@ -293,7 +293,7 @@ def run_task(
     except RunTimeoutError:
         log.warning("run %s hit its wall-clock limit", task_id)
         terminated_by = TerminatedBy.TIMEOUT
-    except (BackendError, ReplayMismatchError) as exc:
+    except (BackendError, ReplayMismatchError, PlanEmptyError) as exc:
         log.warning("run %s aborted: %s", task_id, exc)
         terminated_by = TerminatedBy.ERROR
 

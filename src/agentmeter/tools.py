@@ -2,10 +2,11 @@
 
 Search fans each expanded query out to every engine in the configured
 source set, then merges with URL deduplication in a fixed order, so the
-result list is deterministic for deterministic providers. Pages are
-reduced to static text once per fetch; the three page strategies differ
-only in how much of that text a single observation exposes and whether
-the agent may scroll.
+result list is deterministic for deterministic providers. Each distinct
+page is reduced to static text at most once per run, and parsing stops
+once the text is known to run past the crawler cut; the three page
+strategies differ only in how much of that text a single observation
+exposes and whether the agent may scroll.
 
 Live engine adapters degrade to empty results on failure (a dead engine
 must not kill a run); fixture adapters make the whole layer offline and
@@ -15,6 +16,7 @@ byte-stable for tests and replays.
 from __future__ import annotations
 
 import abc
+import hashlib
 import logging
 import os
 import re
@@ -327,13 +329,42 @@ _BLOCK_TAGS = {
     "tr", "blockquote", "pre", "figure", "figcaption", "form", "hr",
 } | set(_HEADING_LEVEL)
 
+# page text gathered between moves of finished lines into the output
+_FLUSH_CHARS = 8192
+
+
+class _PastLimit(Exception):
+    """Stops a bounded parse once its output is longer than the limit."""
+
 
 class _StaticTextParser(HTMLParser):
-    def __init__(self) -> None:
+    """Collects normalized lines; with max_chars, stops once past it.
+
+    Raw text collects in ``parts``. Every _FLUSH_CHARS of data, the lines
+    before its last newline are final, since later text can only extend
+    the last one, and they move, normalized, into ``lines``.
+    """
+
+    def __init__(self, max_chars: int | None = None) -> None:
         super().__init__(convert_charrefs=True)
         self.parts: list[str] = []
+        self.lines: list[str] = []
+        self.max_chars = max_chars
+        self._size = 0  # len("\n".join(self.lines))
+        self._unflushed = 0
         self._skip = 0
         self._links: list[str | None] = []
+
+    def flush(self) -> None:
+        """Move the lines finished so far, normalized, into ``lines``."""
+        done, _, rest = "".join(self.parts).rpartition("\n")
+        self.parts = [rest]
+        self._unflushed = 0
+        for raw_line in done.split("\n"):
+            line = " ".join(raw_line.split())
+            if line:
+                self._size += len(line) + (1 if self.lines else 0)
+                self.lines.append(line)
 
     def handle_starttag(self, tag, attrs):
         if tag in _SKIP_TAGS:
@@ -368,24 +399,38 @@ class _StaticTextParser(HTMLParser):
     def handle_data(self, data):
         if not self._skip:
             self.parts.append(data)
+            self._unflushed += len(data)
+            if self._unflushed >= _FLUSH_CHARS:
+                self.flush()
+                if self.max_chars is not None and self._size > self.max_chars:
+                    raise _PastLimit
 
 
-def extract_static_text(html: str | bytes) -> str:
-    """Static page text: scripts dropped, # headings, links as "text (url)"."""
+def extract_static_text(html: str | bytes, max_chars: int | None = None) -> str:
+    """Static page text: scripts dropped, # headings, links as "text (url)".
+
+    With max_chars, parsing may stop once the text is known to be longer;
+    the result is then a prefix of the full text, longer than max_chars.
+    """
     if isinstance(html, bytes):
         html = html.decode("utf-8", errors="replace")
-    parser = _StaticTextParser()
+    parser = _StaticTextParser(max_chars)
     try:
         parser.feed(html)
         parser.close()
+    except _PastLimit:
+        return "\n".join(parser.lines)
     except Exception:  # malformed markup must never crash extraction
         pass
-    lines = []
-    for raw_line in "".join(parser.parts).split("\n"):
-        line = re.sub(r"\s+", " ", raw_line).strip()
-        if line:
-            lines.append(line)
-    return "\n".join(lines)
+    parser.parts.append("\n")  # the end of the page finishes its last line
+    parser.flush()
+    return "\n".join(parser.lines)
+
+
+def page_text(html: str | bytes) -> tuple[str, bool]:
+    """The page's static text cut to CRAWLER_MAX_CHARS, and whether it was cut."""
+    text = extract_static_text(html, CRAWLER_MAX_CHARS)
+    return text[:CRAWLER_MAX_CHARS], len(text) > CRAWLER_MAX_CHARS
 
 
 @dataclass(frozen=True)
@@ -504,16 +549,9 @@ class FixtureFetcher(PageFetcher):
 
 def fetch_page(url: str, strategy: PageStrategy, fetcher: PageFetcher) -> PageView:
     """Fetch and reduce a page to its first view under the given strategy."""
-    html = fetcher.fetch(url)
-    base = extract_static_text(html)
-    truncated = len(base) > CRAWLER_MAX_CHARS
-    base = base[:CRAWLER_MAX_CHARS]
-    if strategy is PageStrategy.CRAWLER_STATIC:
-        return PageView(url=url, viewport_index=0, viewport_count=1, text=base, truncated=truncated)
-    views = paginate(base)
-    return PageView(
-        url=url, viewport_index=0, viewport_count=len(views), text=views[0], truncated=truncated
-    )
+    browser = BrowserState()
+    browser.open(url, *page_text(fetcher.fetch(url)))
+    return browser.view(strategy)
 
 
 # -- per-run browsing state and dispatch -------------------------------------
@@ -526,6 +564,7 @@ class BrowserState:
         self.url: str | None = None
         self.base_text: str = ""
         self.truncated: bool = False
+        self.viewports: list[str] = []
         self.viewport_index: int = 0
 
     @property
@@ -536,11 +575,8 @@ class BrowserState:
         self.url = url
         self.base_text = base_text
         self.truncated = truncated
+        self.viewports = paginate(base_text)
         self.viewport_index = 0
-
-    @property
-    def viewports(self) -> list[str]:
-        return paginate(self.base_text)
 
     def view(self, strategy: PageStrategy) -> PageView:
         assert self.url is not None
@@ -552,12 +588,11 @@ class BrowserState:
                 text=self.base_text,
                 truncated=self.truncated,
             )
-        views = self.viewports
         return PageView(
             url=self.url,
             viewport_index=self.viewport_index,
-            viewport_count=len(views),
-            text=views[self.viewport_index],
+            viewport_count=len(self.viewports),
+            text=self.viewports[self.viewport_index],
             truncated=self.truncated,
         )
 
@@ -613,6 +648,8 @@ class ToolBox:
         self.attachments = dict(attachments or {})
         self.per_query_limit = per_query_limit
         self.browser = BrowserState()
+        # sha256 of fetched HTML -> page_text of it; lives as long as the run
+        self._page_texts: dict[bytes, tuple[str, bool]] = {}
 
     def dispatch(self, action: Action) -> str:
         """Execute one action; failures come back as observations."""
@@ -657,9 +694,11 @@ class ToolBox:
 
         def thunk() -> dict:
             html = self.fetcher.fetch(url)
-            base = extract_static_text(html)
-            truncated = len(base) > CRAWLER_MAX_CHARS
-            return {"text": base[:CRAWLER_MAX_CHARS], "truncated": truncated}
+            key = hashlib.sha256(html.encode("utf-8", "surrogatepass")).digest()
+            if key not in self._page_texts:
+                self._page_texts[key] = page_text(html)
+            text, truncated = self._page_texts[key]
+            return {"text": text, "truncated": truncated}
 
         try:
             page = self.session.call_tool("fetch_page", {"url": url}, thunk)

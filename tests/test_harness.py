@@ -31,7 +31,7 @@ from agentmeter.harness import (
 )
 from agentmeter.ledger import Scope
 from agentmeter.money import PICO_PER_USD
-from agentmeter.trace import trace_filename
+from agentmeter.trace import read_trace, trace_filename
 
 from conftest import BENCH, bench_backend, bench_fetcher, bench_pricing, bench_providers
 
@@ -227,6 +227,28 @@ def test_run_benchmark_keeps_partial_failures(tmp_path):
     by_id = {o.task_id: o for o in outcomes}
     assert by_id["gaia-e3"].terminated_by is TerminatedBy.ERROR
     assert not by_id["gaia-e3"].solved
+    assert report.rows[0].task_count == 3
+
+
+def test_run_benchmark_survives_an_empty_plan(tmp_path):
+    # e3's planner replies with whitespace only: that run errors, the others go on
+    empty_plan = {"purpose": "planner", "match": "Danube", "response": "  \n ", "times": 0}
+    script = tmp_path / "script.jsonl"
+    script.write_text(
+        json.dumps(empty_plan) + "\n" + (BENCH / "script.jsonl").read_text(encoding="utf-8"),
+        encoding="utf-8",
+    )
+    outcomes, report = run_bench(
+        trace_dir=tmp_path / "traces", backend=ScriptedBackend.from_jsonl(script)
+    )
+    assert [o.terminated_by for o in outcomes] == [
+        TerminatedBy.FINAL_ANSWER, TerminatedBy.FINAL_ANSWER, TerminatedBy.ERROR
+    ]
+    failed = outcomes[2]
+    assert not failed.solved and failed.cost_pico > 0  # the planner call stays metered
+    trace = read_trace(tmp_path / "traces" / trace_filename("gaia-e3", config_hash(bench_config())))
+    assert trace.result["terminated_by"] == "error"
+    assert trace.result["cost_pico"] == failed.cost_pico
     assert report.rows[0].task_count == 3
 
 

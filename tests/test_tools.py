@@ -1,11 +1,13 @@
 import dataclasses
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentmeter.actions import Action, ActionName
 from agentmeter.backend import Purpose, ScriptEntry, ScriptedBackend
+from agentmeter import tools
 from agentmeter.config import PageStrategy, default_config
 from agentmeter.tools import (
     CRAWLER_MAX_CHARS,
@@ -150,6 +152,47 @@ def test_extract_handles_bytes_and_malformed():
     assert extract_static_text(b"<p>bytes</p>") == "bytes"
     # unterminated junk must not raise
     assert isinstance(extract_static_text("<p><a href='x'>oops"), str)
+
+
+_HTML_FRAGMENTS = st.one_of(
+    st.sampled_from([
+        "<p>", "</p>", "<h2>", "</h2>", "<li>", "<br>", "<br/>", "<hr/>", "<div>", "</div>",
+        "<a href='http://x.com/'>", "<a>", "</a>", "<script>var x = '<p>';</script>",
+        "<style>p{}</style>", "<script>", "</style>", "&amp;", "&#160;", "&nbsp;", "&#x85;",
+        "&", "&am", "<", "< p", "\x1c", "\x85", "\xa0", " ", "\r\n", "\n",
+    ]),
+    st.builds(lambda word, n: (word + " ") * n, st.sampled_from(["word", "w\xa0x", "y\x1c"]),
+              st.integers(min_value=1, max_value=1500)),
+    st.text(alphabet="ab <>&;/\n", max_size=20),
+)
+
+
+def extract_flushing_every(flush_chars, html, max_chars=None):
+    """extract_static_text with finished lines moved out every flush_chars of data."""
+    saved = tools._FLUSH_CHARS
+    tools._FLUSH_CHARS = flush_chars
+    try:
+        return extract_static_text(html, max_chars)
+    finally:
+        tools._FLUSH_CHARS = saved
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_HTML_FRAGMENTS, max_size=40).map("".join),
+    st.integers(min_value=0),
+    st.sampled_from([1, 7, tools._FLUSH_CHARS]),
+)
+def test_bounded_extraction_agrees_with_full_parse(html, max_chars, flush_chars):
+    # never flushing mid-parse normalizes the whole text at the end, as a one-shot parse would
+    reference = extract_flushing_every(sys.maxsize, html)
+    full = extract_flushing_every(flush_chars, html)
+    assert full == reference == extract_static_text(html)
+    max_chars %= len(full) + 2
+    bounded = extract_flushing_every(flush_chars, html, max_chars)
+    assert full.startswith(bounded)
+    assert bounded[:max_chars] == full[:max_chars]
+    assert (len(bounded) > max_chars) == (len(full) > max_chars)
 
 
 # -- pagination --------------------------------------------------------------
@@ -298,6 +341,44 @@ def test_toolbox_open_url_and_paging(pricing):
     assert again.startswith("Already at the last viewport")
     up = box.dispatch(Action(ActionName.PAGE_UP, {}))
     assert "viewport 1/2" in up
+
+
+def test_toolbox_extracts_a_page_opened_twice_once(tmp_path, pricing, monkeypatch):
+    from agentmeter.trace import TraceWriter, read_trace
+    from conftest import make_toolbox
+
+    real_extract = tools.extract_static_text
+    extracted = []
+    monkeypatch.setattr(
+        tools, "extract_static_text", lambda html, *a: extracted.append(html) or real_extract(html, *a)
+    )
+    fetched = []
+
+    class CountingFetcher(FixtureFetcher):
+        def fetch(self, url):
+            fetched.append(url)
+            return super().fetch(url)
+
+    def open_twice(name, bypass_memo):
+        writer = TraceWriter(tmp_path / name)
+        writer.header("r", "t", {}, "0" * 8, {})
+        session = make_session(ScriptedBackend([]), pricing, trace=writer)
+        box = make_toolbox(session)
+        box.fetcher = CountingFetcher({"http://x.com/": "<p>same page</p>"})
+        first = box.dispatch(Action(ActionName.OPEN_URL, {"url": "http://x.com/"}))
+        if bypass_memo:
+            box._page_texts.clear()
+        assert box.dispatch(Action(ActionName.OPEN_URL, {"url": "http://x.com/"})) == first
+        writer.close()
+        return (tmp_path / name).read_bytes()
+
+    memoized = open_twice("memo.trace", bypass_memo=False)
+    assert (len(fetched), len(extracted)) == (2, 1)
+    events = [e for e in read_trace(tmp_path / "memo.trace").events if e["type"] == "tool_call"]
+    assert len(events) == 2 and events[0] == events[1]
+    assert events[0]["tool"] == "fetch_page"
+    assert open_twice("bypass.trace", bypass_memo=True) == memoized
+    assert (len(fetched), len(extracted)) == (4, 3)
 
 
 def test_toolbox_paging_requires_complex_strategy_and_open_page(pricing):
