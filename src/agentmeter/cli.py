@@ -3,7 +3,8 @@
 Five subcommands cover the workflow: ``run`` executes one task, ``bench``
 a whole task file, ``sweep`` repeats a benchmark while varying one config
 axis, ``report`` re-renders saved benchmark results, and ``replay``
-re-executes recorded traces offline.
+re-executes recorded traces offline through the same run path as a live
+run (``harness.replay_benchmark``), optionally re-recording them.
 
 Offline operation is first-class: ``--script`` swaps the live model API
 for canned responses and ``--fixtures`` swaps the network fetch layer
@@ -36,11 +37,11 @@ from .harness import (
     UnknownAxisError,
     execute_run,
     load_tasks,
-    replay_run,
+    replay_benchmark,
     run_benchmark,
     sweep_configs,
 )
-from .ledger import AggregateRow, EmptyBenchmarkError, Scope, aggregate
+from .ledger import AggregateRow, EmptyBenchmarkError, Scope
 from .report import (
     FORMATS,
     filter_scope,
@@ -56,8 +57,6 @@ from .tools import (
     SearchProvider,
     live_providers,
 )
-
-log = logging.getLogger("agentmeter.cli")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -167,6 +166,10 @@ def make_providers(args, config: AgentConfig) -> list[SearchProvider]:
     return live_providers(config.source_set)
 
 
+class ResultsFileError(ValueError):
+    """A --results file that bench --out did not write."""
+
+
 def _select_task(tasks: list[Task], task_id: str | None) -> Task:
     if task_id is None:
         if len(tasks) == 1:
@@ -178,32 +181,6 @@ def _select_task(tasks: list[Task], task_id: str | None) -> Task:
         if task.task_id == task_id:
             return task
     raise TaskFileError(f"no task with id {task_id!r}")
-
-
-def _rows_payload(rows) -> list[dict]:
-    return [
-        {
-            "scope": r.scope.value,
-            "task_count": r.task_count,
-            "solved_count": r.solved_count,
-            "total_cost_pico": r.total_cost_pico,
-            "total_tokens": r.total_tokens,
-        }
-        for r in rows
-    ]
-
-
-def _rows_from_payload(payload: list[dict]) -> list[AggregateRow]:
-    return [
-        AggregateRow(
-            scope=Scope(r["scope"]),
-            task_count=r["task_count"],
-            solved_count=r["solved_count"],
-            total_cost_pico=r["total_cost_pico"],
-            total_tokens=r["total_tokens"],
-        )
-        for r in payload
-    ]
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -260,7 +237,7 @@ def cmd_bench(args) -> int:
         payload = {
             "config": config_snapshot(config),
             "config_hash": report.config_hash,
-            "rows": _rows_payload(report.rows),
+            "rows": [r.to_dict() for r in report.rows],
             "outcomes": [
                 {
                     "task_id": o.task_id,
@@ -308,7 +285,7 @@ def cmd_sweep(args) -> int:
                 "value": value,
                 "config": config_snapshot(cfg),
                 "config_hash": report.config_hash,
-                "rows": _rows_payload(report.rows),
+                "rows": [r.to_dict() for r in report.rows],
             }
         )
     if args.out:
@@ -321,8 +298,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = json.loads(Path(args.results).read_text(encoding="utf-8"))
-    rows = _rows_from_payload(payload["rows"])
+    try:
+        payload = json.loads(Path(args.results).read_text(encoding="utf-8"))
+        rows = [AggregateRow.from_dict(r) for r in payload["rows"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ResultsFileError(
+            f"{args.results} is not a results file written by bench --out "
+            f"({type(exc).__name__}: {exc})"
+        ) from None
     if args.scope:
         rows = filter_scope(rows, args.scope)
     title = f"config {payload.get('config_hash', '')}".strip()
@@ -342,16 +325,7 @@ def _collect_traces(paths: list[str]) -> list[Path]:
 
 
 def cmd_replay(args) -> int:
-    files = _collect_traces(args.traces)
-    if not files:
-        raise EmptyBenchmarkError("no trace files found")
-    outcomes = []
-    for path in files:
-        outcome, _ = replay_run(path, trace_dir=args.trace_dir)
-        outcomes.append(outcome)
-        log.info("replayed %s: solved=%s", path.name, outcome.solved)
-    outcomes.sort(key=lambda o: o.task_id)
-    rows = aggregate(o.as_tuple() for o in outcomes)
+    _, rows = replay_benchmark(_collect_traces(args.traces), trace_dir=args.trace_dir)
     sys.stdout.write(render_report(rows, args.format, title="replayed"))
     return 0
 
@@ -379,6 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         BenchmarkAbortError,
         EmptyBenchmarkError,
         UnknownAxisError,
+        ResultsFileError,
         FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

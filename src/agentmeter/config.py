@@ -18,6 +18,7 @@ from datetime import date
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .money import TOKENS_PER_MILLION, MoneyResolutionError, usd_to_pico
 
@@ -229,7 +230,7 @@ def default_pricing() -> PricingTable:
 
 @dataclass(frozen=True)
 class ConfigIssue:
-    kind: str  # "range" | "missing_pricing"
+    kind: str  # "range" | "missing_pricing" | "value"
     field: str
     message: str
 
@@ -305,13 +306,34 @@ def config_snapshot(cfg: AgentConfig) -> dict:
     return out
 
 
+_FIELD_TYPES = get_type_hints(AgentConfig)
+
+
+def coerce_field(name: str, value):
+    """Convert a raw value for AgentConfig field ``name`` to the field's type.
+
+    The one conversion used by config files, trace snapshots and sweep
+    axes. A value that already has the field's type passes through;
+    enum fields take their value case-insensitively.
+    """
+    try:
+        kind = _FIELD_TYPES[name]
+    except KeyError:
+        raise TypeError(f"AgentConfig has no field {name!r}") from None
+    if isinstance(value, kind):
+        return value
+    convert = (get_args(kind) or (kind,))[0]  # an optional field converts with its non-None type
+    try:
+        if issubclass(convert, Enum):
+            return convert(str(value).lower())
+        return convert(value)
+    except ValueError:
+        message = f"{name}: {value!r} is not a valid {convert.__name__}"
+        raise InvalidConfigError([ConfigIssue("value", name, message)]) from None
+
+
 def config_from_snapshot(data: dict) -> AgentConfig:
-    kwargs = dict(data)
-    kwargs["source_set"] = SourceSet(kwargs["source_set"])
-    kwargs["memory_mode"] = MemoryMode(kwargs["memory_mode"])
-    kwargs["page_strategy"] = PageStrategy(kwargs["page_strategy"])
-    kwargs["prm_mode"] = PrmMode(kwargs["prm_mode"])
-    return AgentConfig(**kwargs)
+    return AgentConfig(**{name: coerce_field(name, value) for name, value in data.items()})
 
 
 def config_hash(cfg: AgentConfig) -> str:
@@ -333,28 +355,10 @@ def parse_config(text: str) -> tuple[AgentConfig, PricingTable]:
     parser.optionxform = str  # keep model ids and keys case-sensitive
     parser.read_string(text)
 
-    kwargs: dict = {}
-    if parser.has_section("agent"):
-        sec = parser["agent"]
-        for f in fields(AgentConfig):
-            if f.name not in sec:
-                continue
-            raw = sec[f.name]
-            if f.name == "source_set":
-                kwargs[f.name] = SourceSet(raw.lower())
-            elif f.name == "memory_mode":
-                kwargs[f.name] = MemoryMode(raw.lower())
-            elif f.name == "page_strategy":
-                kwargs[f.name] = PageStrategy(raw.lower())
-            elif f.name == "prm_mode":
-                kwargs[f.name] = PrmMode(raw.lower())
-            elif f.name in ("temperature", "bon_temperature"):
-                kwargs[f.name] = float(raw)
-            elif f.name in ("backbone_id", "prm_backbone_id"):
-                kwargs[f.name] = raw
-            else:
-                kwargs[f.name] = int(raw)
-    cfg = AgentConfig(**kwargs)
+    sec = parser["agent"] if parser.has_section("agent") else {}
+    cfg = AgentConfig(
+        **{f.name: coerce_field(f.name, sec[f.name]) for f in fields(AgentConfig) if f.name in sec}
+    )
 
     entries: dict[str, ModelPricing] = {}
     effective: date | None = None

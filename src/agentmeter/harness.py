@@ -6,6 +6,12 @@ run with its own session, ledger, memory, browser state, and trace
 file; runs execute on a bounded thread pool and results are sorted by
 task id before aggregation, so worker count never changes the report.
 
+Live runs and replays share one run path: a replay restores the task,
+config and pricing from a trace header and runs them exactly as a live
+run does, with the recording in place of the backend, tools and
+embedder. That is why a re-recorded replay matches its original byte
+for byte.
+
 Grading is quasi-exact match: both sides are normalized (whitespace,
 case, quotes, trailing periods), numbers compare numerically after
 comma/percent stripping, and a comma-separated expected answer compares
@@ -29,9 +35,8 @@ from .backend import Backend, Embedder, HashEmbedder
 from .config import (
     SWEEPABLE_FIELDS,
     AgentConfig,
-    MemoryMode,
     PricingTable,
-    SourceSet,
+    coerce_field,
     config_from_snapshot,
     config_hash,
     config_snapshot,
@@ -203,26 +208,29 @@ def _result_payload(
     }
 
 
-def execute_run(
+def _run(
     task: Task,
     config: AgentConfig,
-    backend: Backend,
     pricing: PricingTable,
-    embedder: Embedder | None = None,
+    trace_dir: str | Path | None,
     providers: Sequence[SearchProvider] = (),
     fetcher: PageFetcher | None = None,
-    trace_dir: str | Path | None = None,
-    timeout_s: float | None = DEFAULT_RUN_TIMEOUT_S,
+    **session_kwargs,
 ) -> tuple[TaskOutcome, TaskRunRecord]:
-    """One complete, isolated task run: trace, session, loop, grade."""
+    """The one run path of live runs and replays: trace, session, loop, grade.
+
+    ``session_kwargs`` pick where external effects come from: a backend
+    and embedder for a live run, a ReplaySource for a replay.
+    """
     writer = None
     if trace_dir is not None:
-        writer = TraceWriter(Path(trace_dir) / trace_filename(task.task_id, config_hash(config)))
+        digest = config_hash(config)
+        writer = TraceWriter(Path(trace_dir) / trace_filename(task.task_id, digest))
         writer.header(
             run_id=task.task_id,
             task_id=task.task_id,
             config=config_snapshot(config),
-            config_hash=config_hash(config),
+            config_hash=digest,
             pricing=pricing.snapshot(),
             task={
                 "level": task.level,
@@ -231,14 +239,7 @@ def execute_run(
                 "attachment_names": [Path(p).name for p in task.attachments],
             },
         )
-    session = RunSession(
-        run_id=task.task_id,
-        backend=backend,
-        embedder=embedder or HashEmbedder(),
-        pricing=pricing,
-        trace=writer,
-        timeout_s=timeout_s,
-    )
+    session = RunSession(run_id=task.task_id, pricing=pricing, trace=writer, **session_kwargs)
     toolbox = ToolBox(
         session,
         config,
@@ -263,6 +264,43 @@ def execute_run(
     return outcome, record
 
 
+def execute_run(
+    task: Task,
+    config: AgentConfig,
+    backend: Backend,
+    pricing: PricingTable,
+    embedder: Embedder | None = None,
+    providers: Sequence[SearchProvider] = (),
+    fetcher: PageFetcher | None = None,
+    trace_dir: str | Path | None = None,
+    timeout_s: float | None = DEFAULT_RUN_TIMEOUT_S,
+) -> tuple[TaskOutcome, TaskRunRecord]:
+    """One complete, isolated task run: trace, session, loop, grade."""
+    return _run(
+        task,
+        config,
+        pricing,
+        trace_dir,
+        providers=providers,
+        fetcher=fetcher,
+        backend=backend,
+        embedder=embedder or HashEmbedder(),
+        timeout_s=timeout_s,
+    )
+
+
+def _check_trace_names(tasks: Sequence[Task], digest: str) -> None:
+    """Refuse task ids that would write the same trace file."""
+    owners: dict[str, str] = {}
+    for task in tasks:
+        name = trace_filename(task.task_id, digest)
+        if name in owners:
+            raise DuplicateTaskIdError(
+                f"task ids {owners[name]!r} and {task.task_id!r} both map to trace file {name}"
+            )
+        owners[name] = task.task_id
+
+
 def run_benchmark(
     tasks: Sequence[Task],
     config: AgentConfig,
@@ -280,6 +318,8 @@ def run_benchmark(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     validate_config(config, pricing)
+    if trace_dir is not None:
+        _check_trace_names(tasks, config_hash(config))
 
     def one(task: Task) -> TaskOutcome:
         outcome, _ = execute_run(
@@ -316,12 +356,6 @@ def run_benchmark(
 
 # -- sweeps ------------------------------------------------------------------
 
-_AXIS_COERCERS = {
-    "source_set": lambda v: v if isinstance(v, SourceSet) else SourceSet(str(v).lower()),
-    "memory_mode": lambda v: v if isinstance(v, MemoryMode) else MemoryMode(str(v).lower()),
-    "backbone_id": str,
-}
-
 
 def sweep_configs(base: AgentConfig, axis: str, values: Sequence) -> list[AgentConfig]:
     """One config per value, differing from base only on the swept axis."""
@@ -329,27 +363,9 @@ def sweep_configs(base: AgentConfig, axis: str, values: Sequence) -> list[AgentC
         raise UnknownAxisError(
             f"axis {axis!r} is not sweepable; choose one of {', '.join(SWEEPABLE_FIELDS)}"
         )
-    coerce = _AXIS_COERCERS.get(axis, lambda v: int(v))
-    return [replace(base, **{axis: coerce(v)}) for v in values]
-
-
-def sweep(
-    base: AgentConfig,
-    axis: str,
-    values: Sequence,
-    tasks: Sequence[Task],
-    backend: Backend,
-    pricing: PricingTable,
-    workers: int = 1,
-    **run_kwargs,
-) -> list[tuple[AgentConfig, BenchmarkReport]]:
-    results = []
-    for cfg in sweep_configs(base, axis, values):
-        _, report = run_benchmark(
-            tasks, cfg, backend, pricing, workers=workers, **run_kwargs
-        )
-        results.append((cfg, report))
-    return results
+    if not values:
+        raise EmptyBenchmarkError(f"no values to sweep for axis {axis!r}")
+    return [replace(base, **{axis: coerce_field(axis, v)}) for v in values]
 
 
 # -- replay ------------------------------------------------------------------
@@ -362,14 +378,13 @@ def replay_run(
     """Re-execute a recorded run fully offline.
 
     All model responses, tool results, and embeddings come from the
-    recording; config and pricing are restored from its header. With
-    ``trace_dir`` set, the replay writes its own trace, which for a
-    deterministic run is byte-identical to the original.
+    recording; task, config and pricing are restored from its header and
+    go through the same run path as a live run. With ``trace_dir`` set,
+    the replay writes its own trace, which for a deterministic run is
+    byte-identical to the original.
     """
     data = read_trace(trace_path)
     header = data.header
-    config = config_from_snapshot(header["config"])
-    pricing = PricingTable.from_snapshot(header["pricing"])
     task_info = header["task"]
     task = Task(
         task_id=header["task_id"],
@@ -379,56 +394,31 @@ def replay_run(
         # names only; replayed read_attachment events never touch disk
         attachments=tuple(task_info["attachment_names"]),
     )
-
-    writer = None
-    if trace_dir is not None:
-        writer = TraceWriter(Path(trace_dir) / trace_filename(task.task_id, header["config_hash"]))
-        writer.header(
-            run_id=header["run_id"],
-            task_id=header["task_id"],
-            config=header["config"],
-            config_hash=header["config_hash"],
-            pricing=header["pricing"],
-            task=task_info,
-        )
-    session = RunSession(
-        run_id=header["run_id"],
+    return _run(
+        task,
+        config_from_snapshot(header["config"]),
+        PricingTable.from_snapshot(header["pricing"]),
+        trace_dir,
         backend=None,
         embedder=None,
-        pricing=pricing,
-        trace=writer,
         replay=ReplaySource(data),
     )
-    toolbox = ToolBox(
-        session,
-        config,
-        providers=(),
-        fetcher=FixtureFetcher({}),
-        attachments={name: name for name in task.attachments},
-    )
-    record = run_task(task.task_id, task.question, config, session, toolbox)
-    solved = grade(record.final_answer, task.expected_answer)
-    if writer is not None:
-        writer.result(_result_payload(record, solved))
-        writer.close()
-    outcome = TaskOutcome(
-        task_id=task.task_id,
-        level=task.level,
-        solved=solved,
-        final_answer=record.final_answer,
-        cost_pico=record.ledger.total_cost_pico,
-        total_tokens=record.ledger.total_tokens,
-        terminated_by=record.terminated_by,
-    )
-    return outcome, record
 
 
 def replay_benchmark(
     trace_paths: Sequence[str | Path],
+    trace_dir: str | Path | None = None,
 ) -> tuple[list[TaskOutcome], list[AggregateRow]]:
-    """Replay a set of traces and rebuild the aggregate rows."""
-    outcomes = [replay_run(p)[0] for p in trace_paths]
+    """Replay a set of traces and rebuild the aggregate rows.
+
+    With ``trace_dir`` set, every replay is re-recorded there.
+    """
+    if not trace_paths:
+        raise EmptyBenchmarkError("no trace files to replay")
+    outcomes = []
+    for path in trace_paths:
+        outcome, _ = replay_run(path, trace_dir=trace_dir)
+        log.info("replayed %s: solved=%s", Path(path).name, outcome.solved)
+        outcomes.append(outcome)
     outcomes.sort(key=lambda o: o.task_id)
-    if not outcomes:
-        raise EmptyBenchmarkError("no traces to replay")
     return outcomes, aggregate(o.as_tuple() for o in outcomes)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .backend import Purpose, TokenUsage
 from .config import ModelPricing, PricingTable
@@ -181,6 +181,9 @@ class Scope(Enum):
     L3 = "l3"
 
 
+_ROW_COUNTS = ("task_count", "solved_count", "total_cost_pico", "total_tokens")
+
+
 @dataclass(frozen=True)
 class AggregateRow:
     """One report row: accuracy, mean cost, mean tokens, dollars per solve.
@@ -201,6 +204,15 @@ class AggregateRow:
             raise ValueError("a row needs at least one task")
         if not 0 <= self.solved_count <= self.task_count:
             raise ValueError("solved count out of range")
+
+    def to_dict(self) -> dict:
+        """Plain JSON-safe form, as saved by ``bench --out``."""
+        return {"scope": self.scope.value, **{name: getattr(self, name) for name in _ROW_COUNTS}}
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "AggregateRow":
+        """Inverse of :meth:`to_dict`; count values may also be strings, as in CSV."""
+        return cls(Scope(data["scope"]), *(int(data[name]) for name in _ROW_COUNTS))
 
     @property
     def accuracy(self) -> float:

@@ -15,7 +15,13 @@ import io
 import math
 from typing import Iterable, Sequence
 
-from .ledger import AggregateRow, ComparisonMetrics, Scope, comparison_metrics
+from .ledger import (
+    AggregateRow,
+    ComparisonMetrics,
+    EmptyBenchmarkError,
+    Scope,
+    comparison_metrics,
+)
 
 _SCOPE_LABEL = {
     Scope.ALL: "all",
@@ -37,8 +43,29 @@ def filter_scope(rows: Iterable[AggregateRow], scope: str | Scope) -> list[Aggre
     wanted = scope if isinstance(scope, Scope) else Scope(scope.lower())
     out = [r for r in rows if r.scope is wanted]
     if not out:
-        raise ValueError(f"no row for scope {wanted.value!r}")
+        raise EmptyBenchmarkError(f"no row for scope {wanted.value!r}")
     return out
+
+
+def _grid(headers: Sequence[str], body: Sequence[Sequence[str]], title: str = "") -> str:
+    """Text table: first column left-aligned, the rest right-aligned."""
+    widths = [
+        max(len(headers[i]), max((len(row[i]) for row in body), default=0))
+        for i in range(len(headers))
+    ]
+
+    def fmt(cells: Sequence[str]) -> str:
+        first = cells[0].ljust(widths[0])
+        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
+        return f"{first}  {rest}".rstrip()
+
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append(fmt(headers))
+    lines.append("-" * len(lines[-1]))
+    lines.extend(fmt(row) for row in body)
+    return "\n".join(lines) + "\n"
 
 
 def render_table(rows: Sequence[AggregateRow], title: str = "") -> str:
@@ -55,24 +82,7 @@ def render_table(rows: Sequence[AggregateRow], title: str = "") -> str:
         )
         for r in rows
     ]
-    widths = [
-        max(len(headers[i]), max((len(row[i]) for row in body), default=0))
-        for i in range(len(headers))
-    ]
-
-    def fmt(cells: Sequence[str]) -> str:
-        # first column left-aligned, numbers right-aligned
-        first = cells[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
-        return f"{first}  {rest}".rstrip()
-
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(fmt(headers))
-    lines.append("-" * len(lines[-1]))
-    lines.extend(fmt(row) for row in body)
-    return "\n".join(lines) + "\n"
+    return _grid(headers, body, title)
 
 
 _CSV_FIELDS = (
@@ -111,19 +121,7 @@ def render_csv(rows: Sequence[AggregateRow]) -> str:
 
 def parse_csv(text: str) -> list[AggregateRow]:
     """Rebuild rows from render_csv output using the integer columns."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for rec in reader:
-        rows.append(
-            AggregateRow(
-                scope=Scope(rec["scope"]),
-                task_count=int(rec["task_count"]),
-                solved_count=int(rec["solved_count"]),
-                total_cost_pico=int(rec["total_cost_pico"]),
-                total_tokens=int(rec["total_tokens"]),
-            )
-        )
-    return rows
+    return [AggregateRow.from_dict(rec) for rec in csv.DictReader(io.StringIO(text))]
 
 
 # -- svg scatter -------------------------------------------------------------
@@ -269,16 +267,4 @@ def render_sweep_table(
         )
         for value, r in entries
     ]
-    widths = [
-        max(len(headers[i]), max((len(row[i]) for row in body), default=0))
-        for i in range(len(headers))
-    ]
-
-    def fmt(cells: Sequence[str]) -> str:
-        first = cells[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
-        return f"{first}  {rest}".rstrip()
-
-    lines = [fmt(headers), "-" * len(fmt(headers))]
-    lines.extend(fmt(row) for row in body)
-    return "\n".join(lines) + "\n"
+    return _grid(headers, body)

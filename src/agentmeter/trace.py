@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import Backend, Message, ModelRequest, ModelResponse, TokenUsage
+from .backend import Message, ModelRequest, ModelResponse, TokenUsage
 
 TRACE_VERSION = 1
 TRACE_SUFFIX = ".trace"
@@ -210,19 +210,8 @@ class ReplaySource:
         return not (self._responses or self._tools or self._embeds)
 
 
-class ReplayBackend(Backend):
-    """Backend that serves responses from a recorded trace."""
-
-    def __init__(self, source: ReplaySource):
-        self._source = source
-
-    def complete(self, request: ModelRequest) -> ModelResponse:
-        return self._source.next_response(request)
-
-
 __all__ = [
     "Message",
-    "ReplayBackend",
     "ReplayMismatchError",
     "ReplaySource",
     "TraceData",

@@ -112,6 +112,34 @@ def test_report_scope_and_format(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_report_scope_without_rows_exits_two(tmp_path, capsys):
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(
+        (BENCH / "tasks.jsonl").read_text(encoding="utf-8").splitlines()[0] + "\n",
+        encoding="utf-8",
+    )
+    results = tmp_path / "results.json"
+    assert run_cli("bench", *bench_args(), "--tasks", str(tasks), "--out", str(results)) == 0
+    capsys.readouterr()
+
+    assert run_cli("report", "--results", str(results), "--scope", "l3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "l3" in err
+
+
+def test_report_rejects_sweep_results(tmp_path, capsys):
+    results = tmp_path / "sweep.json"
+    assert run_cli(
+        "sweep", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
+        "--axis", "max_steps", "--values", "6", "--out", str(results),
+    ) == 0
+    capsys.readouterr()
+
+    assert run_cli("report", "--results", str(results)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bench --out" in err
+
+
 def test_bench_workers_flag(capsys):
     code = run_cli(
         "bench", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
@@ -149,6 +177,29 @@ def test_sweep_unknown_axis_exits_two(capsys):
     )
     assert code == 2
     assert "not sweepable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis,value", [("memory_mode", "bogus"), ("max_steps", "x")])
+def test_sweep_invalid_value_exits_two(axis, value, capsys):
+    code = run_cli(
+        "sweep", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
+        "--axis", axis, "--values", value,
+    )
+    assert code == 2
+    assert f"{axis}: '{value}' is not a valid" in capsys.readouterr().err
+
+
+def test_sweep_without_values_exits_two_before_running(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    code = run_cli(
+        "sweep", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
+        "--axis", "max_steps", "--values", ",", "--trace-dir", str(traces),
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "no values" in captured.err
+    assert captured.out == ""
+    assert not traces.exists()
 
 
 # -- replay ------------------------------------------------------------------
@@ -189,6 +240,17 @@ def test_pricing_file_without_models_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "pricing" in capsys.readouterr().err
+
+
+def test_invalid_config_value_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[agent]\nmemory_mode = bogus\n", encoding="utf-8")
+    code = run_cli(
+        "run", "--config", str(bad), "--script", str(BENCH / "script.jsonl"),
+        "--fixtures", str(BENCH), "--tasks", str(BENCH / "tasks.jsonl"), "--task-id", "gaia-e1",
+    )
+    assert code == 2
+    assert "memory_mode: 'bogus' is not a valid MemoryMode" in capsys.readouterr().err
 
 
 def test_missing_tasks_file_exits_two(tmp_path, capsys):

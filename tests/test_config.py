@@ -1,4 +1,5 @@
 import dataclasses
+from enum import Enum
 
 import pytest
 
@@ -14,6 +15,7 @@ from agentmeter.config import (
     PricingTable,
     PrmMode,
     SourceSet,
+    coerce_field,
     config_from_snapshot,
     config_hash,
     config_issues,
@@ -25,6 +27,7 @@ from agentmeter.config import (
     serialize_config,
     validate_config,
 )
+from agentmeter.harness import sweep_configs
 from agentmeter.money import MoneyResolutionError
 
 
@@ -224,3 +227,48 @@ def test_parse_pricing_sections():
 def test_parse_rejects_unknown_enum_value():
     with pytest.raises(ValueError):
         parse_config("[agent]\nsource_set = everything\n")
+
+
+# -- field coercion ----------------------------------------------------------
+
+
+def _field_values():
+    """Every AgentConfig field with a non-default value; every enum value."""
+    base = default_config()
+    for f in dataclasses.fields(AgentConfig):
+        default = getattr(base, f.name)
+        if isinstance(default, Enum):
+            values = list(type(default))
+        elif isinstance(default, int):
+            values = [default + 1]
+        elif isinstance(default, float):
+            values = [default + 0.25]
+        else:  # model ids, including the optional judge model
+            values = ["gpt-4.1-mini"]
+        for value in values:
+            label = value.value if isinstance(value, Enum) else value
+            yield pytest.param(f.name, value, id=f"{f.name}={label}")
+
+
+@pytest.mark.parametrize("name,value", _field_values())
+def test_every_field_round_trips_through_every_reader(name, value):
+    cfg = dataclasses.replace(default_config(), **{name: value})
+    assert coerce_field(name, value) is value
+    assert parse_config(serialize_config(cfg, default_pricing()))[0] == cfg
+    assert config_from_snapshot(config_snapshot(cfg)) == cfg
+    raw = value.value if isinstance(value, Enum) else str(value)
+    if name in SWEEPABLE_FIELDS:
+        assert sweep_configs(default_config(), name, [raw]) == [cfg]
+    if isinstance(value, Enum):
+        upper = raw.upper()
+        assert parse_config(f"[agent]\n{name} = {upper}\n")[0] == cfg
+        assert config_from_snapshot({**config_snapshot(cfg), name: upper}) == cfg
+        if name in SWEEPABLE_FIELDS:
+            assert sweep_configs(default_config(), name, [upper]) == [cfg]
+
+
+def test_coerce_field_rejects_unknown_field():
+    with pytest.raises(TypeError, match="no_such_field"):
+        coerce_field("no_such_field", "1")
+    with pytest.raises(TypeError):
+        config_from_snapshot({**config_snapshot(default_config()), "no_such_field": 1})

@@ -252,6 +252,21 @@ def test_run_benchmark_survives_an_empty_plan(tmp_path):
     assert report.rows[0].task_count == 3
 
 
+def test_run_benchmark_rejects_task_ids_sharing_a_trace_file(tmp_path):
+    first = load_tasks(BENCH / "tasks.jsonl")[0]
+    tasks = [dataclasses.replace(first, task_id=i) for i in ("gaia/e1", "gaia_e1")]
+    args = (tasks, bench_config(), bench_backend(), bench_pricing())
+    kwargs = dict(providers=bench_providers(), fetcher=bench_fetcher())
+
+    with pytest.raises(DuplicateTaskIdError) as info:
+        run_benchmark(*args, trace_dir=tmp_path / "traces", **kwargs)
+    assert "'gaia/e1'" in str(info.value) and "'gaia_e1'" in str(info.value)
+    assert not (tmp_path / "traces").exists()
+
+    outcomes, _ = run_benchmark(*args, **kwargs)  # no traces, no collision
+    assert [o.solved for o in outcomes] == [True, True]
+
+
 def test_run_benchmark_rejects_empty_and_bad_workers():
     from agentmeter.ledger import EmptyBenchmarkError
 

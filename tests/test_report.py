@@ -50,15 +50,18 @@ def test_filter_scope():
         filter_scope(SAMPLE, "l3")
 
 
+TABLE_GOLDEN = (
+    "scope    tasks  solved  acc %  mean $  $ / solve  mean tok\n"
+    "----------------------------------------------------------\n"
+    "all          4       2   50.0  0.5000     1.0000      1000\n"
+    "level 1      2       2  100.0  0.2500     0.2500       750\n"
+    "level 2      2       0    0.0  0.7500        inf      1250\n"
+)
+
+
 def test_render_table_golden():
-    out = render_table(SAMPLE, title="demo")
-    lines = out.splitlines()
-    assert lines[0] == "demo"
-    assert lines[1].split() == ["scope", "tasks", "solved", "acc", "%", "mean", "$", "$", "/", "solve", "mean", "tok"]
-    assert set(lines[2]) == {"-"}
-    assert lines[3].split() == ["all", "4", "2", "50.0", "0.5000", "1.0000", "1000"]
-    assert lines[5].split() == ["level", "2", "2", "0", "0.0", "0.7500", "inf", "1250"]
-    assert out.endswith("\n")
+    assert render_table(SAMPLE, title="demo") == "demo\n" + TABLE_GOLDEN
+    assert render_table(SAMPLE) == TABLE_GOLDEN
 
 
 def test_csv_round_trip_is_exact():
@@ -137,8 +140,20 @@ def test_render_sweep_table():
         [("4", row(Scope.ALL, 3, 1, 0.2)), ("8", row(Scope.ALL, 3, 2, 0.4))],
         axis="max_steps",
     )
-    lines = out.splitlines()
-    assert lines[0].split()[0] == "max_steps"
-    assert lines[2].split()[0] == "4"
-    assert lines[3].split()[0] == "8"
-    assert "33.3" in lines[2] and "66.7" in lines[3]
+    assert out == (
+        "max_steps  tasks  acc %  mean $  $ / solve  mean tok\n"
+        "----------------------------------------------------\n"
+        "4              3   33.3  0.2000     0.6000      1333\n"
+        "8              3   66.7  0.4000     0.6000      1333\n"
+    )
+    # a value wider than the axis name widens the first column
+    out = render_sweep_table(
+        [("x", row(Scope.ALL, 3, 1, 0.2)), ("memory_long_value", row(Scope.ALL, 3, 0, 0.4))],
+        axis="a",
+    )
+    assert out == (
+        "a                  tasks  acc %  mean $  $ / solve  mean tok\n"
+        "------------------------------------------------------------\n"
+        "x                      3   33.3  0.2000     0.6000      1333\n"
+        "memory_long_value      3    0.0  0.4000        inf      1333\n"
+    )
