@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .actions import Action, ActionName, UnparsableActionError, parse_action
-from .backend import BackendError, Message, Purpose, TokenUsage
-from .config import AgentConfig, PrmMode
+from .backend import Message, Purpose, TokenUsage
+from .config import AgentConfig
 from .memory import RunMemory, full_block
 from .session import RunSession, RunTimeoutError
 from .tools import ToolBox
-from .trace import ReplayMismatchError
 from . import prompts, tts
 
 log = logging.getLogger("agentmeter.agent")
@@ -34,7 +33,7 @@ CORRECTIVE_OBSERVATION = (
 class TerminatedBy(Enum):
     FINAL_ANSWER = "final_answer"
     STEP_BUDGET = "step_budget"
-    ERROR = "error"  # backend gave up mid-run; graded unsolved, cost kept
+    ERROR = "error"  # the run raised mid-way; graded unsolved, cost kept
     TIMEOUT = "timeout"  # wall-clock budget hit; graded unsolved, cost kept
 
 
@@ -134,10 +133,7 @@ def generate_plan(state: AgentState, step_index: int) -> Plan:
         (Message("user", prompt),),
         temperature=state.config.temperature,
     )
-    text = response.text.strip()
-    if not text:
-        raise PlanEmptyError("planner returned an empty plan")
-    return Plan(text=text, created_at_step=step_index)
+    return Plan(text=response.text.strip(), created_at_step=step_index)
 
 
 def _actor_messages(state: AgentState) -> tuple[Message, ...]:
@@ -164,66 +160,39 @@ def _judge_history(state: AgentState) -> str:
     return "\n\n".join(parts)
 
 
-def _choose_output(state: AgentState) -> tts.Candidate:
-    """One actor sample, or a judged best-of-N when configured."""
+def react_step(state: AgentState) -> Step:
+    """Sample one action (or N, judged by ``tts.choose``) and execute it."""
     cfg = state.config
-    messages = _actor_messages(state)
     temperature = cfg.temperature if cfg.bon_n == 1 else cfg.bon_temperature
     candidates = tts.sample_candidates(
-        messages, cfg.bon_n, state.session, cfg.backbone_id, temperature
+        _actor_messages(state), cfg.bon_n, state.session, cfg.backbone_id, temperature
     )
-    if cfg.bon_n == 1:
-        return candidates[0]
-
-    history = _judge_history(state)
-    step_number = len(state.steps)
-    if cfg.prm_mode is PrmMode.LIST:
-        index = tts.judge_list(candidates, history, state.session, cfg.judge_model_id)
-        return candidates[index]
-    verdicts = []
-    for candidate in candidates:
-        if candidate.error is not None:
-            verdicts.append(tts.PrmVerdict(analysis="candidate call failed", score=0))
-        else:
-            verdicts.append(
-                tts.judge_score(
-                    candidate, history, step_number, state.session, cfg.judge_model_id
-                )
-            )
-    return tts.select_best(candidates, verdicts)
-
-
-def react_step(state: AgentState) -> Step:
-    index = len(state.steps)
-    chosen = _choose_output(state)
-
-    if chosen.action is None:
-        reason = chosen.error or "no parsable ACTION directive"
-        return Step(
-            index=index,
-            model_output=chosen.model_output,
-            action=None,
-            observation=CORRECTIVE_OBSERVATION,
-            usage=chosen.usage,
-            error=f"invalid action format: {reason}",
+    chosen = candidates[0]
+    if cfg.bon_n > 1:
+        chosen = tts.choose(
+            candidates,
+            _judge_history(state),
+            len(state.steps),
+            cfg.prm_mode,
+            state.session,
+            cfg.judge_model_id,
         )
 
-    action = chosen.action
-    if action.is_terminal:
-        return Step(
-            index=index,
-            model_output=chosen.model_output,
-            action=action,
-            observation="",
-            usage=chosen.usage,
-        )
-    observation = state.toolbox.dispatch(action)
+    action, error = chosen.action, None
+    if action is None:
+        observation = CORRECTIVE_OBSERVATION
+        error = f"invalid action format: {chosen.error or 'no parsable ACTION directive'}"
+    elif action.is_terminal:
+        observation = ""
+    else:
+        observation = state.toolbox.dispatch(action)
     return Step(
-        index=index,
+        index=len(state.steps),
         model_output=chosen.model_output,
         action=action,
         observation=observation,
         usage=chosen.usage,
+        error=error,
     )
 
 
@@ -293,8 +262,9 @@ def run_task(
     except RunTimeoutError:
         log.warning("run %s hit its wall-clock limit", task_id)
         terminated_by = TerminatedBy.TIMEOUT
-    except (BackendError, ReplayMismatchError, PlanEmptyError) as exc:
-        log.warning("run %s aborted: %s", task_id, exc)
+    except Exception as exc:
+        # one failing run must not take the benchmark down; its cost and trace stay
+        log.warning("run %s aborted: %s", task_id, exc, exc_info=True)
         terminated_by = TerminatedBy.ERROR
 
     return TaskRunRecord(

@@ -29,6 +29,7 @@ from .config import (
     default_config,
     default_pricing,
     load_config,
+    validate_config,
 )
 from .harness import (
     BenchmarkAbortError,
@@ -195,6 +196,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def cmd_run(args) -> int:
     config, pricing = load_settings(args)
+    validate_config(config, pricing)
     task = _select_task(load_tasks(args.tasks), args.task_id)
     outcome, record = execute_run(
         task,

@@ -35,6 +35,8 @@ from .backend import Backend, Embedder, HashEmbedder
 from .config import (
     SWEEPABLE_FIELDS,
     AgentConfig,
+    ConfigIssue,
+    InvalidConfigError,
     PricingTable,
     coerce_field,
     config_from_snapshot,
@@ -344,8 +346,8 @@ def run_benchmark(
     outcomes.sort(key=lambda o: o.task_id)
     if all(o.terminated_by is TerminatedBy.ERROR for o in outcomes):
         raise BenchmarkAbortError(
-            f"every run failed with a backend error ({len(outcomes)} tasks); "
-            "check credentials, pricing, or the script"
+            f"every run failed ({len(outcomes)} tasks ended in error); "
+            "the log names each run's cause"
         )
     rows = aggregate(o.as_tuple() for o in outcomes)
     report = BenchmarkReport(
@@ -365,7 +367,14 @@ def sweep_configs(base: AgentConfig, axis: str, values: Sequence) -> list[AgentC
         )
     if not values:
         raise EmptyBenchmarkError(f"no values to sweep for axis {axis!r}")
-    return [replace(base, **{axis: coerce_field(axis, v)}) for v in values]
+    coerced = [coerce_field(axis, v) for v in values]
+    for i, value in enumerate(coerced):
+        first = coerced.index(value)
+        if first < i:
+            # equal configs would repeat one benchmark and overwrite its trace files
+            message = f"{axis}: {values[i]!r} repeats {values[first]!r}; give each value once"
+            raise InvalidConfigError([ConfigIssue("value", axis, message)])
+    return [replace(base, **{axis: v}) for v in coerced]
 
 
 # -- replay ------------------------------------------------------------------

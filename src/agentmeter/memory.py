@@ -16,7 +16,7 @@ deterministic tiebreak, so rendering is reproducible for a fixed store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,11 +29,6 @@ if TYPE_CHECKING:
     from .session import RunSession
 
 UNIT_NORM_TOL = 1e-6
-
-SUMMARY_MODES = frozenset(
-    {MemoryMode.SUMMARIZED, MemoryMode.EXTRA_SUMMARIZED, MemoryMode.EXTRA_HYBRID}
-)
-NOTE_MODES = frozenset({MemoryMode.EXTRA_FIXED, MemoryMode.EXTRA_HYBRID})
 
 
 class DimensionMismatchError(ValueError):
@@ -165,6 +160,23 @@ def note_block(note: LongTermNote) -> str:
     return f"Long-term memory:\n{note.text}"
 
 
+class _Layout(NamedTuple):
+    step_block: Callable[["Step"], str] | None  # None: steps are not shown
+    summaries: bool  # step summaries are kept, and the top-k retrieved are shown
+    note: bool  # the long-term note is kept and shown
+
+
+# what each memory mode keeps between steps and shows the actor
+_LAYOUT = {
+    MemoryMode.SIMPLE: _Layout(simple_block, summaries=False, note=False),
+    MemoryMode.NO_EXTRA: _Layout(full_block, summaries=False, note=False),
+    MemoryMode.SUMMARIZED: _Layout(None, summaries=True, note=False),
+    MemoryMode.EXTRA_SUMMARIZED: _Layout(full_block, summaries=True, note=False),
+    MemoryMode.EXTRA_FIXED: _Layout(full_block, summaries=False, note=True),
+    MemoryMode.EXTRA_HYBRID: _Layout(full_block, summaries=True, note=True),
+}
+
+
 def render_context(
     mode: MemoryMode,
     steps: Sequence["Step"],
@@ -174,22 +186,11 @@ def render_context(
     k: int = 1,
 ) -> list[str]:
     """Build the history portion of the actor context for the given mode."""
-    retrieved: list[SummaryEntry] = []
-    if mode in SUMMARY_MODES and store is not None and len(store) and query_embedding is not None:
-        retrieved = retrieve_top_k(store, query_embedding, k)
-
-    if mode is MemoryMode.SIMPLE:
-        return [simple_block(s) for s in steps]
-    if mode is MemoryMode.NO_EXTRA:
-        return [full_block(s) for s in steps]
-    if mode is MemoryMode.SUMMARIZED:
-        # summaries stand in for the step history entirely
-        return [summary_block(e) for e in retrieved]
-
-    blocks = [full_block(s) for s in steps]
-    if mode in (MemoryMode.EXTRA_SUMMARIZED, MemoryMode.EXTRA_HYBRID):
-        blocks.extend(summary_block(e) for e in retrieved)
-    if mode in NOTE_MODES and note is not None and note.text:
+    layout = _LAYOUT[mode]
+    blocks = [layout.step_block(s) for s in steps] if layout.step_block else []
+    if layout.summaries and store is not None and len(store) and query_embedding is not None:
+        blocks.extend(summary_block(e) for e in retrieve_top_k(store, query_embedding, k))
+    if layout.note and note is not None and note.text:
         blocks.append(note_block(note))
     return blocks
 
@@ -197,13 +198,9 @@ def render_context(
 # -- model-backed maintenance ------------------------------------------------
 
 
-def step_content(step: "Step") -> str:
-    """The step as shown to the summarizer; includes the raw observation."""
-    return full_block(step)
-
-
 def summarize_step(step: "Step", session: "RunSession", model_id: str) -> str:
-    prompt = prompts.render(prompts.MEMORY_SUMMARIZE, step_content=step_content(step))
+    # the summarizer sees the whole step, raw observation included
+    prompt = prompts.render(prompts.MEMORY_SUMMARIZE, step_content=full_block(step))
     response = session.call_model(
         Purpose.MEMORY, model_id, (Message("user", prompt),)
     )
@@ -218,7 +215,7 @@ def update_long_term_note(
 ) -> LongTermNote:
     prompt = prompts.render(
         prompts.MEMORY_LONGTERM,
-        previous_step=step_content(previous_step),
+        previous_step=full_block(previous_step),
         long_term_memory=note.text or "(empty)",
     )
     response = session.call_model(
@@ -248,33 +245,26 @@ class RunMemory:
         note_max_chars: int,
     ):
         self.mode = mode
+        self.layout = _LAYOUT[mode]
         self.session = session
         self.model_id = model_id
         self.retrieval_k = retrieval_k
         self.store = VectorStore()
         self.note = LongTermNote("", note_max_chars)
 
-    @property
-    def keeps_summaries(self) -> bool:
-        return self.mode in SUMMARY_MODES
-
-    @property
-    def keeps_note(self) -> bool:
-        return self.mode in NOTE_MODES
-
     def observe_step(self, step: "Step") -> None:
-        if self.keeps_summaries:
+        if self.layout.summaries:
             summary = summarize_step(step, self.session, self.model_id)
             embedding = self.session.embed(summary)
             self.store.add(
                 SummaryEntry(step_index=step.index, summary_text=summary, embedding=embedding)
             )
-        if self.keeps_note:
+        if self.layout.note:
             self.note = update_long_term_note(self.note, step, self.session, self.model_id)
 
     def context_blocks(self, steps: Sequence["Step"], query_text: str) -> list[str]:
         query_embedding = None
-        if self.keeps_summaries and len(self.store):
+        if self.layout.summaries and len(self.store):
             query_embedding = self.session.embed(query_text)
         return render_context(
             self.mode,

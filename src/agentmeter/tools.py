@@ -639,14 +639,12 @@ class ToolBox:
         providers: Sequence[SearchProvider],
         fetcher: PageFetcher,
         attachments: dict[str, str] | None = None,
-        per_query_limit: int = DEFAULT_PER_QUERY_LIMIT,
     ):
         self.session = session
         self.config = config
         self.providers = list(providers)
         self.fetcher = fetcher
         self.attachments = dict(attachments or {})
-        self.per_query_limit = per_query_limit
         self.browser = BrowserState()
         # sha256 of fetched HTML -> page_text of it; lives as long as the run
         self._page_texts: dict[bytes, tuple[str, bool]] = {}
@@ -656,8 +654,8 @@ class ToolBox:
         handlers = {
             ActionName.SEARCH: self._do_search,
             ActionName.OPEN_URL: self._do_open_url,
-            ActionName.PAGE_UP: self._do_page_up,
-            ActionName.PAGE_DOWN: self._do_page_down,
+            ActionName.PAGE_UP: self._scroll,
+            ActionName.PAGE_DOWN: self._scroll,
             ActionName.READ_ATTACHMENT: self._do_read_attachment,
         }
         handler = handlers.get(action.name)
@@ -678,7 +676,7 @@ class ToolBox:
         providers = self.providers
 
         def thunk() -> list[dict]:
-            return [asdict(r) for r in search(providers, queries, self.per_query_limit)]
+            return [asdict(r) for r in search(providers, queries)]
 
         results = self.session.call_tool(
             "search",
@@ -707,11 +705,12 @@ class ToolBox:
         self.browser.open(url, page["text"], page["truncated"])
         return render_view(self.browser.view(self.config.page_strategy))
 
-    def _scroll(self, delta: int, direction: str) -> str:
+    def _scroll(self, action: Action) -> str:
         if self.config.page_strategy is not PageStrategy.BROWSER_COMPLEX:
-            return f"{direction} is only available under the complex browser strategy."
+            return f"{action.name.value} is only available under the complex browser strategy."
         if not self.browser.is_open:
             return "No page is open; use open_url first."
+        delta = -1 if action.name is ActionName.PAGE_UP else +1
         moved = self.browser.scroll(delta)
         view = self.browser.view(self.config.page_strategy)
         rendered = render_view(view)
@@ -719,12 +718,6 @@ class ToolBox:
             edge = "first" if delta < 0 else "last"
             return f"Already at the {edge} viewport; showing it again.\n{rendered}"
         return rendered
-
-    def _do_page_up(self, action: Action) -> str:
-        return self._scroll(-1, "page_up")
-
-    def _do_page_down(self, action: Action) -> str:
-        return self._scroll(+1, "page_down")
 
     def _do_read_attachment(self, action: Action) -> str:
         name = action.arguments.get("name", "").strip()

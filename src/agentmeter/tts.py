@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .actions import Action, UnparsableActionError, parse_action
 from .backend import BackendError, Message, Purpose, TokenUsage
+from .config import PrmMode
 from . import prompts
 
 if TYPE_CHECKING:
@@ -26,6 +27,7 @@ log = logging.getLogger("agentmeter.tts")
 
 SCORE_MIN = 0
 SCORE_MAX = 10
+_SCORES = range(SCORE_MIN, SCORE_MAX + 1)
 
 
 @dataclass(frozen=True)
@@ -47,43 +49,17 @@ class PrmVerdict:
             raise ValueError(f"score {self.score} outside [{SCORE_MIN}, {SCORE_MAX}]")
 
 
+_DECODER = json.JSONDecoder()
+
+
 def extract_json_object(text: str) -> dict | None:
-    """Strict parse first, then the first balanced {...} block in the text."""
-    try:
-        value = json.loads(text)
-        if isinstance(value, dict):
-            return value
-    except json.JSONDecodeError:
-        pass
+    """The first JSON object in the text that parses, scanning each "{" in turn."""
     start = text.find("{")
     while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        value = json.loads(text[start : i + 1])
-                        if isinstance(value, dict):
-                            return value
-                    except json.JSONDecodeError:
-                        pass
-                    break
-        start = text.find("{", start + 1)
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except json.JSONDecodeError:
+            start = text.find("{", start + 1)
     return None
 
 
@@ -148,6 +124,34 @@ def _candidate_fields(candidate: Candidate, step_number: int, history: str) -> d
     }
 
 
+def _int_field(obj: dict, key: str, valid: range) -> int | None:
+    """obj[key] if it is an integer in ``valid``; an integral float counts, a bool does not."""
+    value = obj.get(key)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value not in valid:
+        return None
+    return value
+
+
+def _ask_judge(
+    prompt: str, key: str, valid: range, session: "RunSession", judge_model_id: str
+) -> tuple[dict, int] | None:
+    """Ask the judge for an integer ``key`` in ``valid``; re-ask once, then give up.
+
+    Returns the reply's JSON object and the field's value.
+    """
+    for _ in range(2):
+        response = session.call_model(
+            Purpose.PRM, judge_model_id, (Message("user", prompt),)
+        )
+        obj = extract_json_object(response.text)
+        value = _int_field(obj, key, valid) if obj is not None else None
+        if value is not None:
+            return obj, value
+    return None
+
+
 def judge_score(
     candidate: Candidate,
     history: str,
@@ -159,28 +163,11 @@ def judge_score(
     prompt = prompts.render(
         prompts.PRM_SCORE, **_candidate_fields(candidate, step_number, history)
     )
-    for _ in range(2):
-        response = session.call_model(
-            Purpose.PRM, judge_model_id, (Message("user", prompt),)
-        )
-        verdict = _parse_score_verdict(response.text)
-        if verdict is not None:
-            return verdict
-    log.warning("judge verdict unparsable twice; scoring candidate %d as 0", candidate.index)
-    return PrmVerdict(analysis="unparsable", score=0)
-
-
-def _parse_score_verdict(text: str) -> PrmVerdict | None:
-    obj = extract_json_object(text)
-    if obj is None or "score" not in obj:
-        return None
-    score = obj["score"]
-    if isinstance(score, bool):
-        return None
-    if isinstance(score, float) and score.is_integer():
-        score = int(score)
-    if not isinstance(score, int) or not SCORE_MIN <= score <= SCORE_MAX:
-        return None
+    found = _ask_judge(prompt, "score", _SCORES, session, judge_model_id)
+    if found is None:
+        log.warning("judge verdict unparsable twice; scoring candidate %d as 0", candidate.index)
+        return PrmVerdict(analysis="unparsable", score=0)
+    obj, score = found
     return PrmVerdict(analysis=str(obj.get("analysis", "")), score=score)
 
 
@@ -212,19 +199,11 @@ def judge_list(
         count=len(candidates),
         trajectories=render_trajectories(candidates, history),
     )
-    for _ in range(2):
-        response = session.call_model(
-            Purpose.PRM, judge_model_id, (Message("user", prompt),)
-        )
-        obj = extract_json_object(response.text)
-        if obj is not None and "index" in obj and not isinstance(obj["index"], bool):
-            index = obj["index"]
-            if isinstance(index, float) and index.is_integer():
-                index = int(index)
-            if isinstance(index, int) and 0 <= index < len(candidates):
-                return index
-    log.warning("list judge gave no valid index twice; falling back to candidate 0")
-    return 0
+    found = _ask_judge(prompt, "index", range(len(candidates)), session, judge_model_id)
+    if found is None:
+        log.warning("list judge gave no valid index twice; falling back to candidate 0")
+        return 0
+    return found[1]
 
 
 def select_best(
@@ -241,3 +220,28 @@ def select_best(
             best, best_key = candidate, key
     assert best is not None
     return best
+
+
+def choose(
+    candidates: Sequence[Candidate],
+    history: str,
+    step_number: int,
+    mode: PrmMode,
+    session: "RunSession",
+    judge_model_id: str,
+) -> Candidate:
+    """The judged pick among best-of-N candidates.
+
+    List mode makes one judge call over all of them. Score mode judges
+    each candidate whose actor call succeeded and scores a failed one 0
+    without a judge call.
+    """
+    if mode is PrmMode.LIST:
+        return candidates[judge_list(candidates, history, session, judge_model_id)]
+    verdicts = [
+        judge_score(candidate, history, step_number, session, judge_model_id)
+        if candidate.error is None
+        else PrmVerdict(analysis="candidate call failed", score=0)
+        for candidate in candidates
+    ]
+    return select_best(candidates, verdicts)

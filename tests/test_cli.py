@@ -202,6 +202,19 @@ def test_sweep_without_values_exits_two_before_running(tmp_path, capsys):
     assert not traces.exists()
 
 
+def test_sweep_repeated_value_exits_two_before_running(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    code = run_cli(
+        "sweep", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
+        "--axis", "max_steps", "--values", "6,06", "--trace-dir", str(traces),
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "max_steps: '06' repeats '6'" in captured.err
+    assert captured.out == ""
+    assert not traces.exists()
+
+
 # -- replay ------------------------------------------------------------------
 
 
@@ -251,6 +264,22 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "memory_mode: 'bogus' is not a valid MemoryMode" in capsys.readouterr().err
+
+
+def test_run_with_unpriced_backbone_exits_two(tmp_path, capsys):
+    config = tmp_path / "config.ini"
+    config.write_text(
+        (BENCH / "config.ini").read_text(encoding="utf-8").replace(
+            "backbone_id = gpt-4.1", "backbone_id = mystery-model"
+        ),
+        encoding="utf-8",
+    )
+    code = run_cli(
+        "run", "--config", str(config), "--script", str(BENCH / "script.jsonl"),
+        "--fixtures", str(BENCH), "--tasks", str(BENCH / "tasks.jsonl"), "--task-id", "gaia-e1",
+    )
+    assert code == 2
+    assert "error: no pricing entry for 'mystery-model'" in capsys.readouterr().err
 
 
 def test_missing_tasks_file_exits_two(tmp_path, capsys):

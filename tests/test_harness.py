@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from agentmeter.agent import TerminatedBy
-from agentmeter.backend import ScriptedBackend
+from agentmeter.backend import HashEmbedder, Purpose, ScriptEntry, ScriptedBackend
 from agentmeter.config import (
     MemoryMode,
+    PageStrategy,
+    PrmMode,
     SourceSet,
     config_hash,
     default_config,
@@ -31,6 +33,7 @@ from agentmeter.harness import (
 )
 from agentmeter.ledger import Scope
 from agentmeter.money import PICO_PER_USD
+from agentmeter.tools import FixtureFetcher, FixtureSearchProvider
 from agentmeter.trace import read_trace, trace_filename
 
 from conftest import BENCH, bench_backend, bench_fetcher, bench_pricing, bench_providers
@@ -252,6 +255,39 @@ def test_run_benchmark_survives_an_empty_plan(tmp_path):
     assert report.rows[0].task_count == 3
 
 
+class DanubeBreaksEmbedder(HashEmbedder):
+    """A faulty embedding service: norm 2 for any text that mentions the Danube."""
+
+    def embed(self, text):
+        vector = super().embed(text)
+        return 2 * vector if "Danube" in text else vector
+
+
+def test_run_benchmark_survives_an_error_outside_the_backend(tmp_path):
+    # summaries of e3's steps get a norm-2 embedding, which the vector store refuses
+    script = tmp_path / "script.jsonl"
+    script.write_text(
+        (BENCH / "script.jsonl").read_text(encoding="utf-8")
+        + json.dumps({"purpose": "memory", "match": "Danube", "response": "Danube lengths",
+                      "times": 0}) + "\n"
+        + json.dumps({"purpose": "memory", "response": "a step was taken", "times": 0}) + "\n",
+        encoding="utf-8",
+    )
+    config = dataclasses.replace(bench_config(), memory_mode=MemoryMode.SUMMARIZED)
+    outcomes, report = run_benchmark(
+        load_tasks(BENCH / "tasks.jsonl"), config, ScriptedBackend.from_jsonl(script),
+        bench_pricing(), embedder=DanubeBreaksEmbedder(), providers=bench_providers(),
+        fetcher=bench_fetcher(), trace_dir=tmp_path / "traces",
+    )
+    assert [o.terminated_by for o in outcomes] == [
+        TerminatedBy.FINAL_ANSWER, TerminatedBy.FINAL_ANSWER, TerminatedBy.ERROR
+    ]
+    trace = read_trace(tmp_path / "traces" / trace_filename("gaia-e3", config_hash(config)))
+    assert trace.result["terminated_by"] == "error"
+    assert trace.result["cost_pico"] == outcomes[2].cost_pico > 0
+    assert report.rows[0].task_count == 3
+
+
 def test_run_benchmark_rejects_task_ids_sharing_a_trace_file(tmp_path):
     first = load_tasks(BENCH / "tasks.jsonl")[0]
     tasks = [dataclasses.replace(first, task_id=i) for i in ("gaia/e1", "gaia_e1")]
@@ -331,3 +367,70 @@ def test_replay_run_restores_task_metadata(tmp_path):
     assert outcome.level == 2
     assert outcome.final_answer == "750"
     assert not outcome.solved
+
+
+# one run that searches, opens a three-viewport page, scrolls down and answers;
+# each of its steps offers n candidates that differ in their reasoning
+GRID_URL = "https://example.org/bridge"
+GRID_PAGE = "<html><body><h1>Bridge</h1>" + "".join(
+    f"<p>Paragraph {i}: the bridge spans the river and carries two tracks.</p>"
+    for i in range(300)
+) + "<p>The bridge opened in 1931.</p></body></html>"
+GRID_ACTIONS = (
+    "search(query=bridge opening year)",
+    f"open_url(url={GRID_URL})",
+    "page_down()",
+    "final_answer(answer=1931)",
+)
+
+
+def grid_backend(n):
+    entries = [
+        ScriptEntry(Purpose.PLANNER, "1. Search.\n2. Read the page.\n3. Answer.", times=0,
+                    prompt_tokens=200, completion_tokens=40),
+        ScriptEntry(Purpose.QUERY_EXPANSION, "1. bridge opening year\n2. bridge history",
+                    times=0, prompt_tokens=120, completion_tokens=25),
+        ScriptEntry(Purpose.MEMORY, "Searched and read about the bridge.", times=0,
+                    prompt_tokens=150, completion_tokens=20),
+        # both fields, so one reply serves score and list judging
+        ScriptEntry(Purpose.PRM, '{"analysis": "plausible", "score": 7, "index": 1}', times=0,
+                    prompt_tokens=400, completion_tokens=60),
+    ]
+    for step, action in enumerate(GRID_ACTIONS):
+        for j in range(n):
+            entries.append(ScriptEntry(Purpose.ACTOR, f"Step {step}, thought {j}.\nACTION: {action}",
+                                       prompt_tokens=300 + j, completion_tokens=30 + j))
+    return ScriptedBackend(entries)
+
+
+GRID_BON = [(1, PrmMode.SCORE), (3, PrmMode.SCORE), (3, PrmMode.LIST)]
+
+
+@pytest.mark.parametrize("bon_n,prm_mode", GRID_BON, ids=lambda v: getattr(v, "value", v))
+@pytest.mark.parametrize("page_strategy", list(PageStrategy), ids=lambda m: m.value)
+@pytest.mark.parametrize("memory_mode", list(MemoryMode), ids=lambda m: m.value)
+def test_every_config_replays_exactly(tmp_path, memory_mode, page_strategy, bon_n, prm_mode):
+    config = dataclasses.replace(
+        default_config(), memory_mode=memory_mode, page_strategy=page_strategy,
+        bon_n=bon_n, prm_mode=prm_mode, query_expansion_count=2,
+    )
+    task = Task(task_id="bridge", level=1, question="When did the bridge open?",
+                expected_answer="1931")
+    rows = [("Bridge history", GRID_URL, "When the bridge opened")]
+    live, record = execute_run(
+        task, config, grid_backend(bon_n), bench_pricing(),
+        providers=[FixtureSearchProvider("fixture", {"bridge opening year": rows})],
+        fetcher=FixtureFetcher({GRID_URL: GRID_PAGE}), trace_dir=tmp_path / "live",
+    )
+    assert live.solved and len(record.steps) == len(GRID_ACTIONS)
+    scrolled = f"[{GRID_URL} | viewport 2/3]"
+    if page_strategy is not PageStrategy.BROWSER_COMPLEX:
+        scrolled = "page_down is only available"
+    assert record.steps[2].observation.startswith(scrolled)
+
+    original = tmp_path / "live" / trace_filename(task.task_id, config_hash(config))
+    replayed, _ = replay_run(original, trace_dir=tmp_path / "replay")
+    assert (tmp_path / "replay" / original.name).read_bytes() == original.read_bytes()
+    assert replayed == live
+    ledger_sum = sum(entry.cost_pico for entry in record.ledger.entries)
+    assert ledger_sum == live.cost_pico == read_trace(original).result["cost_pico"]

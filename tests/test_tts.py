@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentmeter.actions import ActionName
 from agentmeter.backend import (
@@ -9,9 +13,11 @@ from agentmeter.backend import (
     ScriptExhaustedError,
     TokenUsage,
 )
+from agentmeter.config import PrmMode
 from agentmeter.tts import (
     Candidate,
     PrmVerdict,
+    choose,
     extract_json_object,
     judge_list,
     judge_score,
@@ -54,6 +60,70 @@ def test_extract_json_variants():
 
 def test_extract_json_skips_invalid_then_finds_valid():
     assert extract_json_object('{bad} then {"ok": 1}') == {"ok": 1}
+
+
+def brace_scanner_reference(text):
+    """The balanced-brace scanner extract_json_object once used, kept as the oracle."""
+    try:
+        value = json.loads(text)
+        if isinstance(value, dict):
+            return value
+    except json.JSONDecodeError:
+        pass
+    start = text.find("{")
+    while start != -1:
+        depth = 0
+        in_string = False
+        escaped = False
+        for i in range(start, len(text)):
+            ch = text[i]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == '"':
+                    in_string = False
+            elif ch == '"':
+                in_string = True
+            elif ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        value = json.loads(text[start : i + 1])
+                        if isinstance(value, dict):
+                            return value
+                    except json.JSONDecodeError:
+                        pass
+                    break
+        start = text.find("{", start + 1)
+    return None
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# fragments that open, close, quote and escape, so most texts are near-JSON
+fragments = st.sampled_from(
+    ["{", "}", "[", "]", '"', "\\", '\\"', ":", ",", " ", "\n", "1", "-", "a",
+     "true", '"k"', '"s": 2', "{}", '{"a": 1}', '{"b": {"c": "}"}}', "\\u00e9"]
+)
+reply_texts = (
+    st.lists(fragments, max_size=24).map("".join)
+    | st.tuples(st.text(max_size=12), json_values.map(json.dumps), st.text(max_size=12)).map("".join)
+    | st.text(max_size=40)
+)
+
+
+@settings(max_examples=500)
+@given(reply_texts)
+def test_extract_json_matches_brace_scanner(text):
+    assert extract_json_object(text) == brace_scanner_reference(text)
 
 
 # -- sampling ----------------------------------------------------------------
@@ -150,6 +220,19 @@ def test_judge_list_rejects_out_of_range_then_falls_back(pricing):
     assert session.ledger.call_count == 2
 
 
+@pytest.mark.parametrize("bad", ['{"index": true}', '{"index": "1"}', '{"index": 0.5}'])
+def test_judge_list_falls_back_to_zero_after_two_bad(pricing, bad):
+    session = make_session(ScriptedBackend([prm(bad, times=2)]), pricing)
+    assert judge_list([candidate(0), candidate(1)], "", session, "gpt-4.1") == 0
+    assert session.ledger.call_count == 2  # exactly one re-ask
+
+
+def test_judge_list_accepts_integral_float(pricing):
+    session = make_session(ScriptedBackend([prm('{"index": 1.0}')]), pricing)
+    assert judge_list([candidate(0), candidate(1)], "", session, "gpt-4.1") == 1
+    assert session.ledger.call_count == 1
+
+
 def test_judge_list_needs_two_candidates(pricing):
     session = make_session(ScriptedBackend([]), pricing)
     with pytest.raises(ValueError):
@@ -167,6 +250,15 @@ def test_judge_list_prompt_contains_all_trajectories(pricing):
 
 
 # -- selection ---------------------------------------------------------------
+
+
+def test_choose_scores_a_failed_candidate_zero_without_a_judge_call(pricing):
+    session = make_session(ScriptedBackend([prm('{"score": 2}', times=0)]), pricing)
+    failed = Candidate(index=0, model_output="", action=None, usage=TokenUsage(0, 0),
+                       error="actor call failed")
+    picked = choose([failed, candidate(1)], "", 1, PrmMode.SCORE, session, "gpt-4.1")
+    assert picked.index == 1
+    assert session.ledger.call_count == 1  # the failed candidate was not judged
 
 
 def test_select_best_argmax_with_low_index_ties():
