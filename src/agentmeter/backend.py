@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -92,8 +93,12 @@ class BackendError(RuntimeError):
     pass
 
 
+class RunTimeoutError(RuntimeError):
+    """Raised cooperatively when the wall-clock budget is exhausted."""
+
+
 class Backend(abc.ABC):
-    """Synchronous chat-completion source."""
+    """Synchronous chat-completion source, and where tool effects run."""
 
     def start_run(self, run_id: str) -> None:
         """Reset any per-run state. Live backends have none."""
@@ -101,6 +106,10 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def complete(self, request: ModelRequest) -> ModelResponse:
         raise NotImplementedError
+
+    def run_tool(self, tool: str, args: dict, thunk: Callable[[], Any]) -> tuple[dict, Any]:
+        """The ``(args, result)`` of one tool effect; a live backend runs the thunk."""
+        return args, thunk()
 
 
 # -- scripted backend --------------------------------------------------------

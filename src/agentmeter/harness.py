@@ -8,9 +8,8 @@ task id before aggregation, so worker count never changes the report.
 
 Live runs and replays share one run path: a replay restores the task,
 config and pricing from a trace header and runs them exactly as a live
-run does, with the recording in place of the backend, tools and
-embedder. That is why a re-recorded replay matches its original byte
-for byte.
+run does, with the recording as its backend and embedder. That is why
+a re-recorded replay matches its original byte for byte.
 
 Grading is quasi-exact match: both sides are normalized (whitespace,
 case, quotes, trailing periods), numbers compare numerically after
@@ -215,14 +214,16 @@ def _run(
     config: AgentConfig,
     pricing: PricingTable,
     trace_dir: str | Path | None,
+    backend: Backend,
+    embedder: Embedder,
     providers: Sequence[SearchProvider] = (),
     fetcher: PageFetcher | None = None,
-    **session_kwargs,
+    timeout_s: float | None = None,
 ) -> tuple[TaskOutcome, TaskRunRecord]:
     """The one run path of live runs and replays: trace, session, loop, grade.
 
-    ``session_kwargs`` pick where external effects come from: a backend
-    and embedder for a live run, a ReplaySource for a replay.
+    ``backend`` and ``embedder`` are where external effects come from:
+    live collaborators, or for a replay the ReplaySource as both.
     """
     writer = None
     if trace_dir is not None:
@@ -241,7 +242,7 @@ def _run(
                 "attachment_names": [Path(p).name for p in task.attachments],
             },
         )
-    session = RunSession(run_id=task.task_id, pricing=pricing, trace=writer, **session_kwargs)
+    session = RunSession(task.task_id, backend, embedder, pricing, writer, timeout_s)
     toolbox = ToolBox(
         session,
         config,
@@ -283,10 +284,10 @@ def execute_run(
         config,
         pricing,
         trace_dir,
+        backend,
+        embedder or HashEmbedder(),
         providers=providers,
         fetcher=fetcher,
-        backend=backend,
-        embedder=embedder or HashEmbedder(),
         timeout_s=timeout_s,
     )
 
@@ -386,14 +387,15 @@ def replay_run(
 ) -> tuple[TaskOutcome, TaskRunRecord]:
     """Re-execute a recorded run fully offline.
 
-    All model responses, tool results, and embeddings come from the
-    recording; task, config and pricing are restored from its header and
-    go through the same run path as a live run. With ``trace_dir`` set,
-    the replay writes its own trace, which for a deterministic run is
+    The recording is the run's backend and embedder: it serves every
+    model response, tool result and embedding, failures included. Task,
+    config and pricing are restored from its header and go through the
+    same run path as a live run. With ``trace_dir`` set, the replay
+    writes its own trace, which for a deterministic run is
     byte-identical to the original.
     """
-    data = read_trace(trace_path)
-    header = data.header
+    source = ReplaySource(read_trace(trace_path))
+    header = source.header
     task_info = header["task"]
     task = Task(
         task_id=header["task_id"],
@@ -408,9 +410,8 @@ def replay_run(
         config_from_snapshot(header["config"]),
         PricingTable.from_snapshot(header["pricing"]),
         trace_dir,
-        backend=None,
-        embedder=None,
-        replay=ReplaySource(data),
+        source,
+        source,
     )
 
 

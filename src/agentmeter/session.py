@@ -4,7 +4,7 @@ A :class:`RunSession` is handed to the agent loop and is the only path
 to the outside world: model calls, tool calls, and embeddings all go
 through it. That single chokepoint is what makes runs meterable (every
 call lands in the ledger), recordable (every effect lands in the trace),
-and replayable (effects are served from a recording instead of executed).
+and replayable (a recording stands in as the backend and embedder).
 """
 
 from __future__ import annotations
@@ -22,53 +22,40 @@ from .backend import (
     ModelRequest,
     ModelResponse,
     Purpose,
+    RunTimeoutError,
 )
 from .config import PricingTable
 from .ledger import RunLedger
-from .trace import ReplaySource, TraceWriter
-
-
-class RunTimeoutError(RuntimeError):
-    """Raised cooperatively when the wall-clock budget is exhausted."""
+from .tools import ToolError
+from .trace import TraceWriter
 
 
 class RunSession:
     def __init__(
         self,
         run_id: str,
-        backend: Backend | None,
+        backend: Backend,
         embedder: Embedder | None,
         pricing: PricingTable,
         trace: TraceWriter | None = None,
-        replay: ReplaySource | None = None,
         timeout_s: float | None = None,
     ):
-        if backend is None and replay is None:
-            raise ValueError("a session needs a backend or a replay source")
         self.run_id = run_id
         self.backend = backend
         self.embedder = embedder
         self.ledger = RunLedger(pricing, run_id)
         self.trace = trace
-        self.replay = replay
         self.step_index = 0
         self._deadline = time.monotonic() + timeout_s if timeout_s else None
-        if backend is not None:
-            backend.start_run(run_id)
+        backend.start_run(run_id)
 
     def set_step(self, index: int) -> None:
         """Step index stamped onto subsequent ledger entries."""
         self.step_index = index
 
     def check_deadline(self) -> None:
-        """Cooperative timeout, checked before each external call.
-
-        Replays ignore the deadline: the recorded run already settled
-        what happened, and replay speed is not the recorded speed.
-        """
-        if self.replay is not None or self._deadline is None:
-            return
-        if time.monotonic() >= self._deadline:
+        """Cooperative timeout, checked before each external call."""
+        if self._deadline is not None and time.monotonic() >= self._deadline:
             raise RunTimeoutError(f"run {self.run_id} exceeded its time budget")
 
     def call_model(
@@ -88,14 +75,12 @@ class RunSession:
             max_tokens=max_tokens,
         )
         try:
-            if self.replay is not None:
-                response = self.replay.next_response(request)
-            else:
-                assert self.backend is not None
-                response = self.backend.complete(request)
+            response = self.backend.complete(request)
         except BackendError as exc:
             # failed calls still occupy a ledger slot, with an error mark
             self.ledger.record_failure(purpose, model_id, str(exc), self.step_index)
+            if self.trace is not None:
+                self.trace.model_call(request, error=str(exc))
             raise
         # attribute cost to the model we asked for; gateways may echo variants
         self.ledger.record(purpose, model_id, response.usage, self.step_index)
@@ -104,29 +89,28 @@ class RunSession:
         return response
 
     def call_tool(self, tool: str, args: dict, thunk: Callable[[], Any]) -> Any:
-        """Run one external tool effect, or serve it from the replay.
+        """Run one external tool effect through the backend.
 
         ``args`` and the thunk's return value must be JSON-safe; they are
-        written to the trace verbatim.
+        written to the trace verbatim, and so is a ``ToolError`` message.
         """
         self.check_deadline()
-        if self.replay is not None:
-            # recorded args win: the live ones may reference collaborators
-            # (provider names, paths) this session does not have
-            args, result = self.replay.next_tool(tool)
-        else:
-            result = thunk()
+        try:
+            # a recording returns its own args: the live ones may reference
+            # collaborators (provider names, paths) a replay does not have
+            args, result = self.backend.run_tool(tool, args, thunk)
+        except ToolError as exc:
+            if self.trace is not None:
+                self.trace.tool_call(tool, args, error=str(exc))
+            raise
         if self.trace is not None:
             self.trace.tool_call(tool, args, result)
         return result
 
     def embed(self, text: str) -> np.ndarray:
-        if self.replay is not None:
-            vector = self.replay.next_embed(text)
-        else:
-            if self.embedder is None:
-                raise ValueError("no embedder configured for this session")
-            vector = self.embedder.embed(text)
+        if self.embedder is None:
+            raise ValueError("no embedder configured for this session")
+        vector = self.embedder.embed(text)
         if self.trace is not None:
             self.trace.embed(text, vector)
         return vector

@@ -729,13 +729,16 @@ class ToolBox:
         path = self.attachments[name]
 
         def thunk() -> dict:
-            text = Path(path).read_text(encoding="utf-8", errors="replace")
+            try:
+                text = Path(path).read_text(encoding="utf-8", errors="replace")
+            except OSError as exc:
+                raise ToolError(str(exc)) from exc
             truncated = len(text) > ATTACHMENT_MAX_CHARS
             return {"text": text[:ATTACHMENT_MAX_CHARS], "truncated": truncated}
 
         try:
             payload = self.session.call_tool("read_attachment", {"name": name}, thunk)
-        except OSError as exc:
+        except ToolError as exc:
             return f"Could not read attachment {name!r}: {exc}"
         note = "\n[attachment truncated]" if payload["truncated"] else ""
         return f"[attachment {name}]\n{payload['text']}{note}"

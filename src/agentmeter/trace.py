@@ -2,10 +2,11 @@
 
 A trace is a gzip-compressed JSONL file holding one header line followed
 by one event per model call, tool call, and embedding, and a final result
-line. Writing is fully deterministic (sorted keys, compact separators,
-gzip mtime pinned to zero) so identical runs produce byte-identical
-files. A recorded trace contains everything needed to re-run the task
-offline and reproduce the run event for event.
+line; a failed model or tool call is an event with an ``error`` key in
+place of its response. Writing is fully deterministic (sorted keys,
+compact separators, gzip mtime pinned to zero) so identical runs produce
+byte-identical files. A recorded trace contains everything needed to
+re-run the task offline and reproduce the run event for event.
 """
 
 from __future__ import annotations
@@ -20,7 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import Message, ModelRequest, ModelResponse, TokenUsage
+from .backend import (
+    Backend,
+    BackendError,
+    Embedder,
+    ModelRequest,
+    ModelResponse,
+    RunTimeoutError,
+    TokenUsage,
+)
+from .tools import ToolError
 
 TRACE_VERSION = 1
 TRACE_SUFFIX = ".trace"
@@ -72,22 +82,29 @@ class TraceWriter:
             }
         )
 
-    def model_call(self, request: ModelRequest, response: ModelResponse) -> None:
-        self._events.append(
-            {
-                "type": "model_call",
-                "purpose": request.purpose.value,
-                "model_id": response.model_id,
-                "temperature": request.temperature,
-                "response": response.text,
-                "prompt_tokens": response.usage.prompt_tokens,
-                "completion_tokens": response.usage.completion_tokens,
-                "estimated": response.usage.estimated,
-            }
-        )
+    def model_call(
+        self, request: ModelRequest, response: ModelResponse | None = None, error: str | None = None
+    ) -> None:
+        event = {
+            "type": "model_call",
+            "purpose": request.purpose.value,
+            "temperature": request.temperature,
+        }
+        if response is None:
+            event.update(model_id=request.model_id, error=error)
+        else:
+            event.update(
+                model_id=response.model_id,
+                response=response.text,
+                prompt_tokens=response.usage.prompt_tokens,
+                completion_tokens=response.usage.completion_tokens,
+                estimated=response.usage.estimated,
+            )
+        self._events.append(event)
 
-    def tool_call(self, tool: str, args: dict, result) -> None:
-        self._events.append({"type": "tool_call", "tool": tool, "args": args, "result": result})
+    def tool_call(self, tool: str, args: dict, result=None, error: str | None = None) -> None:
+        outcome = {"result": result} if error is None else {"error": error}
+        self._events.append({"type": "tool_call", "tool": tool, "args": args, **outcome})
 
     def embed(self, text: str, vector: np.ndarray) -> None:
         self._events.append(
@@ -151,67 +168,73 @@ class ReplayMismatchError(RuntimeError):
     """The live call sequence diverged from the recorded one."""
 
 
-class ReplaySource:
-    """Typed FIFO queues over a recorded trace's external effects."""
+# what each kind of effect is called in errors, and the field that must match
+_EFFECTS = {
+    "model_call": ("model call", "purpose"),
+    "tool_call": ("tool call", "tool"),
+    "embed": ("embedding", "text_sha256"),
+}
+
+
+class ReplaySource(Backend, Embedder):
+    """A recorded trace served back as a run's backend and embedder.
+
+    Each call takes the next recorded effect, which must match it in kind
+    and purpose, tool or text. Recorded failures are raised again, and a
+    run that timed out times out again where its recording ends.
+    """
 
     def __init__(self, data: TraceData):
         self.header = data.header
-        self._responses = deque(e for e in data.events if e["type"] == "model_call")
-        self._tools = deque(e for e in data.events if e["type"] == "tool_call")
-        self._embeds = deque(e for e in data.events if e["type"] == "embed")
+        self._effects = deque(e for e in data.events if e["type"] in _EFFECTS)
+        self._timed_out = (data.result or {}).get("terminated_by") == "timeout"
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplaySource":
         return cls(read_trace(path))
 
-    def next_response(self, request: ModelRequest) -> ModelResponse:
-        if not self._responses:
-            raise ReplayMismatchError(
-                f"replay ran out of model responses at purpose={request.purpose.value!r}"
-            )
-        event = self._responses.popleft()
-        if event["purpose"] != request.purpose.value:
-            raise ReplayMismatchError(
-                f"replay expected purpose {event['purpose']!r}, got {request.purpose.value!r}"
-            )
-        return ModelResponse(
-            text=event["response"],
-            usage=TokenUsage(
-                prompt_tokens=event["prompt_tokens"],
-                completion_tokens=event["completion_tokens"],
-                estimated=event["estimated"],
-            ),
-            model_id=event["model_id"],
-        )
+    def _next(self, kind: str, value: str) -> dict:
+        name, key = _EFFECTS[kind]
+        asked = f"{name} {key}={value!r}"
+        if not self._effects:
+            if self._timed_out:
+                raise RunTimeoutError(f"the recorded run ran out of time before {asked}")
+            raise ReplayMismatchError(f"replay ran out of recorded effects at {asked}")
+        event = self._effects.popleft()
+        recorded_name, recorded_key = _EFFECTS[event["type"]]
+        recorded = f"{recorded_name} {recorded_key}={event[recorded_key]!r}"
+        if recorded != asked:
+            raise ReplayMismatchError(f"replay expected {recorded}, got {asked}")
+        return event
 
-    def next_tool(self, tool: str) -> tuple[dict, object]:
-        """Recorded (args, result) for the next tool call.
+    def complete(self, request: ModelRequest) -> ModelResponse:
+        event = self._next("model_call", request.purpose.value)
+        if "error" in event:
+            raise BackendError(event["error"])
+        usage = TokenUsage(event["prompt_tokens"], event["completion_tokens"], event["estimated"])
+        return ModelResponse(text=event["response"], usage=usage, model_id=event["model_id"])
+
+    def run_tool(self, tool: str, args: dict, thunk) -> tuple[dict, object]:
+        """The recorded ``(args, result)``; the thunk never runs.
 
         The recorded args come back too because a replaying session lacks
         the live collaborators (e.g. provider names) to rebuild them, and
         a re-recorded trace must match the original byte for byte.
         """
-        if not self._tools:
-            raise ReplayMismatchError(f"replay ran out of tool results at tool={tool!r}")
-        event = self._tools.popleft()
-        if event["tool"] != tool:
-            raise ReplayMismatchError(f"replay expected tool {event['tool']!r}, got {tool!r}")
+        event = self._next("tool_call", tool)
+        if "error" in event:
+            raise ToolError(event["error"])
         return event["args"], event["result"]
 
-    def next_embed(self, text: str) -> np.ndarray:
-        if not self._embeds:
-            raise ReplayMismatchError("replay ran out of embeddings")
-        event = self._embeds.popleft()
-        if event["text_sha256"] != text_digest(text):
-            raise ReplayMismatchError("replay embedding text diverged from recording")
+    def embed(self, text: str) -> np.ndarray:
+        event = self._next("embed", text_digest(text))
         return np.asarray(event["vector"], dtype=float)
 
     def exhausted(self) -> bool:
-        return not (self._responses or self._tools or self._embeds)
+        return not self._effects
 
 
 __all__ = [
-    "Message",
     "ReplayMismatchError",
     "ReplaySource",
     "TraceData",

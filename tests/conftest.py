@@ -32,16 +32,13 @@ def pricing() -> PricingTable:
     return PricingTable({"gpt-4.1": ModelPricing.per_million("1.00", "10.00")})
 
 
-def make_session(
-    backend, pricing, run_id="test-run", trace=None, replay=None, timeout_s=None
-) -> RunSession:
+def make_session(backend, pricing, run_id="test-run", trace=None, timeout_s=None) -> RunSession:
     return RunSession(
         run_id=run_id,
         backend=backend,
         embedder=HashEmbedder(),
         pricing=pricing,
         trace=trace,
-        replay=replay,
         timeout_s=timeout_s,
     )
 

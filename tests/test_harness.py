@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from agentmeter.agent import TerminatedBy
-from agentmeter.backend import HashEmbedder, Purpose, ScriptEntry, ScriptedBackend
+from agentmeter.backend import BackendError, HashEmbedder, Purpose, ScriptEntry, ScriptedBackend
 from agentmeter.config import (
     MemoryMode,
     PageStrategy,
@@ -434,3 +435,95 @@ def test_every_config_replays_exactly(tmp_path, memory_mode, page_strategy, bon_
     assert replayed == live
     ledger_sum = sum(entry.cost_pico for entry in record.ledger.entries)
     assert ledger_sum == live.cost_pico == read_trace(original).result["cost_pico"]
+
+
+# runs that fail part-way: each must replay to the live outcome and ledger
+class FlakyBackend(ScriptedBackend):
+    """Raises BackendError on the given (1-based) actor calls; sleeps before the planner's."""
+
+    def __init__(self, entries, failing_actor_calls=(), planner_sleep_s=0.0):
+        super().__init__(entries)
+        self.failing = set(failing_actor_calls)
+        self.planner_sleep_s = planner_sleep_s
+        self.actor_calls = 0
+
+    def complete(self, request):
+        if request.purpose is Purpose.ACTOR:
+            self.actor_calls += 1
+            if self.actor_calls in self.failing:
+                raise BackendError("HTTP 503: upstream unavailable")
+        elif request.purpose is Purpose.PLANNER:
+            time.sleep(self.planner_sleep_s)
+        return super().complete(request)
+
+
+def failure_backend(actions, **kwargs):
+    entries = [
+        ScriptEntry(Purpose.PLANNER, "1. Read.\n2. Answer.", times=0,
+                    prompt_tokens=200, completion_tokens=40),
+        ScriptEntry(Purpose.PRM, '{"analysis": "fine", "score": 6}', times=0,
+                    prompt_tokens=400, completion_tokens=60),
+    ]
+    entries += [ScriptEntry(Purpose.ACTOR, f"ACTION: {a}", prompt_tokens=300, completion_tokens=30)
+                for a in actions]
+    return FlakyBackend(entries, **kwargs)
+
+
+FAILURE_SCENARIOS = {
+    # the missing page fails, the good one opens; replay must not swap them
+    "failed_tool_call": (
+        {},
+        lambda: failure_backend([
+            "open_url(url=https://example.org/missing)",
+            f"open_url(url={GRID_URL})",
+            "final_answer(answer=1931)",
+        ]),
+        None,
+    ),
+    "failed_attachment_read": (
+        {},
+        lambda: failure_backend([
+            "read_attachment(name=gone.txt)",
+            f"open_url(url={GRID_URL})",
+            "final_answer(answer=1931)",
+        ]),
+        None,
+    ),
+    # the second of three best-of-N actor calls fails; the other two are judged
+    "failed_model_call": (
+        {"bon_n": 3, "prm_mode": PrmMode.SCORE},
+        lambda: failure_backend(["final_answer(answer=1931)"] * 3, failing_actor_calls=(2,)),
+        None,
+    ),
+    # the planner call outlasts the budget, so the first actor call times out
+    "timeout": (
+        {},
+        lambda: failure_backend(["final_answer(answer=1931)"], planner_sleep_s=0.25),
+        0.2,
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", list(FAILURE_SCENARIOS))
+def test_failed_and_timed_out_runs_replay_exactly(tmp_path, scenario):
+    overrides, make_backend, timeout_s = FAILURE_SCENARIOS[scenario]
+    config = dataclasses.replace(default_config(), **overrides)
+    task = Task(task_id="bridge", level=1, question="When did the bridge open?",
+                expected_answer="1931", attachments=(str(tmp_path / "gone.txt"),))
+    live, live_record = execute_run(
+        task, config, make_backend(), bench_pricing(),
+        fetcher=FixtureFetcher({GRID_URL: GRID_PAGE}), trace_dir=tmp_path / "live",
+        timeout_s=timeout_s,
+    )
+    expected = TerminatedBy.TIMEOUT if scenario == "timeout" else TerminatedBy.FINAL_ANSWER
+    assert live.terminated_by is expected
+    assert live.solved is (scenario != "timeout")
+
+    original = tmp_path / "live" / trace_filename(task.task_id, config_hash(config))
+    replayed, record = replay_run(original, trace_dir=tmp_path / "replay")
+    assert (tmp_path / "replay" / original.name).read_bytes() == original.read_bytes()
+    assert (replayed.terminated_by, replayed.solved, replayed.cost_pico) == (
+        live.terminated_by, live.solved, live.cost_pico)
+    assert record.ledger.entries == live_record.ledger.entries
+    if scenario == "failed_model_call":
+        assert any(entry.error for entry in live_record.ledger.entries)

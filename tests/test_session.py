@@ -17,11 +17,6 @@ def actor_backend(text="ok"):
 MSGS = (Message("user", "hi"),)
 
 
-def test_requires_backend_or_replay(pricing):
-    with pytest.raises(ValueError):
-        RunSession(run_id="r", backend=None, embedder=None, pricing=pricing)
-
-
 def test_call_model_records_cost_and_step(pricing):
     session = make_session(actor_backend(), pricing)
     session.set_step(4)
@@ -95,14 +90,8 @@ def test_replay_session_needs_no_backend(tmp_path, pricing):
     vec_live = live.embed("note")
     writer.close()
 
-    replay = RunSession(
-        run_id="r",
-        backend=None,
-        embedder=None,
-        pricing=pricing,
-        replay=ReplaySource.from_file(tmp_path / "t.trace"),
-        timeout_s=-1.0,  # deadline must be ignored during replay
-    )
+    source = ReplaySource.from_file(tmp_path / "t.trace")
+    replay = RunSession(run_id="r", backend=source, embedder=source, pricing=pricing)
     out = replay.call_model(Purpose.ACTOR, "gpt-4.1", MSGS)
     assert out.text == "ok"
 

@@ -4,7 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from agentmeter.backend import Message, ModelRequest, ModelResponse, Purpose, TokenUsage
+from agentmeter.backend import (
+    BackendError,
+    Message,
+    ModelRequest,
+    ModelResponse,
+    Purpose,
+    RunTimeoutError,
+    TokenUsage,
+)
+from agentmeter.tools import ToolError
 from agentmeter.trace import (
     ReplayMismatchError,
     ReplaySource,
@@ -110,11 +119,11 @@ def test_read_rejects_unknown_version(tmp_path):
 
 def test_replay_serves_in_order(tmp_path):
     source = ReplaySource.from_file(write_sample(tmp_path / "t.trace"))
-    resp = source.next_response(sample_request())
+    resp = source.complete(sample_request())
     assert resp.text == "out"
     assert resp.usage.prompt_tokens == 10
-    assert source.next_tool("search") == ({"queries": ["a"]}, [{"url": "https://x"}])
-    vec = source.next_embed("hello")
+    assert source.run_tool("search", {}, None) == ({"queries": ["a"]}, [{"url": "https://x"}])
+    vec = source.embed("hello")
     assert vec.tolist() == [0.6, 0.8]
     assert source.exhausted()
 
@@ -122,29 +131,53 @@ def test_replay_serves_in_order(tmp_path):
 def test_replay_purpose_mismatch(tmp_path):
     source = ReplaySource.from_file(write_sample(tmp_path / "t.trace"))
     with pytest.raises(ReplayMismatchError, match="purpose"):
-        source.next_response(sample_request(purpose=Purpose.PLANNER))
+        source.complete(sample_request(purpose=Purpose.PLANNER))
 
 
 def test_replay_tool_mismatch(tmp_path):
     source = ReplaySource.from_file(write_sample(tmp_path / "t.trace"))
-    source.next_response(sample_request())
+    source.complete(sample_request())
     with pytest.raises(ReplayMismatchError, match="tool"):
-        source.next_tool("fetch_page")
+        source.run_tool("fetch_page", {}, None)
 
 
 def test_replay_embed_text_mismatch(tmp_path):
     source = ReplaySource.from_file(write_sample(tmp_path / "t.trace"))
-    source.next_response(sample_request())
-    source.next_tool("search")
+    source.complete(sample_request())
+    source.run_tool("search", {}, None)
     with pytest.raises(ReplayMismatchError, match="embedding"):
-        source.next_embed("different text")
+        source.embed("different text")
 
 
 def test_replay_exhaustion(tmp_path):
     source = ReplaySource.from_file(write_sample(tmp_path / "t.trace"))
-    source.next_response(sample_request())
+    source.complete(sample_request())
+    source.run_tool("search", {}, None)
+    source.embed("hello")
     with pytest.raises(ReplayMismatchError, match="ran out"):
-        source.next_response(sample_request())
+        source.complete(sample_request())
+
+
+def test_replay_out_of_order_effect_fails(tmp_path):
+    # one queue: the recorded model call comes before the tool call
+    source = ReplaySource.from_file(write_sample(tmp_path / "t.trace"))
+    with pytest.raises(ReplayMismatchError, match="expected model call"):
+        source.run_tool("search", {}, None)
+
+
+def test_replay_raises_recorded_failures_then_times_out(tmp_path):
+    with TraceWriter(tmp_path / "t.trace") as w:
+        w.header(run_id="r", task_id="t", config={}, config_hash="x", pricing={})
+        w.model_call(sample_request(), error="HTTP 503")
+        w.tool_call("fetch_page", {"url": "https://x"}, error="no page")
+        w.result({"terminated_by": "timeout"})
+    source = ReplaySource.from_file(tmp_path / "t.trace")
+    with pytest.raises(BackendError, match="HTTP 503"):
+        source.complete(sample_request())
+    with pytest.raises(ToolError, match="no page"):
+        source.run_tool("fetch_page", {"url": "https://x"}, None)
+    with pytest.raises(RunTimeoutError):
+        source.complete(sample_request())
 
 
 def test_text_digest_is_sha256():

@@ -62,6 +62,11 @@ def test_extract_json_skips_invalid_then_finds_valid():
     assert extract_json_object('{bad} then {"ok": 1}') == {"ok": 1}
 
 
+def test_extract_json_integer_past_digit_limit_is_unparsable():
+    # int() refuses more than 4,300 digits; such a reply counts as no JSON
+    assert extract_json_object('{"score": ' + "1" * 5000 + "}") is None
+
+
 def brace_scanner_reference(text):
     """The balanced-brace scanner extract_json_object once used, kept as the oracle."""
     try:
