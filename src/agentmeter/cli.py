@@ -58,6 +58,7 @@ from .tools import (
     SearchProvider,
     live_providers,
 )
+from .trace import ReplayMismatchError, TraceFormatError
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -356,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
         EmptyBenchmarkError,
         UnknownAxisError,
         ResultsFileError,
+        TraceFormatError,
+        ReplayMismatchError,
         FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -132,10 +132,6 @@ class ModelPricing:
             raise ValueError("per-token prices must be non-negative")
 
     @classmethod
-    def from_usd_per_token(cls, c_in: float | str, c_out: float | str) -> "ModelPricing":
-        return cls(usd_to_pico(c_in), usd_to_pico(c_out))
-
-    @classmethod
     def per_million(cls, input_usd: float | str, output_usd: float | str) -> "ModelPricing":
         """Build from USD-per-1M-token prices, the unit used in config files."""
         pairs = []

@@ -46,7 +46,14 @@ from .config import (
 from .ledger import AggregateRow, EmptyBenchmarkError, aggregate
 from .session import RunSession
 from .tools import FixtureFetcher, PageFetcher, SearchProvider, ToolBox
-from .trace import ReplaySource, TraceWriter, read_trace, trace_filename
+from .trace import (
+    ReplayMismatchError,
+    ReplaySource,
+    TraceFormatError,
+    TraceWriter,
+    read_trace,
+    trace_filename,
+)
 
 log = logging.getLogger("agentmeter.harness")
 
@@ -393,8 +400,16 @@ def replay_run(
     same run path as a live run. With ``trace_dir`` set, the replay
     writes its own trace, which for a deterministic run is
     byte-identical to the original.
+
+    A recording without its result line is refused, and a replay that
+    ends differently from the recorded result raises
+    ``ReplayMismatchError``.
     """
-    source = ReplaySource(read_trace(trace_path))
+    data = read_trace(trace_path)
+    recorded = data.result
+    if recorded is None:
+        raise TraceFormatError(f"{trace_path}: no result line; the recording is incomplete")
+    source = ReplaySource(data)
     header = source.header
     task_info = header["task"]
     task = Task(
@@ -405,7 +420,7 @@ def replay_run(
         # names only; replayed read_attachment events never touch disk
         attachments=tuple(task_info["attachment_names"]),
     )
-    return _run(
+    outcome, record = _run(
         task,
         config_from_snapshot(header["config"]),
         PricingTable.from_snapshot(header["pricing"]),
@@ -413,6 +428,19 @@ def replay_run(
         source,
         source,
     )
+    replayed = {
+        "terminated_by": outcome.terminated_by.value,
+        "solved": outcome.solved,
+        "cost_pico": outcome.cost_pico,
+    }
+    diverged = [
+        f"{key} recorded {recorded.get(key)!r}, replayed {value!r}"
+        for key, value in replayed.items()
+        if recorded.get(key) != value
+    ]
+    if diverged:
+        raise ReplayMismatchError(f"{trace_path}: replay diverged: {'; '.join(diverged)}")
+    return outcome, record
 
 
 def replay_benchmark(

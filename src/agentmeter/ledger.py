@@ -63,11 +63,6 @@ def call_cost_pico(usage: TokenUsage, pricing: ModelPricing) -> tuple[int, int]:
     )
 
 
-def cost_of_attempt_usd(usage: TokenUsage, pricing: ModelPricing) -> float:
-    """One call's cost in USD: n_in * c_in + n_out * c_out."""
-    return pico_to_usd(sum(call_cost_pico(usage, pricing)))
-
-
 class RunLedger:
     """Append-only per-run cost record, written by that run's loop only."""
 

@@ -8,7 +8,6 @@ the display edge.
 from __future__ import annotations
 
 from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 
 PICO_PER_USD = 10**12
 PICO_PER_MICRO_USD = 10**6
@@ -37,13 +36,3 @@ def usd_to_pico(amount: str | int | float | Decimal) -> int:
 
 def pico_to_usd(pico: int) -> float:
     return pico / PICO_PER_USD
-
-
-def pico_to_micro(pico: int) -> Fraction:
-    """Micro-dollars as an exact fraction; report assertions rely on this."""
-    return Fraction(pico, PICO_PER_MICRO_USD)
-
-
-def format_usd(pico: int, places: int = 6) -> str:
-    """Fixed-point decimal string, e.g. 280 micro-dollars -> '0.000280'."""
-    return f"{Decimal(pico) / PICO_PER_USD:.{places}f}"

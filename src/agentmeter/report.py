@@ -119,11 +119,6 @@ def render_csv(rows: Sequence[AggregateRow]) -> str:
     return buf.getvalue()
 
 
-def parse_csv(text: str) -> list[AggregateRow]:
-    """Rebuild rows from render_csv output using the integer columns."""
-    return [AggregateRow.from_dict(rec) for rec in csv.DictReader(io.StringIO(text))]
-
-
 # -- svg scatter -------------------------------------------------------------
 
 _SVG_W, _SVG_H = 640, 420

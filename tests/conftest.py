@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 from pathlib import Path
 
@@ -90,3 +91,13 @@ def bench_fetcher() -> FixtureFetcher:
 
 def bench_pricing() -> PricingTable:
     return PricingTable({"gpt-4.1": ModelPricing.per_million("1.00", "10.00")})
+
+
+def trace_lines(path) -> list[dict]:
+    return [json.loads(line) for line in gzip.decompress(Path(path).read_bytes()).splitlines()]
+
+
+def write_trace_lines(path, events) -> None:
+    """Overwrite a trace with ``events``, as an edited or cut recording."""
+    data = "".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in events)
+    Path(path).write_bytes(gzip.compress(data.encode("utf-8"), mtime=0))

@@ -4,7 +4,7 @@ import pytest
 
 from agentmeter.cli import main
 
-from conftest import BENCH
+from conftest import BENCH, trace_lines, write_trace_lines
 
 
 def bench_args(*extra):
@@ -231,6 +231,35 @@ def test_replay_directory_matches_live_aggregate(tmp_path, capsys):
     replayed = capsys.readouterr().out
     assert replayed.splitlines()[0] == "replayed"
     assert replayed.splitlines()[1:] == live.splitlines()[1:]
+
+
+def cut_to_300_bytes(trace):
+    trace.write_bytes(trace.read_bytes()[:300])
+
+
+def drop_result_line(trace):
+    write_trace_lines(trace, trace_lines(trace)[:2])
+
+
+def change_recorded_cost(trace):
+    events = trace_lines(trace)
+    events[-1]["cost_pico"] += 1
+    write_trace_lines(trace, events)
+
+
+@pytest.mark.parametrize("damage", [cut_to_300_bytes, drop_result_line, change_recorded_cost])
+def test_replay_of_a_damaged_trace_exits_two(tmp_path, capsys, damage):
+    traces = tmp_path / "traces"
+    run_cli(
+        "bench", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
+        "--trace-dir", str(traces),
+    )
+    capsys.readouterr()
+    trace = next(traces.glob("gaia-e1.*"))
+    damage(trace)
+    assert run_cli("replay", str(traces)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and trace.name in err
 
 
 def test_replay_without_traces_exits_two(tmp_path, capsys):

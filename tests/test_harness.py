@@ -1,4 +1,5 @@
 import dataclasses
+import gzip
 import json
 import time
 from fractions import Fraction
@@ -35,9 +36,18 @@ from agentmeter.harness import (
 from agentmeter.ledger import Scope
 from agentmeter.money import PICO_PER_USD
 from agentmeter.tools import FixtureFetcher, FixtureSearchProvider
-from agentmeter.trace import read_trace, trace_filename
+from agentmeter.trace import ReplayMismatchError, TraceFormatError, read_trace, trace_filename
 
-from conftest import BENCH, bench_backend, bench_fetcher, bench_pricing, bench_providers
+from conftest import (
+    BENCH,
+    FIXTURES,
+    bench_backend,
+    bench_fetcher,
+    bench_pricing,
+    bench_providers,
+    trace_lines,
+    write_trace_lines,
+)
 
 MICRO = PICO_PER_USD // 10**6
 
@@ -368,6 +378,46 @@ def test_replay_run_restores_task_metadata(tmp_path):
     assert outcome.level == 2
     assert outcome.final_answer == "750"
     assert not outcome.solved
+
+
+# recorded from the fixture benchmark by the version that gzipped traces at level 9
+LEVEL_9_TRACE = FIXTURES / "level9" / "gaia-e1.2010141e.trace"
+
+
+def test_level_9_trace_of_an_earlier_version_replays(tmp_path):
+    outcome, _ = replay_run(LEVEL_9_TRACE, trace_dir=tmp_path)
+    recorded = read_trace(LEVEL_9_TRACE).result
+    assert outcome.solved and outcome.terminated_by is TerminatedBy.FINAL_ANSWER
+    assert (outcome.solved, outcome.cost_pico) == (recorded["solved"], recorded["cost_pico"])
+    old, new = LEVEL_9_TRACE.read_bytes(), (tmp_path / LEVEL_9_TRACE.name).read_bytes()
+    assert gzip.decompress(new) == gzip.decompress(old)
+    assert (old[8], new[8]) == (2, 4)  # gzip XFL byte: level 9, then level 1
+
+
+def test_replay_refuses_a_recording_without_result_line(tmp_path):
+    run_bench(trace_dir=tmp_path)
+    trace = next(tmp_path.glob("gaia-e1.*"))
+    write_trace_lines(trace, trace_lines(trace)[:2])  # header and first event
+    with pytest.raises(TraceFormatError, match=f"{trace.name}: no result line"):
+        replay_run(trace)
+
+
+RESULT_EDITS = {
+    "terminated_by": lambda value: "timeout",
+    "solved": lambda value: not value,
+    "cost_pico": lambda value: value + 1,
+}
+
+
+@pytest.mark.parametrize("key", list(RESULT_EDITS))
+def test_replay_that_ends_unlike_its_recording_fails(tmp_path, key):
+    run_bench(trace_dir=tmp_path)
+    trace = next(tmp_path.glob("gaia-e1.*"))
+    events = trace_lines(trace)
+    events[-1][key] = RESULT_EDITS[key](events[-1][key])
+    write_trace_lines(trace, events)
+    with pytest.raises(ReplayMismatchError, match=f"{trace.name}: replay diverged: {key} recorded"):
+        replay_run(trace)
 
 
 # one run that searches, opens a three-viewport page, scrolls down and answers;

@@ -15,7 +15,6 @@ from agentmeter.ledger import (
     aggregate,
     call_cost_pico,
     comparison_metrics_values,
-    cost_of_attempt_usd,
     cost_of_pass,
 )
 from agentmeter.money import PICO_PER_MICRO_USD, PICO_PER_USD
@@ -31,7 +30,6 @@ def test_call_cost_is_exact_integer_math():
     cost_in, cost_out = call_cost_pico(TokenUsage(1000, 100), paid)
     assert cost_in == 1000 * PICO_PER_MICRO_USD
     assert cost_out == 1000 * PICO_PER_MICRO_USD
-    assert cost_of_attempt_usd(TokenUsage(1000, 100), paid) == pytest.approx(0.002)
 
 
 def test_record_and_totals(pricing):

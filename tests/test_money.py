@@ -1,15 +1,9 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from agentmeter.money import (
     PICO_PER_MICRO_USD,
     PICO_PER_USD,
     MoneyResolutionError,
-    format_usd,
-    pico_to_micro,
     pico_to_usd,
     usd_to_pico,
 )
@@ -33,19 +27,3 @@ def test_usd_to_pico_rejects_sub_pico_amounts():
 
 def test_pico_to_usd_round_trip():
     assert pico_to_usd(usd_to_pico("3.14")) == pytest.approx(3.14)
-
-
-def test_pico_to_micro():
-    assert pico_to_micro(PICO_PER_USD) == Fraction(10**6)
-    assert pico_to_micro(1) == Fraction(1, 10**6)
-
-
-@given(st.integers(min_value=0, max_value=10**15))
-def test_micro_conversion_is_exact(pico):
-    assert pico_to_micro(pico) * PICO_PER_MICRO_USD == pico
-
-
-def test_format_usd():
-    assert format_usd(usd_to_pico("1.5")) == "1.500000"
-    assert format_usd(280 * PICO_PER_MICRO_USD) == "0.000280"
-    assert format_usd(0, places=2) == "0.00"

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import pytest
@@ -8,7 +10,6 @@ from agentmeter.ledger import AggregateRow, Scope, comparison_metrics
 from agentmeter.report import (
     filter_scope,
     format_cost,
-    parse_csv,
     render_comparison,
     render_csv,
     render_report,
@@ -62,6 +63,11 @@ TABLE_GOLDEN = (
 def test_render_table_golden():
     assert render_table(SAMPLE, title="demo") == "demo\n" + TABLE_GOLDEN
     assert render_table(SAMPLE) == TABLE_GOLDEN
+
+
+def parse_csv(text):
+    """Reference parser: rows rebuilt from render_csv output's integer columns."""
+    return [AggregateRow.from_dict(rec) for rec in csv.DictReader(io.StringIO(text))]
 
 
 def test_csv_round_trip_is_exact():

@@ -1,4 +1,5 @@
 import gzip
+import io
 import json
 
 import numpy as np
@@ -111,6 +112,43 @@ def test_read_rejects_unknown_version(tmp_path):
     with gzip.open(path, "wt", encoding="utf-8") as f:
         f.write('{"type":"header","version":99}\n')
     with pytest.raises(TraceFormatError, match="version"):
+        read_trace(path)
+
+
+def gzip_at(level, data):
+    """``data`` gzipped through TraceWriter's container at ``level``."""
+    buf = io.BytesIO()
+    with gzip.GzipFile(filename="", mode="wb", fileobj=buf, compresslevel=level, mtime=0) as gz:
+        gz.write(data)
+    return buf.getvalue()
+
+
+def test_trace_is_compressed_at_level_1(tmp_path):
+    raw = write_sample(tmp_path / "t.trace").read_bytes()
+    assert raw[8] == 4  # gzip XFL byte: 4 = fastest, 2 = best (level 9)
+    assert raw == gzip_at(1, gzip.decompress(raw))
+    assert raw != gzip_at(9, gzip.decompress(raw))
+
+
+def test_read_rejects_truncated_trace(tmp_path):
+    path = write_sample(tmp_path / "t.trace")
+    path.write_bytes(path.read_bytes()[:-20])
+    with pytest.raises(TraceFormatError, match="t.trace: not a complete gzip trace"):
+        read_trace(path)
+
+
+def test_read_rejects_file_that_is_not_gzip(tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_text('{"type":"header","version":1}\n', encoding="utf-8")
+    with pytest.raises(TraceFormatError, match="t.trace: not a complete gzip trace"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("line", [b"{not json", b"\xff\xfe{}", b"[1, 2]"])
+def test_read_rejects_line_that_is_not_a_json_object(tmp_path, line):
+    path = tmp_path / "t.trace"
+    path.write_bytes(gzip.compress(b'{"type":"header","version":1}\n' + line + b"\n"))
+    with pytest.raises(TraceFormatError, match="t.trace: line 2 is not"):
         read_trace(path)
 
 
