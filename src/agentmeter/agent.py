@@ -123,17 +123,28 @@ def _planner_context(state: AgentState) -> str:
     return "\n" + "\n\n".join(parts) + "\n"
 
 
-def generate_plan(state: AgentState, step_index: int) -> Plan:
+def generate_plan(state: AgentState, step_index: int) -> Plan | None:
+    """A new plan; an empty reply is asked again once, then the current plan stands.
+
+    Returns None to keep the current plan; a first plan empty twice raises
+    PlanEmptyError.
+    """
     prompt = prompts.render(
         prompts.PLANNER, question=state.question, context=_planner_context(state)
     )
-    response = state.session.call_model(
-        Purpose.PLANNER,
-        state.config.backbone_id,
-        (Message("user", prompt),),
-        temperature=state.config.temperature,
-    )
-    return Plan(text=response.text.strip(), created_at_step=step_index)
+    for _ in range(2):
+        response = state.session.call_model(
+            Purpose.PLANNER,
+            state.config.backbone_id,
+            (Message("user", prompt),),
+            temperature=state.config.temperature,
+        )
+        if response.text.strip():
+            return Plan(text=response.text.strip(), created_at_step=step_index)
+    if state.current_plan is None:
+        raise PlanEmptyError("plan text is empty")
+    log.warning("planner replied empty twice at step %d; keeping the current plan", step_index)
+    return None
 
 
 def _actor_messages(state: AgentState) -> tuple[Message, ...]:
@@ -247,7 +258,9 @@ def run_task(
         for step_index in range(config.max_steps):
             session.set_step(step_index)
             if should_replan(step_index, config.plan_interval):
-                state.plans.append(generate_plan(state, step_index))
+                plan = generate_plan(state, step_index)
+                if plan is not None:
+                    state.plans.append(plan)
             step = react_step(state)
             state.steps.append(step)
             if step.action is not None and step.action.is_terminal:

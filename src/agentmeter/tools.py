@@ -23,7 +23,7 @@ import re
 import time
 import urllib.parse
 from dataclasses import asdict, dataclass
-from html.parser import HTMLParser
+from html import unescape
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -329,31 +329,134 @@ _BLOCK_TAGS = {
     "tr", "blockquote", "pre", "figure", "figcaption", "form", "hr",
 } | set(_HEADING_LEVEL)
 
+# what a start tag adds to the text
+_START_TEXT = dict.fromkeys(_BLOCK_TAGS | {"br"}, "\n") | {
+    tag: "\n" + "#" * level + " " for tag, level in _HEADING_LEVEL.items()
+}
+
 # page text gathered between moves of finished lines into the output
 _FLUSH_CHARS = 8192
 
 
 class _PastLimit(Exception):
-    """Stops a bounded parse once its output is longer than the limit."""
+    """Stops a bounded extraction once its output is longer than the limit."""
 
 
-class _StaticTextParser(HTMLParser):
-    """Collects normalized lines; with max_chars, stops once past it.
+# Page text follows html.parser's tokenization, as CPython 3.11.7 does it
+# for a whole page fed at once and then closed, in one pass: _TOKEN matches
+# the common tokens, and every other "<" takes one step of a port of
+# HTMLParser.goahead and the parse_* methods it calls. No part of a _TOKEN
+# match but its text may hold a "<", so a failed match ends at the next one.
+_TOKEN = re.compile(
+    r"""
+    (?:
+        # a start tag whose attributes are space-separated and either bare
+        # names or names with a quoted value
+        <(?P<tag>[a-zA-Z][^\t\n\r\f\x20/>\x00<]*)
+        (?:[\t\n\r\f\x20]+[^\s/>=<]+(?:=(?:"[^"<]*"|'[^'<]*'))?)*
+        [\t\n\r\f\x20]*(?P<slash>/?)>
+      | </\s*(?P<endtag>[a-zA-Z][-.a-zA-Z0-9:_]*)\s*>
+      | (?P<markup><!--[^<]*?--\s*>|<![dD][oO][cC][tT][yY][pP][eE][^<>]*>)
+    )?
+    (?P<text>[^<]*)
+    """,
+    re.VERBOSE,
+)
+# what html.parser looks for to end a <script> or <style>. Like every
+# pattern here it is compiled at import: compiled on first use inside one
+# of run_benchmark's worker threads, it pinned that thread's malloc arena,
+# and live_fanout peak_rss_mb rose from 73.6 to 82.1 MB.
+_CDATA_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I) for tag in ("script", "style")}
+
+# html.parser's own patterns. Its locatestarttagend_tolerant is split in
+# three: the tag name runs to the first _NAME_STOP, then _SPACE_SLASH, then
+# _ATTR as often as it matches.
+_STARTTAG_OPEN = re.compile("<[a-zA-Z]")
+_NAME_STOP = re.compile(r"[\t\n\r\f />\x00]")
+_SPACE_SLASH = re.compile(r"[\s/]*")
+_ATTR = re.compile(
+    r"""(?<=['"\s/])[^\s/>][^\s/=>]*(?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?(?:\s|/(?!>))*"""
+)
+_TAGFIND = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTRFIND = re.compile(
+    r"""((?<=['"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*"""
+)
+_ENDTAGFIND = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
+_GT = re.compile(">")
+_COMMENT_END = re.compile(r"--\s*>")
+_DECL_NAME = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*\s*")
+# the end of a "<![" marked section, by its keyword (the last three are MS Office's)
+_MARKED_SECTION_END = dict.fromkeys(
+    ("temp", "cdata", "ignore", "include", "rcdata"), re.compile(r"]\s*]\s*>")
+) | dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>"))
+# what may follow a start tag that html.parser takes for one cut short
+_UNFINISHED_TAG_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ="
+
+
+class _PageText:
+    """Collects one page's normalized lines; with max_chars, stops once past it.
 
     Raw text collects in ``parts``. Every _FLUSH_CHARS of data, the lines
     before its last newline are final, since later text can only extend
     the last one, and they move, normalized, into ``lines``.
     """
 
-    def __init__(self, max_chars: int | None = None) -> None:
-        super().__init__(convert_charrefs=True)
+    __slots__ = ("html", "max_chars", "flush_chars", "parts", "lines", "_size", "_unflushed",
+                 "_skip", "_links", "_cdata", "_searched", "_attrs_end")
+
+    def __init__(self, html: str, max_chars: int | None) -> None:
+        self.html = html
+        self.max_chars = max_chars
+        self.flush_chars = _FLUSH_CHARS
         self.parts: list[str] = []
         self.lines: list[str] = []
-        self.max_chars = max_chars
         self._size = 0  # len("\n".join(self.lines))
         self._unflushed = 0
         self._skip = 0
         self._links: list[str | None] = []
+        self._cdata: str | None = None  # "script" or "style" while inside one
+        self._searched: dict[re.Pattern, tuple[int, re.Match | None]] = {}
+        self._attrs_end: dict[int, int] = {}  # where a start tag's attributes from here end
+
+    def run(self) -> None:
+        html, n = self.html, len(self.html)
+        pos = 0
+        while pos < n:
+            if self._cdata is not None:
+                end = _CDATA_END[self._cdata].search(html, pos)
+                if end is None:
+                    return  # html.parser never passes an unclosed script on
+                pos = self._parse_endtag(end.start())
+                continue
+            # a match is a token or nothing, then the text after it; an empty
+            # one is the end of the page or a "<" for the exact path
+            for m in _TOKEN.finditer(html, pos):
+                tag, slash, endtag, markup, text = m.groups()
+                if tag is not None:
+                    tag = tag.lower()
+                    if slash:
+                        self.startendtag(tag)
+                    else:
+                        attrs = self._attributes(m.start(), m.start("text"))[2] if tag == "a" else ()
+                        self.starttag(tag, attrs)
+                        if tag in _CDATA_END:
+                            self._cdata = tag
+                            pos = m.start("text")
+                            break
+                elif endtag is not None:
+                    self.endtag(endtag.lower())
+                elif markup is None and not text:
+                    pos = m.start()
+                    if pos == n:
+                        return
+                    pos = self._step(pos)
+                    break
+                if text:
+                    self.data(unescape(text) if "&" in text else text)
+            else:
+                return
+
+    # -- handlers ---------------------------------------------------------
 
     def flush(self) -> None:
         """Move the lines finished so far, normalized, into ``lines``."""
@@ -366,24 +469,32 @@ class _StaticTextParser(HTMLParser):
                 self._size += len(line) + (1 if self.lines else 0)
                 self.lines.append(line)
 
-    def handle_starttag(self, tag, attrs):
+    def data(self, text: str) -> None:
+        if not self._skip:
+            self.parts.append(text)
+            self._unflushed += len(text)
+            if self._unflushed >= self.flush_chars:
+                self.flush()
+                if self.max_chars is not None and self._size > self.max_chars:
+                    raise _PastLimit
+
+    def starttag(self, tag: str, attrs: Sequence[tuple[str, str | None]]) -> None:
         if tag in _SKIP_TAGS:
             self._skip += 1
             return
         if self._skip:
             return
-        if tag in _HEADING_LEVEL:
-            self.parts.append("\n" + "#" * _HEADING_LEVEL[tag] + " ")
-        elif tag in _BLOCK_TAGS or tag == "br":
-            self.parts.append("\n")
+        text = _START_TEXT.get(tag)
+        if text:
+            self.parts.append(text)
         if tag == "a":
             self._links.append(dict(attrs).get("href"))
 
-    def handle_startendtag(self, tag, attrs):
-        if not self._skip and (tag == "br" or tag in _BLOCK_TAGS):
+    def startendtag(self, tag: str) -> None:
+        if not self._skip and tag in _START_TEXT:
             self.parts.append("\n")
 
-    def handle_endtag(self, tag):
+    def endtag(self, tag: str) -> None:
         if tag in _SKIP_TAGS:
             self._skip = max(0, self._skip - 1)
             return
@@ -396,35 +507,176 @@ class _StaticTextParser(HTMLParser):
         if tag in _BLOCK_TAGS:
             self.parts.append("\n")
 
-    def handle_data(self, data):
-        if not self._skip:
-            self.parts.append(data)
-            self._unflushed += len(data)
-            if self._unflushed >= _FLUSH_CHARS:
-                self.flush()
-                if self.max_chars is not None and self._size > self.max_chars:
-                    raise _PastLimit
+    # -- html.parser, one step at a time ------------------------------------
+
+    def _search(self, pattern: re.Pattern, pos: int) -> re.Match | None:
+        """``pattern.search(html, pos)``, remembering the last answer per pattern.
+
+        A search that finds nothing from p finds nothing from a later
+        position either, and one that finds a match at q finds the same
+        one from anywhere in p..q; so unclosed markup costs one search to
+        the end of the page, not one per construct.
+        """
+        start, found = self._searched.get(pattern, (len(self.html) + 1, None))
+        if not (start <= pos and (found is None or pos <= found.start())):
+            found = pattern.search(self.html, pos)
+            self._searched[pattern] = (pos, found)
+        return found
+
+    def _end_after(self, pattern: re.Pattern, pos: int) -> int:
+        found = self._search(pattern, pos)
+        return -1 if found is None else found.end()
+
+    def _step(self, i: int) -> int:
+        """One turn of goahead at the "<" at i; returns where the next starts."""
+        html = self.html
+        if _STARTTAG_OPEN.match(html, i):
+            k = self._parse_starttag(i)
+        elif html.startswith("</", i):
+            k = self._parse_endtag(i)
+        elif html.startswith("<!--", i):
+            k = self._end_after(_COMMENT_END, i + 4)
+        elif html.startswith("<?", i):
+            k = self._end_after(_GT, i + 2)
+        elif html.startswith("<!", i):
+            k = self._parse_html_declaration(i)
+        else:
+            self.data("<")
+            return i + 1
+        if k < 0:
+            # unfinished at the end of the page: data up to the next ">" or "<"
+            k = self._end_after(_GT, i + 1)
+            if k < 0:
+                k = html.find("<", i + 1)
+                if k < 0:
+                    k = i + 1
+            self.data(unescape(html[i:k]))
+        return k
+
+    def _parse_starttag(self, i: int) -> int:
+        endpos = self._check_for_whole_start_tag(i)
+        if endpos < 0:
+            return endpos
+        tag, k, attrs = self._attributes(i, endpos)
+        end = self.html[k:endpos].strip()
+        if end not in (">", "/>"):
+            self.data(self.html[i:endpos])
+        elif end == "/>":
+            self.startendtag(tag)
+        else:
+            self.starttag(tag, attrs)
+            if tag in _CDATA_END:
+                self._cdata = tag
+        return endpos
+
+    def _check_for_whole_start_tag(self, i: int) -> int:
+        html = self.html
+        stop = self._search(_NAME_STOP, i + 2)
+        if stop is None:
+            return -1  # the tag name runs to the end of the page
+        # the attributes end where they would from any position the scan
+        # passes, so a tag cut short costs one scan, not one per "<" in it
+        p = _SPACE_SLASH.match(html, stop.start()).end()
+        passed = []
+        while p not in self._attrs_end:
+            attr = _ATTR.match(html, p)
+            if attr is None:
+                break
+            passed.append(p)
+            p = attr.end()
+        j = self._attrs_end.get(p, p)
+        for start in passed:
+            self._attrs_end[start] = j
+        following = html[j : j + 1]
+        if following == ">":
+            return j + 1
+        if following == "/":
+            return j + 2 if html.startswith("/>", j) else -1
+        if following == "" or following in _UNFINISHED_TAG_CHARS:
+            return -1
+        return j
+
+    def _attributes(self, i: int, endpos: int) -> tuple[str, int, list[tuple[str, str | None]]]:
+        """The start tag at i: its name, where its attributes end, and them."""
+        html = self.html
+        m = _TAGFIND.match(html, i + 1)
+        k = m.end()
+        attrs = []
+        while k < endpos:
+            found = _ATTRFIND.match(html, k)
+            if not found:
+                break
+            name, rest, value = found.group(1, 2, 3)
+            if not rest:
+                value = None
+            elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+                value = value[1:-1]
+            if value:
+                value = unescape(value)
+            attrs.append((name.lower(), value))
+            k = found.end()
+        return m.group(1).lower(), k, attrs
+
+    def _parse_endtag(self, i: int) -> int:
+        gtpos = self._end_after(_GT, i + 1)
+        if gtpos < 0:
+            return -1
+        m = _ENDTAGFIND.match(self.html, i)
+        if not m:
+            if self._cdata is not None:
+                return gtpos  # script or style text, which is never shown
+            name = _TAGFIND.match(self.html, i + 2)
+            if not name:
+                return i + 3 if self.html.startswith("</>", i) else gtpos
+            # no ">" lies before gtpos, and the name cannot pass one
+            self.endtag(name.group(1).lower())
+            return gtpos
+        tag = m.group(1).lower()
+        if self._cdata is not None and tag != self._cdata:
+            return gtpos
+        self.endtag(tag)
+        self._cdata = None
+        return gtpos
+
+    def _parse_html_declaration(self, i: int) -> int:
+        html = self.html
+        if html.startswith("<![", i):
+            return self._parse_marked_section(i)
+        if html[i : i + 9].lower() == "<!doctype":
+            return self._end_after(_GT, i + 9)
+        return self._end_after(_GT, i + 2)  # a bogus comment
+
+    def _parse_marked_section(self, i: int) -> int:
+        html, n = self.html, len(self.html)
+        if i + 3 == n:
+            return -1
+        m = _DECL_NAME.match(html, i + 3)
+        if m is None:
+            return n  # html.parser raises AssertionError: nothing after is read
+        if m.end() == n:
+            return -1
+        end = _MARKED_SECTION_END.get(m.group().strip().lower())
+        if end is None:
+            return n  # as above
+        return self._end_after(end, i + 3)
 
 
 def extract_static_text(html: str | bytes, max_chars: int | None = None) -> str:
     """Static page text: scripts dropped, # headings, links as "text (url)".
 
-    With max_chars, parsing may stop once the text is known to be longer;
+    With max_chars, extraction may stop once the text is known to be longer;
     the result is then a prefix of the full text, longer than max_chars.
     """
     if isinstance(html, bytes):
         html = html.decode("utf-8", errors="replace")
-    parser = _StaticTextParser(max_chars)
+    page = _PageText(html, max_chars)
     try:
-        parser.feed(html)
-        parser.close()
+        page.run()
     except _PastLimit:
-        return "\n".join(parser.lines)
-    except Exception:  # malformed markup must never crash extraction
-        pass
-    parser.parts.append("\n")  # the end of the page finishes its last line
-    parser.flush()
-    return "\n".join(parser.lines)
+        return "\n".join(page.lines)
+    page.parts.append("\n")  # the end of the page finishes its last line
+    page.flush()
+    return "\n".join(page.lines)
 
 
 def page_text(html: str | bytes) -> tuple[str, bool]:

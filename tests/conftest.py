@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from agentmeter import (
     AgentConfig,
@@ -22,6 +23,11 @@ from agentmeter import (
     default_config,
 )
 from agentmeter.backend import HashEmbedder
+
+# CI runs the tests with --hypothesis-profile=ci: property tests that set no
+# example count of their own, the page-text differential test among them,
+# then try 2,000 examples instead of 100
+settings.register_profile("ci", max_examples=2000)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH = FIXTURES / "bench"

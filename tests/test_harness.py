@@ -245,7 +245,8 @@ def test_run_benchmark_keeps_partial_failures(tmp_path):
 
 
 def test_run_benchmark_survives_an_empty_plan(tmp_path):
-    # e3's planner replies with whitespace only: that run errors, the others go on
+    # e3's planner replies with whitespace only, also when asked again: that run
+    # errors, the others go on
     empty_plan = {"purpose": "planner", "match": "Danube", "response": "  \n ", "times": 0}
     script = tmp_path / "script.jsonl"
     script.write_text(
@@ -262,6 +263,7 @@ def test_run_benchmark_survives_an_empty_plan(tmp_path):
     assert not failed.solved and failed.cost_pico > 0  # the planner call stays metered
     trace = read_trace(tmp_path / "traces" / trace_filename("gaia-e3", config_hash(bench_config())))
     assert trace.result["terminated_by"] == "error"
+    assert [e["purpose"] for e in trace.events if e["type"] == "model_call"] == ["planner"] * 2
     assert trace.result["cost_pico"] == failed.cost_pico
     assert report.rows[0].task_count == 3
 
@@ -577,3 +579,38 @@ def test_failed_and_timed_out_runs_replay_exactly(tmp_path, scenario):
     assert record.ledger.entries == live_record.ledger.entries
     if scenario == "failed_model_call":
         assert any(entry.error for entry in live_record.ledger.entries)
+
+
+def test_empty_plans_are_asked_again_metered_and_replay_exactly(tmp_path):
+    # step 0: an empty plan, then a real one; step 1: empty twice, so step 0's plan stands
+    entries = [
+        ScriptEntry(Purpose.PLANNER, " \n", prompt_tokens=200, completion_tokens=2),
+        ScriptEntry(Purpose.PLANNER, "1. Read.\n2. Answer.", prompt_tokens=200, completion_tokens=40),
+        ScriptEntry(Purpose.PLANNER, "", times=2, prompt_tokens=210, completion_tokens=0),
+        ScriptEntry(Purpose.ACTOR, f"ACTION: open_url(url={GRID_URL})",
+                    prompt_tokens=300, completion_tokens=30),
+        ScriptEntry(Purpose.ACTOR, "ACTION: final_answer(answer=1931)",
+                    prompt_tokens=300, completion_tokens=30),
+    ]
+    config = dataclasses.replace(default_config(), plan_interval=1)
+    task = Task(task_id="bridge", level=1, question="When did the bridge open?",
+                expected_answer="1931")
+    live, record = execute_run(
+        task, config, ScriptedBackend(entries), bench_pricing(),
+        fetcher=FixtureFetcher({GRID_URL: GRID_PAGE}), trace_dir=tmp_path / "live",
+    )
+    assert (live.terminated_by, live.solved) == (TerminatedBy.FINAL_ANSWER, True)
+    assert [(p.text, p.created_at_step) for p in record.plans] == [("1. Read.\n2. Answer.", 0)]
+    planner = [e for e in record.ledger.entries if e.purpose is Purpose.PLANNER]
+    assert [(e.step_index, e.completion_tokens) for e in planner] == [(0, 2), (0, 40), (1, 0), (1, 0)]
+    assert live.cost_pico == record.ledger.total_cost_pico
+
+    original = tmp_path / "live" / trace_filename(task.task_id, config_hash(config))
+    traced = [e["response"] for e in trace_lines(original)
+              if e["type"] == "model_call" and e["purpose"] == "planner"]
+    assert traced == [" \n", "1. Read.\n2. Answer.", "", ""]
+    replayed, replay_record = replay_run(original, trace_dir=tmp_path / "replay")
+    assert (tmp_path / "replay" / original.name).read_bytes() == original.read_bytes()
+    assert replay_record.plans == record.plans
+    assert replay_record.ledger.entries == record.ledger.entries
+    assert (replayed.terminated_by, replayed.cost_pico) == (live.terminated_by, live.cost_pico)

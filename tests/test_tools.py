@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +23,15 @@ from agentmeter.tools import (
     extract_static_text,
     fetch_page,
     normalize_url,
+    page_text,
     paginate,
     parse_query_list,
     render_view,
     search,
 )
 
-from conftest import make_session
+from conftest import BENCH, make_session
+from reference_page_text import reference_extract
 
 
 class FailingProvider(SearchProvider):
@@ -154,35 +157,47 @@ def test_extract_handles_bytes_and_malformed():
     assert isinstance(extract_static_text("<p><a href='x'>oops"), str)
 
 
+def test_unreadable_marked_section_ends_the_text_where_html_parser_stops():
+    # html.parser raises AssertionError at "<![" with an unknown keyword
+    html = "<p>kept</p><![bogus[ x ]]><p>dropped</p>"
+    assert extract_static_text(html) == reference_extract(html) == "kept"
+
+
 _HTML_FRAGMENTS = st.one_of(
     st.sampled_from([
         "<p>", "</p>", "<h2>", "</h2>", "<li>", "<br>", "<br/>", "<hr/>", "<div>", "</div>",
         "<a href='http://x.com/'>", "<a>", "</a>", "<script>var x = '<p>';</script>",
         "<style>p{}</style>", "<script>", "</style>", "&amp;", "&#160;", "&nbsp;", "&#x85;",
         "&", "&am", "<", "< p", "\x1c", "\x85", "\xa0", " ", "\r\n", "\n",
+        # malformed and unusual markup, where html.parser's own rules decide
+        "<P>", "</P >", "<H1 CLASS=x>", "<A HREF='u&amp;v'>", "</A>", "<SCRIPT>", "</SCRIPT>",
+        "<a href=x/>", "<a href=x/ >", "<br clear=all/>", "<a b c='d'e>", "<a b = 'c'>",
+        "<a\x00>", "<p\x0b>", "<a\xa0href='u'>", "<a<b>", "<a ", "<a b='", '<a b="<p>',
+        "</", "</>", "</ p>", "</p x>", "</script foo>", "</ script >", "<script>a</b>c</script foo>d</",
+        "<!--", "<!-- c -->", "<!-->", "-->", "--!>", "<?", "<?pi>", "<!", "<!x>", "<!doctype html>",
+        "<!DOCTYPE", "<![CDATA[x]]>", "<![CDATA[", "<![if IE]>", "<![endif]>", "<![bogus", "]]>",
+        "&amp", "&lt", "&#38", "&#x26", "&nbsp", "&copy2", "<noscript>", "</noscript>",
     ]),
     st.builds(lambda word, n: (word + " ") * n, st.sampled_from(["word", "w\xa0x", "y\x1c"]),
               st.integers(min_value=1, max_value=1500)),
     st.text(alphabet="ab <>&;/\n", max_size=20),
+    st.text(alphabet="<a b=c'\"/>!-?[]\x0b", max_size=20),
 )
+_HTML = st.lists(_HTML_FRAGMENTS, max_size=40).map("".join)
 
 
-def extract_flushing_every(flush_chars, html, max_chars=None):
-    """extract_static_text with finished lines moved out every flush_chars of data."""
+def extract_flushing_every(flush_chars, html, max_chars=None, extract=extract_static_text):
+    """extract_static_text (or the reference) with finished lines moved out every flush_chars of data."""
     saved = tools._FLUSH_CHARS
     tools._FLUSH_CHARS = flush_chars
     try:
-        return extract_static_text(html, max_chars)
+        return extract(html, max_chars)
     finally:
         tools._FLUSH_CHARS = saved
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(_HTML_FRAGMENTS, max_size=40).map("".join),
-    st.integers(min_value=0),
-    st.sampled_from([1, 7, tools._FLUSH_CHARS]),
-)
+@given(_HTML, st.integers(min_value=0), st.sampled_from([1, 7, tools._FLUSH_CHARS]))
 def test_bounded_extraction_agrees_with_full_parse(html, max_chars, flush_chars):
     # never flushing mid-parse normalizes the whole text at the end, as a one-shot parse would
     reference = extract_flushing_every(sys.maxsize, html)
@@ -193,6 +208,43 @@ def test_bounded_extraction_agrees_with_full_parse(html, max_chars, flush_chars)
     assert full.startswith(bounded)
     assert bounded[:max_chars] == full[:max_chars]
     assert (len(bounded) > max_chars) == (len(full) > max_chars)
+
+
+# the examples come from the hypothesis profile: 2,000 in CI (conftest.py)
+@settings(deadline=None)
+@given(_HTML, st.integers(min_value=0), st.sampled_from([1, 7, tools._FLUSH_CHARS]))
+def test_extraction_matches_pinned_html_parser(html, max_chars, flush_chars):
+    full = extract_flushing_every(flush_chars, html, None, reference_extract)
+    assert extract_flushing_every(flush_chars, html) == full
+    max_chars %= len(full) + 2
+    assert extract_flushing_every(flush_chars, html, max_chars) == extract_flushing_every(
+        flush_chars, html, max_chars, reference_extract
+    )
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (BENCH / "pages").iterdir()) + ["golden"])
+def test_extraction_matches_pinned_html_parser_on_fixture_pages(name):
+    html = GOLDEN_HTML if name == "golden" else (BENCH / "pages" / name).read_text(encoding="utf-8")
+    for max_chars in (None, 0, 1, 100, CRAWLER_MAX_CHARS):
+        for flush_chars in (1, 7, tools._FLUSH_CHARS):
+            assert extract_flushing_every(flush_chars, html, max_chars) == extract_flushing_every(
+                flush_chars, html, max_chars, reference_extract
+            )
+    full = reference_extract(html)
+    assert page_text(html) == (full[:CRAWLER_MAX_CHARS], len(full) > CRAWLER_MAX_CHARS)
+
+
+@pytest.mark.parametrize("unit", ["<!--a>", "<a"])
+def test_unclosed_markup_extracts_in_linear_time(unit):
+    small = unit * (4096 // len(unit))
+    # the reference searches to the end of the page for every unit, so only a small page
+    assert extract_static_text(small) == reference_extract(small) == small
+    html = unit * (256 * 1024 // len(unit))
+    start = time.perf_counter()
+    text, truncated = page_text(html)
+    elapsed = time.perf_counter() - start
+    assert (text, truncated) == (html[:CRAWLER_MAX_CHARS], True)
+    assert elapsed < 2.0
 
 
 # -- pagination --------------------------------------------------------------
