@@ -25,7 +25,6 @@ from .config import (
     ConfigIssue,
     InvalidConfigError,
     PricingTable,
-    config_snapshot,
     default_config,
     default_pricing,
     load_config,
@@ -43,6 +42,7 @@ from .harness import (
     sweep_configs,
 )
 from .ledger import AggregateRow, EmptyBenchmarkError, Scope
+from .money import pico_to_usd
 from .report import (
     FORMATS,
     filter_scope,
@@ -185,6 +185,10 @@ def _select_task(tasks: list[Task], task_id: str | None) -> Task:
     raise TaskFileError(f"no task with id {task_id!r}")
 
 
+def _write_json(payload: dict, out: str) -> None:
+    Path(out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -199,7 +203,7 @@ def cmd_run(args) -> int:
     config, pricing = load_settings(args)
     validate_config(config, pricing)
     task = _select_task(load_tasks(args.tasks), args.task_id)
-    outcome, record = execute_run(
+    outcome, _ = execute_run(
         task,
         config,
         make_backend(args),
@@ -214,9 +218,9 @@ def cmd_run(args) -> int:
     print(f"expected:    {task.expected_answer}")
     print(f"solved:      {'yes' if outcome.solved else 'no'}")
     print(f"ended by:    {outcome.terminated_by.value}")
-    print(f"steps:       {len(record.steps)}  plans: {len(record.plans)}")
+    print(f"steps:       {outcome.steps}  plans: {outcome.plan_count}")
     print(
-        f"cost:        {format_cost(record.ledger.total_cost_usd)} USD"
+        f"cost:        {format_cost(pico_to_usd(outcome.cost_pico))} USD"
         f"  tokens: {outcome.total_tokens}"
     )
     return 0 if outcome.solved else 1
@@ -225,7 +229,7 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     config, pricing = load_settings(args)
     tasks = load_tasks(args.tasks)
-    outcomes, report = run_benchmark(
+    _, report = run_benchmark(
         tasks,
         config,
         make_backend(args),
@@ -237,24 +241,7 @@ def cmd_bench(args) -> int:
         timeout_s=args.timeout,
     )
     if args.out:
-        payload = {
-            "config": config_snapshot(config),
-            "config_hash": report.config_hash,
-            "rows": [r.to_dict() for r in report.rows],
-            "outcomes": [
-                {
-                    "task_id": o.task_id,
-                    "level": o.level,
-                    "solved": o.solved,
-                    "final_answer": o.final_answer,
-                    "cost_pico": o.cost_pico,
-                    "total_tokens": o.total_tokens,
-                    "terminated_by": o.terminated_by.value,
-                }
-                for o in outcomes
-            ],
-        }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write_json(report.to_dict(), args.out)
     sys.stdout.write(
         render_report(report.rows, args.format, title=f"config {report.config_hash}")
     )
@@ -268,9 +255,11 @@ def cmd_sweep(args) -> int:
     backend = make_backend(args)
     providers = make_providers(args, base)
     fetcher = make_fetcher(args)
+    # every value is checked before the first run, so a bad one wastes none
+    configs = [validate_config(cfg, pricing) for cfg in sweep_configs(base, args.axis, values)]
     entries: list[tuple[str, AggregateRow]] = []
     saved = []
-    for value, cfg in zip(values, sweep_configs(base, args.axis, values)):
+    for value, cfg in zip(values, configs):
         _, report = run_benchmark(
             tasks,
             cfg,
@@ -283,19 +272,9 @@ def cmd_sweep(args) -> int:
             timeout_s=args.timeout,
         )
         entries.append((value, report.rows[0]))
-        saved.append(
-            {
-                "value": value,
-                "config": config_snapshot(cfg),
-                "config_hash": report.config_hash,
-                "rows": [r.to_dict() for r in report.rows],
-            }
-        )
+        saved.append({"value": value, **report.to_dict()})
     if args.out:
-        Path(args.out).write_text(
-            json.dumps({"axis": args.axis, "results": saved}, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        _write_json({"axis": args.axis, "results": saved}, args.out)
     sys.stdout.write(render_sweep_table(entries, args.axis))
     return 0
 

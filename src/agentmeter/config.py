@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from datetime import date
-from decimal import Decimal
 from enum import Enum
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -134,25 +133,19 @@ class ModelPricing:
     @classmethod
     def per_million(cls, input_usd: float | str, output_usd: float | str) -> "ModelPricing":
         """Build from USD-per-1M-token prices, the unit used in config files."""
-        pairs = []
-        for value in (input_usd, output_usd):
-            pico_total = usd_to_pico(value)
-            if pico_total % TOKENS_PER_MILLION:
-                raise MoneyResolutionError(
-                    f"{value!r} USD/1M tokens is finer than 1e-12 USD per token"
-                )
-            pairs.append(pico_total // TOKENS_PER_MILLION)
-        return cls(pairs[0], pairs[1])
+        return cls(_pico_per_token(input_usd), _pico_per_token(output_usd))
 
-    @property
-    def c_in(self) -> float:
-        """Input price in USD per token."""
-        return self.input_pico_per_token / 10**12
 
-    @property
-    def c_out(self) -> float:
-        """Output price in USD per token."""
-        return self.output_pico_per_token / 10**12
+def _pico_per_token(usd_per_million: float | str) -> int:
+    """Exact pico-dollars per token of a non-negative USD-per-1M-tokens price."""
+    pico_total = usd_to_pico(usd_per_million)
+    if pico_total % TOKENS_PER_MILLION:
+        raise MoneyResolutionError(
+            f"{usd_per_million!r} USD/1M tokens is finer than 1e-12 USD per token"
+        )
+    if pico_total < 0:
+        raise ValueError(f"{usd_per_million!r} is negative")
+    return pico_total // TOKENS_PER_MILLION
 
 
 class MissingPricingError(LookupError):
@@ -255,8 +248,9 @@ def config_issues(cfg: AgentConfig, pricing: PricingTable) -> list[ConfigIssue]:
             issues.append(ConfigIssue("range", name, f"{name} must be >= 1, got {value}"))
     for name in ("temperature", "bon_temperature"):
         value = getattr(cfg, name)
-        if value < 0:
-            issues.append(ConfigIssue("range", name, f"{name} must be >= 0, got {value}"))
+        if not (math.isfinite(value) and value >= 0):
+            message = f"{name} must be a finite number >= 0, got {value}"
+            issues.append(ConfigIssue("range", name, message))
     if cfg.backbone_id not in pricing:
         issues.append(
             ConfigIssue(
@@ -346,58 +340,45 @@ def config_hash(cfg: AgentConfig) -> str:
 # they carry API credentials only.
 
 
-def parse_config(text: str) -> tuple[AgentConfig, PricingTable]:
+def parse_config(text: str, source: str = "<string>") -> tuple[AgentConfig, PricingTable]:
+    """Read a config document; what is not valid raises ``InvalidConfigError``."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep model ids and keys case-sensitive
-    parser.read_string(text)
+    try:
+        parser.read_string(text, source=source)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        message = f"{source}: {' '.join(str(exc).split())}"
+        raise InvalidConfigError([ConfigIssue("value", "file", message)]) from None
 
-    sec = parser["agent"] if parser.has_section("agent") else {}
+    agent = sections.get("agent", {})
     cfg = AgentConfig(
-        **{f.name: coerce_field(f.name, sec[f.name]) for f in fields(AgentConfig) if f.name in sec}
+        **{f.name: coerce_field(f.name, agent[f.name]) for f in fields(AgentConfig) if f.name in agent}
     )
 
     entries: dict[str, ModelPricing] = {}
     effective: date | None = None
-    for section in parser.sections():
+    for section, values in sections.items():
         if section == "pricing":
-            raw_date = parser[section].get("effective_date")
-            if raw_date:
-                effective = date.fromisoformat(raw_date)
+            if values.get("effective_date"):
+                effective = _file_value(section, values, "effective_date", date.fromisoformat)
         elif section.startswith("pricing."):
-            model_id = section[len("pricing.") :]
-            sec = parser[section]
-            entries[model_id] = ModelPricing.per_million(sec["input"], sec["output"])
+            prices = [_file_value(section, values, key, _pico_per_token) for key in ("input", "output")]
+            entries[section[len("pricing.") :]] = ModelPricing(*prices)
     return cfg, PricingTable(entries, effective)
 
 
-def serialize_config(cfg: AgentConfig, pricing: PricingTable) -> str:
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    agent: dict[str, str] = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        agent[f.name] = value.value if isinstance(value, Enum) else str(value)
-    parser["agent"] = agent
-    if pricing.effective_date is not None:
-        parser["pricing"] = {"effective_date": pricing.effective_date.isoformat()}
-    for model in pricing.models():
-        p = pricing.lookup(model)
-        parser[f"pricing.{model}"] = {
-            "input": _pico_per_token_to_per_million(p.input_pico_per_token),
-            "output": _pico_per_token_to_per_million(p.output_pico_per_token),
-        }
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
-
-
-def _pico_per_token_to_per_million(pico: int) -> str:
-    """Exact USD-per-1M-tokens string for a pico-dollar-per-token price."""
-    usd = Decimal(pico * TOKENS_PER_MILLION) / Decimal(10**12)
-    return format(usd, "f")
+def _file_value(section: str, values: dict, key: str, convert):
+    """``convert`` of the value of ``key``; a missing or bad value raises
+    ``InvalidConfigError`` naming the section and key."""
+    try:
+        if key not in values:
+            raise ValueError("missing")
+        return convert(values[key])
+    except ValueError as exc:  # MoneyResolutionError among them
+        issue = ConfigIssue("value", f"{section}.{key}", f"[{section}] {key}: {exc}")
+        raise InvalidConfigError([issue]) from None
 
 
 def load_config(path: str | Path) -> tuple[AgentConfig, PricingTable]:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return parse_config(Path(path).read_text(encoding="utf-8"), source=str(path))

@@ -25,9 +25,9 @@ import math
 import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from .agent import TaskRunRecord, TerminatedBy, run_task
 from .backend import Backend, Embedder, HashEmbedder
@@ -49,6 +49,7 @@ from .tools import FixtureFetcher, PageFetcher, SearchProvider, ToolBox
 from .trace import (
     ReplayMismatchError,
     ReplaySource,
+    TraceData,
     TraceFormatError,
     TraceWriter,
     read_trace,
@@ -98,6 +99,8 @@ def load_tasks(path: str | Path) -> list[Task]:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TaskFileError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise TaskFileError(f"{path}:{lineno}: a task must be a JSON object")
         try:
             task_id = str(raw["task_id"])
             level = int(raw["Level"])
@@ -105,6 +108,8 @@ def load_tasks(path: str | Path) -> list[Task]:
             expected = str(raw["Final answer"])
         except KeyError as exc:
             raise TaskFileError(f"{path}:{lineno}: missing field {exc}") from None
+        except (TypeError, ValueError):  # only int() raises these
+            raise TaskFileError(f"{path}:{lineno}: Level {raw['Level']!r} is not an integer") from None
         if task_id in seen:
             raise DuplicateTaskIdError(f"{path}:{lineno}: duplicate task_id {task_id!r}")
         seen.add(task_id)
@@ -173,16 +178,60 @@ def grade(answer: str, expected: str) -> bool:
 
 @dataclass(frozen=True)
 class TaskOutcome:
+    """How one run ended. The fields after ``task_id`` and ``level``, which
+    a trace keeps in its header, are the trace's result line."""
+
     task_id: str
     level: int
-    solved: bool
     final_answer: str
-    cost_pico: int
-    total_tokens: int
     terminated_by: TerminatedBy
+    steps: int
+    plan_count: int
+    solved: bool
+    cost_pico: int
+    prompt_tokens: int
+    completion_tokens: int
+
+    @property
+    def total_tokens(self) -> int:
+        return self.prompt_tokens + self.completion_tokens
 
     def as_tuple(self) -> tuple[int, bool, int, int]:
         return (self.level, self.solved, self.cost_pico, self.total_tokens)
+
+    def to_dict(self, with_task: bool = True) -> dict:
+        """JSON-safe form: the ``bench --out`` outcome entry, which also
+        carries ``total_tokens``; with ``with_task=False``, the trace result line."""
+        line = {f.name: getattr(self, f.name) for f in fields(self)[2:]}  # not task_id, level
+        line["terminated_by"] = self.terminated_by.value
+        if not with_task:
+            return line
+        return {"task_id": self.task_id, "level": self.level, **line,
+                "total_tokens": self.total_tokens}
+
+
+_OUTCOME_TYPES = get_type_hints(TaskOutcome)
+_TERMINATIONS = tuple(t.value for t in TerminatedBy)
+
+
+def recorded_outcome(path: str | Path, data: TraceData) -> TaskOutcome:
+    """The outcome a trace records: task id and level from its header, the
+    other fields from its result line. A missing or invalid field raises
+    ``TraceFormatError``."""
+    line = data.result
+    if line is None:
+        raise TraceFormatError(f"{path}: no result line; the recording is incomplete")
+    task_id, task = data.header.get("task_id"), data.header.get("task", {})
+    raw = {**line, "task_id": task_id, "level": task.get("level")}
+    values = {}
+    for name, kind in _OUTCOME_TYPES.items():
+        value = raw.get(name)
+        if kind is TerminatedBy and value in _TERMINATIONS:
+            value = TerminatedBy(value)
+        if type(value) is not kind:  # bool is no int here, nor int a bool
+            raise TraceFormatError(f"{path}: result field {name} is missing or invalid: {value!r}")
+        values[name] = value
+    return TaskOutcome(**values)
 
 
 @dataclass(frozen=True)
@@ -190,6 +239,17 @@ class BenchmarkReport:
     config_hash: str
     config: AgentConfig
     rows: tuple[AggregateRow, ...]
+    outcomes: tuple[TaskOutcome, ...]
+
+    def to_dict(self) -> dict:
+        """JSON-safe form: the ``bench --out`` payload, and with the swept
+        value added, one entry of a ``sweep --out`` file."""
+        return {
+            "config": config_snapshot(self.config),
+            "config_hash": self.config_hash,
+            "rows": [r.to_dict() for r in self.rows],
+            "outcomes": [o.to_dict() for o in self.outcomes],
+        }
 
 
 class BenchmarkAbortError(RuntimeError):
@@ -198,22 +258,6 @@ class BenchmarkAbortError(RuntimeError):
 
 class UnknownAxisError(ValueError):
     pass
-
-
-def _result_payload(
-    record: TaskRunRecord, solved: bool
-) -> dict:
-    ledger = record.ledger
-    return {
-        "final_answer": record.final_answer,
-        "terminated_by": record.terminated_by.value,
-        "steps": len(record.steps),
-        "plan_count": len(record.plans),
-        "solved": solved,
-        "cost_pico": ledger.total_cost_pico,
-        "prompt_tokens": ledger.prompt_tokens,
-        "completion_tokens": ledger.completion_tokens,
-    }
 
 
 def _run(
@@ -258,19 +302,22 @@ def _run(
         attachments={Path(p).name: p for p in task.attachments},
     )
     record = run_task(task.task_id, task.question, config, session, toolbox)
-    solved = grade(record.final_answer, task.expected_answer)
-    if writer is not None:
-        writer.result(_result_payload(record, solved))
-        writer.close()
+    ledger = record.ledger
     outcome = TaskOutcome(
         task_id=task.task_id,
         level=task.level,
-        solved=solved,
         final_answer=record.final_answer,
-        cost_pico=record.ledger.total_cost_pico,
-        total_tokens=record.ledger.total_tokens,
         terminated_by=record.terminated_by,
+        steps=len(record.steps),
+        plan_count=len(record.plans),
+        solved=grade(record.final_answer, task.expected_answer),
+        cost_pico=ledger.total_cost_pico,
+        prompt_tokens=ledger.prompt_tokens,
+        completion_tokens=ledger.completion_tokens,
     )
+    if writer is not None:
+        writer.result(outcome.to_dict(with_task=False))
+        writer.close()
     return outcome, record
 
 
@@ -326,7 +373,8 @@ def run_benchmark(
     if not tasks:
         raise EmptyBenchmarkError("no tasks to run")
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        message = f"workers must be >= 1, got {workers}"
+        raise InvalidConfigError([ConfigIssue("range", "workers", message)])
     validate_config(config, pricing)
     if trace_dir is not None:
         _check_trace_names(tasks, config_hash(config))
@@ -358,9 +406,7 @@ def run_benchmark(
             "the log names each run's cause"
         )
     rows = aggregate(o.as_tuple() for o in outcomes)
-    report = BenchmarkReport(
-        config_hash=config_hash(config), config=config, rows=tuple(rows)
-    )
+    report = BenchmarkReport(config_hash(config), config, tuple(rows), tuple(outcomes))
     return outcomes, report
 
 
@@ -401,14 +447,12 @@ def replay_run(
     writes its own trace, which for a deterministic run is
     byte-identical to the original.
 
-    A recording without its result line is refused, and a replay that
-    ends differently from the recorded result raises
+    A recording without a valid result line is refused, and a replay that
+    ends differently from it, or leaves recorded effects unused, raises
     ``ReplayMismatchError``.
     """
     data = read_trace(trace_path)
-    recorded = data.result
-    if recorded is None:
-        raise TraceFormatError(f"{trace_path}: no result line; the recording is incomplete")
+    recorded = recorded_outcome(trace_path, data)
     source = ReplaySource(data)
     header = source.header
     task_info = header["task"]
@@ -428,16 +472,14 @@ def replay_run(
         source,
         source,
     )
-    replayed = {
-        "terminated_by": outcome.terminated_by.value,
-        "solved": outcome.solved,
-        "cost_pico": outcome.cost_pico,
-    }
+    was, now = recorded.to_dict(with_task=False), outcome.to_dict(with_task=False)
     diverged = [
-        f"{key} recorded {recorded.get(key)!r}, replayed {value!r}"
-        for key, value in replayed.items()
-        if recorded.get(key) != value
+        f"{key} recorded {was[key]!r}, replayed {value!r}"
+        for key, value in now.items()
+        if was[key] != value
     ]
+    if not source.exhausted():
+        diverged.append("recorded effects are left over")
     if diverged:
         raise ReplayMismatchError(f"{trace_path}: replay diverged: {'; '.join(diverged)}")
     return outcome, record

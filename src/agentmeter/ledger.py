@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from .backend import Purpose, TokenUsage
 from .config import ModelPricing, PricingTable
-from .money import PICO_PER_USD, pico_to_usd
+from .money import PICO_PER_USD
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,6 @@ class RunLedger:
     @property
     def total_cost_pico(self) -> int:
         return sum(e.cost_pico for e in self._entries)
-
-    @property
-    def total_cost_usd(self) -> float:
-        return pico_to_usd(self.total_cost_pico)
 
     @property
     def prompt_tokens(self) -> int:

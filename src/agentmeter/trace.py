@@ -218,10 +218,6 @@ class ReplaySource(Backend, Embedder):
         self._effects = deque(e for e in data.events if e["type"] in _EFFECTS)
         self._timed_out = (data.result or {}).get("terminated_by") == "timeout"
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ReplaySource":
-        return cls(read_trace(path))
-
     def _next(self, kind: str, value: str) -> dict:
         name, key = _EFFECTS[kind]
         asked = f"{name} {key}={value!r}"

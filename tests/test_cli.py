@@ -6,6 +6,9 @@ from agentmeter.cli import main
 
 from conftest import BENCH, trace_lines, write_trace_lines
 
+AGENT_SECTION = "[agent]\nbackbone_id = gpt-4.1\n"
+PRICED = "[pricing.gpt-4.1]\ninput = 1.00\noutput = 10.00\n"
+
 
 def bench_args(*extra):
     return [
@@ -88,6 +91,23 @@ def test_bench_out_feeds_report(tmp_path, capsys):
     assert [o["task_id"] for o in payload["outcomes"]] == ["gaia-e1", "gaia-e2", "gaia-e3"]
     assert [o["solved"] for o in payload["outcomes"]] == [True, False, True]
     assert payload["rows"][0]["scope"] == "all"
+
+
+def test_bench_out_outcome_is_the_trace_result_line(tmp_path, capsys):
+    results, traces = tmp_path / "results.json", tmp_path / "traces"
+    assert run_cli(
+        "bench", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
+        "--out", str(results), "--trace-dir", str(traces),
+    ) == 0
+    payload = json.loads(results.read_text(encoding="utf-8"))
+    for entry in payload["outcomes"]:
+        trace = traces / f"{entry['task_id']}.{payload['config_hash']}.trace"
+        line = {k: v for k, v in trace_lines(trace)[-1].items() if k != "type"}
+        total = line["prompt_tokens"] + line["completion_tokens"]
+        assert entry == {"task_id": entry["task_id"], "level": entry["level"], **line,
+                         "total_tokens": total}
+    assert [(o["task_id"], o["level"]) for o in payload["outcomes"]] == [
+        ("gaia-e1", 1), ("gaia-e2", 2), ("gaia-e3", 3)]
 
 
 def test_report_scope_and_format(tmp_path, capsys):
@@ -215,6 +235,20 @@ def test_sweep_repeated_value_exits_two_before_running(tmp_path, capsys):
     assert not traces.exists()
 
 
+def test_sweep_checks_every_value_before_running(tmp_path, capsys):
+    traces, results = tmp_path / "traces", tmp_path / "sweep.json"
+    code = run_cli(
+        "sweep", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
+        "--axis", "max_steps", "--values", "6,0", "--trace-dir", str(traces),
+        "--out", str(results),
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: max_steps must be >= 1, got 0" in captured.err
+    assert captured.out == ""
+    assert not traces.exists() and not results.exists()
+
+
 # -- replay ------------------------------------------------------------------
 
 
@@ -309,6 +343,57 @@ def test_run_with_unpriced_backbone_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "error: no pricing entry for 'mystery-model'" in capsys.readouterr().err
+
+
+OUTSIDE_INPUTS = {
+    "workers_0": ({}, ("--workers", "0"), "workers must be >= 1, got 0"),
+    "level_not_a_number": (
+        {"tasks.jsonl": '{"task_id": "t", "Level": "x", "Question": "q", "Final answer": "a"}\n'},
+        (), "tasks.jsonl:1: Level 'x' is not an integer",
+    ),
+    "task_line_is_a_list": (
+        {"tasks.jsonl": '["t", 1]\n'}, (), "tasks.jsonl:1: a task must be a JSON object",
+    ),
+    "price_missing": (
+        {"config.ini": AGENT_SECTION + "[pricing.gpt-4.1]\ninput = 1.00\n"},
+        (), "[pricing.gpt-4.1] output: missing",
+    ),
+    "price_not_money": (
+        {"config.ini": AGENT_SECTION + "[pricing.gpt-4.1]\ninput = abc\noutput = 1.00\n"},
+        (), "[pricing.gpt-4.1] input: not a money amount: 'abc'",
+    ),
+    "price_negative": (
+        {"config.ini": AGENT_SECTION + "[pricing.gpt-4.1]\ninput = 1.00\noutput = -1\n"},
+        (), "[pricing.gpt-4.1] output: '-1' is negative",
+    ),
+    "effective_date_not_a_date": (
+        {"config.ini": AGENT_SECTION + "[pricing]\neffective_date = soon\n" + PRICED},
+        (), "[pricing] effective_date: Invalid isoformat string: 'soon'",
+    ),
+    "no_section_header": (
+        {"config.ini": "max_steps = 3\n" + PRICED}, (), "File contains no section headers.",
+    ),
+    "temperature_nan": (
+        {"config.ini": AGENT_SECTION + "temperature = nan\n" + PRICED},
+        (), "temperature must be a finite number >= 0, got nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OUTSIDE_INPUTS))
+def test_bad_outside_input_exits_two_with_error(tmp_path, capsys, case):
+    files, extra, message = OUTSIDE_INPUTS[case]
+    paths = {"tasks.jsonl": BENCH / "tasks.jsonl", "config.ini": BENCH / "config.ini"}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8")
+    argv = ["bench", "--config", str(paths["config.ini"]), "--script", str(BENCH / "script.jsonl"),
+            "--fixtures", str(BENCH), "--tasks", str(paths["tasks.jsonl"]), *extra]
+    code = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: " in captured.err and message in captured.err
+    assert captured.out == ""
 
 
 def test_missing_tasks_file_exits_two(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from enum import Enum
 
 import pytest
@@ -24,7 +25,6 @@ from agentmeter.config import (
     default_pricing,
     efficient_config,
     parse_config,
-    serialize_config,
     validate_config,
 )
 from agentmeter.harness import sweep_configs
@@ -94,7 +94,6 @@ def test_per_million_is_exact():
     p = ModelPricing.per_million("2.00", "8.00")
     assert p.input_pico_per_token == 2_000_000
     assert p.output_pico_per_token == 8_000_000
-    assert p.c_in == pytest.approx(2e-6)
 
 
 def test_per_million_rejects_sub_pico_rates():
@@ -132,9 +131,13 @@ def test_default_pricing_covers_default_backbone():
 
 
 def test_validate_flags_bad_ranges(pricing):
-    bad = dataclasses.replace(default_config(), max_steps=0, retrieval_k=-2)
+    bad = dataclasses.replace(
+        default_config(), max_steps=0, retrieval_k=-2, temperature=math.nan, bon_temperature=math.inf
+    )
     issues = config_issues(bad, pricing)
-    assert {i.field for i in issues} == {"max_steps", "retrieval_k"}
+    assert {i.field for i in issues} == {
+        "max_steps", "retrieval_k", "temperature", "bon_temperature"
+    }
     with pytest.raises(InvalidConfigError):
         validate_config(bad, pricing)
 
@@ -192,21 +195,6 @@ def test_sweepable_fields():
 # -- INI round trip ----------------------------------------------------------
 
 
-def test_ini_round_trip():
-    cfg = dataclasses.replace(
-        default_config(),
-        max_steps=9,
-        source_set=SourceSet.MULTI,
-        memory_mode=MemoryMode.EXTRA_FIXED,
-        temperature=0.3,
-    )
-    table = PricingTable({"gpt-4.1": ModelPricing.per_million("2.00", "8.00")})
-    text = serialize_config(cfg, table)
-    cfg2, table2 = parse_config(text)
-    assert cfg2 == cfg
-    assert table2.lookup("gpt-4.1") == table.lookup("gpt-4.1")
-
-
 def test_parse_partial_agent_section():
     cfg, table = parse_config("[agent]\nmax_steps = 4\n")
     assert cfg.max_steps == 4
@@ -254,9 +242,9 @@ def _field_values():
 def test_every_field_round_trips_through_every_reader(name, value):
     cfg = dataclasses.replace(default_config(), **{name: value})
     assert coerce_field(name, value) is value
-    assert parse_config(serialize_config(cfg, default_pricing()))[0] == cfg
-    assert config_from_snapshot(config_snapshot(cfg)) == cfg
     raw = value.value if isinstance(value, Enum) else str(value)
+    assert parse_config(f"[agent]\n{name} = {raw}\n")[0] == cfg
+    assert config_from_snapshot(config_snapshot(cfg)) == cfg
     if name in SWEEPABLE_FIELDS:
         assert sweep_configs(default_config(), name, [raw]) == [cfg]
     if isinstance(value, Enum):

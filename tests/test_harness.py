@@ -157,8 +157,8 @@ def test_grade_pairs(answer, expected, ok):
 
 def test_outcome_as_tuple():
     outcome = TaskOutcome(
-        task_id="t", level=2, solved=True, final_answer="x",
-        cost_pico=5, total_tokens=7, terminated_by=TerminatedBy.FINAL_ANSWER,
+        task_id="t", level=2, final_answer="x", terminated_by=TerminatedBy.FINAL_ANSWER,
+        steps=3, plan_count=1, solved=True, cost_pico=5, prompt_tokens=4, completion_tokens=3,
     )
     assert outcome.as_tuple() == (2, True, 5, 7)
 
@@ -405,9 +405,14 @@ def test_replay_refuses_a_recording_without_result_line(tmp_path):
 
 
 RESULT_EDITS = {
+    "final_answer": lambda value: value + "0",
     "terminated_by": lambda value: "timeout",
+    "steps": lambda value: value + 1,
+    "plan_count": lambda value: value + 1,
     "solved": lambda value: not value,
     "cost_pico": lambda value: value + 1,
+    "prompt_tokens": lambda value: value + 1,
+    "completion_tokens": lambda value: value - 1,
 }
 
 
@@ -419,6 +424,39 @@ def test_replay_that_ends_unlike_its_recording_fails(tmp_path, key):
     events[-1][key] = RESULT_EDITS[key](events[-1][key])
     write_trace_lines(trace, events)
     with pytest.raises(ReplayMismatchError, match=f"{trace.name}: replay diverged: {key} recorded"):
+        replay_run(trace)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("steps", None),
+    ("steps", "3"),
+    ("solved", 1),
+    ("cost_pico", True),
+    ("terminated_by", "gave_up"),
+    ("final_answer", 1962),
+])
+def test_replay_refuses_a_result_line_with_a_missing_or_invalid_field(tmp_path, key, value):
+    run_bench(trace_dir=tmp_path)
+    trace = next(tmp_path.glob("gaia-e1.*"))
+    events = trace_lines(trace)
+    if value is None:
+        del events[-1][key]
+    else:
+        events[-1][key] = value
+    write_trace_lines(trace, events)
+    with pytest.raises(TraceFormatError, match=f"{trace.name}: result field {key} is missing"):
+        replay_run(trace)
+
+
+def test_replay_refuses_recorded_effects_left_over(tmp_path):
+    run_bench(trace_dir=tmp_path)
+    trace = next(tmp_path.glob("gaia-e1.*"))
+    events = trace_lines(trace)
+    last_actor = max(i for i, e in enumerate(events)
+                     if e["type"] == "model_call" and e["purpose"] == "actor")
+    events[-1:-1] = [events[last_actor], events[last_actor]]
+    write_trace_lines(trace, events)
+    with pytest.raises(ReplayMismatchError, match="recorded effects are left over"):
         replay_run(trace)
 
 

@@ -90,7 +90,7 @@ def test_replay_session_needs_no_backend(tmp_path, pricing):
     vec_live = live.embed("note")
     writer.close()
 
-    source = ReplaySource.from_file(tmp_path / "t.trace")
+    source = ReplaySource(read_trace(tmp_path / "t.trace"))
     replay = RunSession(run_id="r", backend=source, embedder=source, pricing=pricing)
     out = replay.call_model(Purpose.ACTOR, "gpt-4.1", MSGS)
     assert out.text == "ok"

@@ -156,7 +156,7 @@ def test_read_rejects_line_that_is_not_a_json_object(tmp_path, line):
 
 
 def test_replay_serves_in_order(tmp_path):
-    source = ReplaySource.from_file(write_sample(tmp_path / "t.trace"))
+    source = ReplaySource(read_trace(write_sample(tmp_path / "t.trace")))
     resp = source.complete(sample_request())
     assert resp.text == "out"
     assert resp.usage.prompt_tokens == 10
@@ -167,20 +167,20 @@ def test_replay_serves_in_order(tmp_path):
 
 
 def test_replay_purpose_mismatch(tmp_path):
-    source = ReplaySource.from_file(write_sample(tmp_path / "t.trace"))
+    source = ReplaySource(read_trace(write_sample(tmp_path / "t.trace")))
     with pytest.raises(ReplayMismatchError, match="purpose"):
         source.complete(sample_request(purpose=Purpose.PLANNER))
 
 
 def test_replay_tool_mismatch(tmp_path):
-    source = ReplaySource.from_file(write_sample(tmp_path / "t.trace"))
+    source = ReplaySource(read_trace(write_sample(tmp_path / "t.trace")))
     source.complete(sample_request())
     with pytest.raises(ReplayMismatchError, match="tool"):
         source.run_tool("fetch_page", {}, None)
 
 
 def test_replay_embed_text_mismatch(tmp_path):
-    source = ReplaySource.from_file(write_sample(tmp_path / "t.trace"))
+    source = ReplaySource(read_trace(write_sample(tmp_path / "t.trace")))
     source.complete(sample_request())
     source.run_tool("search", {}, None)
     with pytest.raises(ReplayMismatchError, match="embedding"):
@@ -188,7 +188,7 @@ def test_replay_embed_text_mismatch(tmp_path):
 
 
 def test_replay_exhaustion(tmp_path):
-    source = ReplaySource.from_file(write_sample(tmp_path / "t.trace"))
+    source = ReplaySource(read_trace(write_sample(tmp_path / "t.trace")))
     source.complete(sample_request())
     source.run_tool("search", {}, None)
     source.embed("hello")
@@ -198,7 +198,7 @@ def test_replay_exhaustion(tmp_path):
 
 def test_replay_out_of_order_effect_fails(tmp_path):
     # one queue: the recorded model call comes before the tool call
-    source = ReplaySource.from_file(write_sample(tmp_path / "t.trace"))
+    source = ReplaySource(read_trace(write_sample(tmp_path / "t.trace")))
     with pytest.raises(ReplayMismatchError, match="expected model call"):
         source.run_tool("search", {}, None)
 
@@ -209,7 +209,7 @@ def test_replay_raises_recorded_failures_then_times_out(tmp_path):
         w.model_call(sample_request(), error="HTTP 503")
         w.tool_call("fetch_page", {"url": "https://x"}, error="no page")
         w.result({"terminated_by": "timeout"})
-    source = ReplaySource.from_file(tmp_path / "t.trace")
+    source = ReplaySource(read_trace(tmp_path / "t.trace"))
     with pytest.raises(BackendError, match="HTTP 503"):
         source.complete(sample_request())
     with pytest.raises(ToolError, match="no page"):
