@@ -1,4 +1,4 @@
-"""Model backends: live HTTP access, scripted offline stand-ins, embeddings.
+"""Model backends: live HTTP access and scripted offline stand-ins.
 
 Every model call flows through a :class:`Backend` so the agent loop never
 cares whether text comes from a real API, a test script, or a recorded
@@ -98,7 +98,8 @@ class RunTimeoutError(RuntimeError):
 
 
 class Backend(abc.ABC):
-    """Synchronous chat-completion source, and where tool effects run."""
+    """Where every effect of a run comes from: chat completions, tool
+    effects and embeddings."""
 
     def start_run(self, run_id: str) -> None:
         """Reset any per-run state. Live backends have none."""
@@ -110,6 +111,14 @@ class Backend(abc.ABC):
     def run_tool(self, tool: str, args: dict, thunk: Callable[[], Any]) -> tuple[dict, Any]:
         """The ``(args, result)`` of one tool effect; a live backend runs the thunk."""
         return args, thunk()
+
+    def embed(self, text: str) -> np.ndarray:
+        """A deterministic pseudo-embedding: the sha256 of ``agentmeter:text``
+        seeds a 16-component standard-normal draw, unit-normalized, so equal
+        texts map to equal unit vectors on every platform and run."""
+        digest = hashlib.sha256(f"agentmeter:{text}".encode("utf-8")).digest()
+        vec = np.random.default_rng(int.from_bytes(digest[:8], "big")).standard_normal(16)
+        return vec / np.linalg.norm(vec)
 
 
 # -- scripted backend --------------------------------------------------------
@@ -314,39 +323,3 @@ class OpenAIBackend(Backend):
             model_id=body.get("model", request.model_id),
             latency_ms=latency_ms,
         )
-
-
-# -- embeddings --------------------------------------------------------------
-
-
-class Embedder(abc.ABC):
-    dim: int
-
-    @abc.abstractmethod
-    def embed(self, text: str) -> np.ndarray:
-        raise NotImplementedError
-
-
-class HashEmbedder(Embedder):
-    """Deterministic pseudo-embeddings for offline runs.
-
-    The sha256 of ``seed:text`` seeds a generator whose standard-normal
-    draw is unit-normalized, so equal texts map to equal unit vectors on
-    every platform and run.
-    """
-
-    def __init__(self, dim: int = 16, seed: str = "agentmeter"):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = dim
-        self.seed = seed
-
-    def embed(self, text: str) -> np.ndarray:
-        digest = hashlib.sha256(f"{self.seed}:{text}".encode("utf-8")).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-        vec = rng.standard_normal(self.dim)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            vec = np.ones(self.dim)
-            norm = float(np.linalg.norm(vec))
-        return vec / norm

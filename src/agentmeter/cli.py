@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .config import (
     validate_config,
 )
 from .harness import (
+    DEFAULT_RUN_TIMEOUT_S,
     BenchmarkAbortError,
     Task,
     TaskFileError,
@@ -61,6 +63,17 @@ from .tools import (
 from .trace import ReplayMismatchError, TraceFormatError
 
 
+def _seconds(text: str) -> float:
+    """A ``--timeout`` value: a finite number of seconds above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number of seconds > 0, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI file with [agent] and [pricing.*] sections")
     p.add_argument("--pricing", help="INI file whose pricing sections override --config")
@@ -69,9 +82,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace-dir", help="write one trace file per run into this directory")
     p.add_argument(
         "--timeout",
-        type=float,
-        default=600.0,
-        help="per-run wall clock limit in seconds (default 600)",
+        type=_seconds,
+        default=DEFAULT_RUN_TIMEOUT_S,
+        help="per-run wall clock limit in seconds (default %(default)g)",
     )
 
 

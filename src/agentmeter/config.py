@@ -127,6 +127,9 @@ class ModelPricing:
     output_pico_per_token: int
 
     def __post_init__(self) -> None:
+        for price in (self.input_pico_per_token, self.output_pico_per_token):
+            if type(price) is not int:  # an exact ledger takes whole pico-dollars
+                raise TypeError(f"per-token prices must be integers, got {price!r}")
         if self.input_pico_per_token < 0 or self.output_pico_per_token < 0:
             raise ValueError("per-token prices must be non-negative")
 
@@ -191,12 +194,16 @@ class PricingTable:
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "PricingTable":
-        entries = {
-            model: ModelPricing(p["input_pico_per_token"], p["output_pico_per_token"])
-            for model, p in data["models"].items()
-        }
-        eff = data.get("effective_date")
-        return cls(entries, date.fromisoformat(eff) if eff else None)
+        """The table a :meth:`snapshot` dump holds; anything else raises ``ValueError``."""
+        try:
+            entries = {
+                model: ModelPricing(p["input_pico_per_token"], p["output_pico_per_token"])
+                for model, p in data["models"].items()
+            }
+            eff = data.get("effective_date")
+            return cls(entries, date.fromisoformat(eff) if eff else None)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"not a pricing snapshot ({type(exc).__name__}: {exc})") from None
 
 
 def default_pricing() -> PricingTable:
@@ -228,6 +235,14 @@ class InvalidConfigError(ValueError):
     def __init__(self, issues: list[ConfigIssue]):
         super().__init__("; ".join(i.message for i in issues))
         self.issues = issues
+
+
+class UnknownFieldError(InvalidConfigError, TypeError):
+    """A key that names no AgentConfig field: a TypeError too, as an unknown
+    keyword argument is."""
+
+    def __init__(self, name: str):
+        super().__init__([ConfigIssue("value", name, f"AgentConfig has no field {name!r}")])
 
 
 _POSITIVE_FIELDS = (
@@ -309,7 +324,7 @@ def coerce_field(name: str, value):
     try:
         kind = _FIELD_TYPES[name]
     except KeyError:
-        raise TypeError(f"AgentConfig has no field {name!r}") from None
+        raise UnknownFieldError(name) from None
     if isinstance(value, kind):
         return value
     convert = (get_args(kind) or (kind,))[0]  # an optional field converts with its non-None type
@@ -317,12 +332,17 @@ def coerce_field(name: str, value):
         if issubclass(convert, Enum):
             return convert(str(value).lower())
         return convert(value)
-    except ValueError:
+    except (TypeError, ValueError):  # TypeError: a snapshot value such as null or a list
         message = f"{name}: {value!r} is not a valid {convert.__name__}"
         raise InvalidConfigError([ConfigIssue("value", name, message)]) from None
 
 
 def config_from_snapshot(data: dict) -> AgentConfig:
+    """The config of a trace header's snapshot or an ``[agent]`` section.
+
+    A missing key keeps its default; a key that names no field raises
+    ``InvalidConfigError``.
+    """
     return AgentConfig(**{name: coerce_field(name, value) for name, value in data.items()})
 
 
@@ -351,10 +371,7 @@ def parse_config(text: str, source: str = "<string>") -> tuple[AgentConfig, Pric
         message = f"{source}: {' '.join(str(exc).split())}"
         raise InvalidConfigError([ConfigIssue("value", "file", message)]) from None
 
-    agent = sections.get("agent", {})
-    cfg = AgentConfig(
-        **{f.name: coerce_field(f.name, agent[f.name]) for f in fields(AgentConfig) if f.name in agent}
-    )
+    cfg = config_from_snapshot(sections.get("agent", {}))
 
     entries: dict[str, ModelPricing] = {}
     effective: date | None = None

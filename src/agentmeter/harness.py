@@ -8,8 +8,9 @@ task id before aggregation, so worker count never changes the report.
 
 Live runs and replays share one run path: a replay restores the task,
 config and pricing from a trace header and runs them exactly as a live
-run does, with the recording as its backend and embedder. That is why
-a re-recorded replay matches its original byte for byte.
+run does, with the recording as its backend. That is why a re-recorded
+replay matches its original byte for byte. ``run_header`` writes the
+header and ``recorded_run`` reads it back.
 
 Grading is quasi-exact match: both sides are normalized (whitespace,
 case, quotes, trailing periods), numbers compare numerically after
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Sequence, get_type_hints
 
 from .agent import TaskRunRecord, TerminatedBy, run_task
-from .backend import Backend, Embedder, HashEmbedder
+from .backend import Backend
 from .config import (
     SWEEPABLE_FIELDS,
     AgentConfig,
@@ -49,7 +50,6 @@ from .tools import FixtureFetcher, PageFetcher, SearchProvider, ToolBox
 from .trace import (
     ReplayMismatchError,
     ReplaySource,
-    TraceData,
     TraceFormatError,
     TraceWriter,
     read_trace,
@@ -85,6 +85,15 @@ class DuplicateTaskIdError(TaskFileError):
     pass
 
 
+def _task_level(value) -> int:
+    """A task file's Level: an int that is no bool, or a decimal-integer string."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value.strip()):
+        return int(value)
+    raise ValueError(value)
+
+
 def load_tasks(path: str | Path) -> list[Task]:
     """Parse a JSONL task file; attachment paths resolve beside the file."""
     path = Path(path)
@@ -103,12 +112,12 @@ def load_tasks(path: str | Path) -> list[Task]:
             raise TaskFileError(f"{path}:{lineno}: a task must be a JSON object")
         try:
             task_id = str(raw["task_id"])
-            level = int(raw["Level"])
+            level = _task_level(raw["Level"])
             question = str(raw["Question"])
             expected = str(raw["Final answer"])
         except KeyError as exc:
             raise TaskFileError(f"{path}:{lineno}: missing field {exc}") from None
-        except (TypeError, ValueError):  # only int() raises these
+        except ValueError:  # only _task_level raises it
             raise TaskFileError(f"{path}:{lineno}: Level {raw['Level']!r} is not an integer") from None
         if task_id in seen:
             raise DuplicateTaskIdError(f"{path}:{lineno}: duplicate task_id {task_id!r}")
@@ -210,27 +219,81 @@ class TaskOutcome:
                 "total_tokens": self.total_tokens}
 
 
+_TASK_TYPES = get_type_hints(Task)
 _OUTCOME_TYPES = get_type_hints(TaskOutcome)
 _TERMINATIONS = tuple(t.value for t in TerminatedBy)
 
 
-def recorded_outcome(path: str | Path, data: TraceData) -> TaskOutcome:
-    """The outcome a trace records: task id and level from its header, the
-    other fields from its result line. A missing or invalid field raises
-    ``TraceFormatError``."""
-    line = data.result
+def _typed(path: str | Path, field: str, value, kind: type):
+    """``value`` if its type is exactly ``kind`` (so bool is no int, nor int a
+    bool), else a ``TraceFormatError`` naming the trace ``field``."""
+    if type(value) is not kind:
+        raise TraceFormatError(f"{path}: {field} is missing or invalid: {value!r}")
+    return value
+
+
+def _parsed(path: str | Path, field: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ``ValueError`` it raises,
+    ``InvalidConfigError`` among them, as a ``TraceFormatError`` naming the
+    header ``field``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise TraceFormatError(f"{path}: header field {field} is invalid: {exc}") from None
+
+
+def run_header(task: Task, config: AgentConfig, pricing: PricingTable) -> dict:
+    """The header fields of a run's trace: what a replay needs to run it again."""
+    return {
+        "run_id": task.task_id,
+        "task_id": task.task_id,
+        "task": {
+            "level": task.level,
+            "question": task.question,
+            "expected_answer": task.expected_answer,
+            "attachment_names": [Path(p).name for p in task.attachments],
+        },
+        "config": config_snapshot(config),
+        "config_hash": config_hash(config),
+        "pricing": pricing.snapshot(),
+    }
+
+
+def recorded_run(path: str | Path, header: dict) -> tuple[Task, AgentConfig, PricingTable]:
+    """The task, config and pricing a trace header records: the inverse of
+    ``run_header``. A missing or invalid field raises ``TraceFormatError``."""
+    info = _typed(path, "header field task", header.get("task"), dict)
+    names = _typed(path, "header field task.attachment_names", info.get("attachment_names"), list)
+    for name in names:
+        _typed(path, "header field task.attachment_names", name, str)
+    values = {
+        "task_id": _typed(path, "header field task_id", header.get("task_id"), str),
+        # names only; replayed read_attachment events never touch disk
+        "attachments": tuple(names),
+    }
+    for name in ("level", "question", "expected_answer"):
+        values[name] = _typed(path, f"header field task.{name}", info.get(name), _TASK_TYPES[name])
+    task = _parsed(path, "task", Task, **values)
+    config = _parsed(path, "config", config_from_snapshot,
+                     _typed(path, "header field config", header.get("config"), dict))
+    pricing = _parsed(path, "pricing", PricingTable.from_snapshot,
+                      _typed(path, "header field pricing", header.get("pricing"), dict))
+    _parsed(path, "config", validate_config, config, pricing)
+    return task, config, pricing
+
+
+def recorded_outcome(path: str | Path, line: dict | None, task: Task) -> TaskOutcome:
+    """The outcome a trace records: task id and level from its header's
+    task, the other fields from its result line. A missing or invalid field
+    raises ``TraceFormatError``."""
     if line is None:
         raise TraceFormatError(f"{path}: no result line; the recording is incomplete")
-    task_id, task = data.header.get("task_id"), data.header.get("task", {})
-    raw = {**line, "task_id": task_id, "level": task.get("level")}
-    values = {}
-    for name, kind in _OUTCOME_TYPES.items():
-        value = raw.get(name)
-        if kind is TerminatedBy and value in _TERMINATIONS:
+    values = {"task_id": task.task_id, "level": task.level}
+    for f in fields(TaskOutcome)[2:]:
+        value = line.get(f.name)
+        if _OUTCOME_TYPES[f.name] is TerminatedBy and value in _TERMINATIONS:
             value = TerminatedBy(value)
-        if type(value) is not kind:  # bool is no int here, nor int a bool
-            raise TraceFormatError(f"{path}: result field {name} is missing or invalid: {value!r}")
-        values[name] = value
+        values[f.name] = _typed(path, f"result field {f.name}", value, _OUTCOME_TYPES[f.name])
     return TaskOutcome(**values)
 
 
@@ -266,34 +329,20 @@ def _run(
     pricing: PricingTable,
     trace_dir: str | Path | None,
     backend: Backend,
-    embedder: Embedder,
     providers: Sequence[SearchProvider] = (),
     fetcher: PageFetcher | None = None,
     timeout_s: float | None = None,
 ) -> tuple[TaskOutcome, TaskRunRecord]:
     """The one run path of live runs and replays: trace, session, loop, grade.
 
-    ``backend`` and ``embedder`` are where external effects come from:
-    live collaborators, or for a replay the ReplaySource as both.
+    ``backend`` is where every external effect comes from: live
+    collaborators, or for a replay the ReplaySource.
     """
     writer = None
     if trace_dir is not None:
-        digest = config_hash(config)
-        writer = TraceWriter(Path(trace_dir) / trace_filename(task.task_id, digest))
-        writer.header(
-            run_id=task.task_id,
-            task_id=task.task_id,
-            config=config_snapshot(config),
-            config_hash=digest,
-            pricing=pricing.snapshot(),
-            task={
-                "level": task.level,
-                "question": task.question,
-                "expected_answer": task.expected_answer,
-                "attachment_names": [Path(p).name for p in task.attachments],
-            },
-        )
-    session = RunSession(task.task_id, backend, embedder, pricing, writer, timeout_s)
+        writer = TraceWriter(Path(trace_dir) / trace_filename(task.task_id, config_hash(config)))
+        writer.header(run_header(task, config, pricing))
+    session = RunSession(task.task_id, backend, pricing, writer, timeout_s)
     toolbox = ToolBox(
         session,
         config,
@@ -326,7 +375,6 @@ def execute_run(
     config: AgentConfig,
     backend: Backend,
     pricing: PricingTable,
-    embedder: Embedder | None = None,
     providers: Sequence[SearchProvider] = (),
     fetcher: PageFetcher | None = None,
     trace_dir: str | Path | None = None,
@@ -339,7 +387,6 @@ def execute_run(
         pricing,
         trace_dir,
         backend,
-        embedder or HashEmbedder(),
         providers=providers,
         fetcher=fetcher,
         timeout_s=timeout_s,
@@ -364,7 +411,6 @@ def run_benchmark(
     backend: Backend,
     pricing: PricingTable,
     workers: int = 1,
-    embedder: Embedder | None = None,
     providers: Sequence[SearchProvider] = (),
     fetcher: PageFetcher | None = None,
     trace_dir: str | Path | None = None,
@@ -385,7 +431,6 @@ def run_benchmark(
             config,
             backend,
             pricing,
-            embedder=embedder,
             providers=providers,
             fetcher=fetcher,
             trace_dir=trace_dir,
@@ -440,38 +485,22 @@ def replay_run(
 ) -> tuple[TaskOutcome, TaskRunRecord]:
     """Re-execute a recorded run fully offline.
 
-    The recording is the run's backend and embedder: it serves every
-    model response, tool result and embedding, failures included. Task,
-    config and pricing are restored from its header and go through the
-    same run path as a live run. With ``trace_dir`` set, the replay
-    writes its own trace, which for a deterministic run is
+    The recording is the run's backend: it serves every model response,
+    tool result and embedding, failures included. Task, config and
+    pricing are restored from its header by ``recorded_run`` and go
+    through the same run path as a live run. With ``trace_dir`` set, the
+    replay writes its own trace, which for a deterministic run is
     byte-identical to the original.
 
-    A recording without a valid result line is refused, and a replay that
-    ends differently from it, or leaves recorded effects unused, raises
-    ``ReplayMismatchError``.
+    A recording without a valid header or result line is refused, and a
+    replay that ends differently from it, or leaves recorded effects
+    unused, raises ``ReplayMismatchError``.
     """
     data = read_trace(trace_path)
-    recorded = recorded_outcome(trace_path, data)
+    task, config, pricing = recorded_run(trace_path, data.header)
+    recorded = recorded_outcome(trace_path, data.result, task)
     source = ReplaySource(data)
-    header = source.header
-    task_info = header["task"]
-    task = Task(
-        task_id=header["task_id"],
-        level=task_info["level"],
-        question=task_info["question"],
-        expected_answer=task_info["expected_answer"],
-        # names only; replayed read_attachment events never touch disk
-        attachments=tuple(task_info["attachment_names"]),
-    )
-    outcome, record = _run(
-        task,
-        config_from_snapshot(header["config"]),
-        PricingTable.from_snapshot(header["pricing"]),
-        trace_dir,
-        source,
-        source,
-    )
+    outcome, record = _run(task, config, pricing, trace_dir, source)
     was, now = recorded.to_dict(with_task=False), outcome.to_dict(with_task=False)
     diverged = [
         f"{key} recorded {was[key]!r}, replayed {value!r}"

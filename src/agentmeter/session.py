@@ -4,7 +4,7 @@ A :class:`RunSession` is handed to the agent loop and is the only path
 to the outside world: model calls, tool calls, and embeddings all go
 through it. That single chokepoint is what makes runs meterable (every
 call lands in the ledger), recordable (every effect lands in the trace),
-and replayable (a recording stands in as the backend and embedder).
+and replayable (a recording stands in as the backend).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .backend import (
     Backend,
     BackendError,
-    Embedder,
     Message,
     ModelRequest,
     ModelResponse,
@@ -35,14 +34,12 @@ class RunSession:
         self,
         run_id: str,
         backend: Backend,
-        embedder: Embedder | None,
         pricing: PricingTable,
         trace: TraceWriter | None = None,
         timeout_s: float | None = None,
     ):
         self.run_id = run_id
         self.backend = backend
-        self.embedder = embedder
         self.ledger = RunLedger(pricing, run_id)
         self.trace = trace
         self.step_index = 0
@@ -108,9 +105,7 @@ class RunSession:
         return result
 
     def embed(self, text: str) -> np.ndarray:
-        if self.embedder is None:
-            raise ValueError("no embedder configured for this session")
-        vector = self.embedder.embed(text)
+        vector = self.backend.embed(text)
         if self.trace is not None:
             self.trace.embed(text, vector)
         return vector

@@ -56,10 +56,6 @@ class NonHtmlError(ToolError):
     pass
 
 
-class RobotsDeniedError(ToolError):
-    pass
-
-
 # -- search ------------------------------------------------------------------
 
 
@@ -721,14 +717,11 @@ class HttpFetcher(PageFetcher):
         user_agent: str = DEFAULT_USER_AGENT,
         timeout: float = 30.0,
         delay_s: float = 0.5,
-        respect_robots: bool = False,
     ):
         self.user_agent = user_agent
         self.timeout = timeout
         self.delay_s = delay_s
-        self.respect_robots = respect_robots
         self._last_hit: dict[str, float] = {}
-        self._robots: dict[str, object] = {}
 
     def _polite_wait(self, host: str) -> None:
         if self.delay_s <= 0:
@@ -740,29 +733,11 @@ class HttpFetcher(PageFetcher):
                 time.sleep(remaining)
         self._last_hit[host] = time.monotonic()
 
-    def _robots_allowed(self, url: str) -> bool:
-        import urllib.robotparser
-
-        host = urllib.parse.urlsplit(url).netloc
-        parser = self._robots.get(host)
-        if parser is None:
-            parser = urllib.robotparser.RobotFileParser(
-                f"{urllib.parse.urlsplit(url).scheme}://{host}/robots.txt"
-            )
-            try:
-                parser.read()
-            except OSError:
-                parser.allow_all = True
-            self._robots[host] = parser
-        return parser.can_fetch(self.user_agent, url)
-
     def fetch(self, url: str) -> str:
         import requests
 
         if not _is_absolute_http(url):
             raise TransportError(f"not an http(s) url: {url!r}")
-        if self.respect_robots and not self._robots_allowed(url):
-            raise RobotsDeniedError(f"robots.txt disallows {url}")
         self._polite_wait(urllib.parse.urlsplit(url).netloc)
         try:
             resp = requests.get(

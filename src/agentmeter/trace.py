@@ -32,7 +32,6 @@ import numpy as np
 from .backend import (
     Backend,
     BackendError,
-    Embedder,
     ModelRequest,
     ModelResponse,
     RunTimeoutError,
@@ -70,28 +69,9 @@ class TraceWriter:
         self._events: list[dict] = []
         self._closed = False
 
-    def header(
-        self,
-        run_id: str,
-        task_id: str,
-        config: dict,
-        config_hash: str,
-        pricing: dict,
-        task: dict | None = None,
-    ) -> None:
-        # task metadata makes the file self-contained for offline replay
-        self._events.append(
-            {
-                "type": "header",
-                "version": TRACE_VERSION,
-                "run_id": run_id,
-                "task_id": task_id,
-                "config": config,
-                "config_hash": config_hash,
-                "pricing": pricing,
-                "task": task or {},
-            }
-        )
+    def header(self, fields: dict) -> None:
+        """The first line: ``fields`` with the line type and trace version."""
+        self._events.append({"type": "header", "version": TRACE_VERSION, **fields})
 
     def model_call(
         self, request: ModelRequest, response: ModelResponse | None = None, error: str | None = None
@@ -185,12 +165,12 @@ def read_trace(path: str | Path) -> TraceData:
         if not isinstance(event, dict):
             raise TraceFormatError(f"{path}: line {lineno} is not a JSON object")
         lines.append(event)
-    if not lines or lines[0].get("type") != "header":
+    first = lines[0] if lines else {}
+    if first.get("type") != "header":
         raise TraceFormatError(f"{path}: missing header line")
-    header = lines[0]
-    if header.get("version") != TRACE_VERSION:
-        raise TraceFormatError(f"{path}: unsupported trace version {header.get('version')!r}")
-    return TraceData(header=header, events=tuple(lines[1:]))
+    if first.get("version") != TRACE_VERSION:
+        raise TraceFormatError(f"{path}: unsupported trace version {first.get('version')!r}")
+    return TraceData(header=first, events=tuple(lines[1:]))
 
 
 class ReplayMismatchError(RuntimeError):
@@ -205,8 +185,8 @@ _EFFECTS = {
 }
 
 
-class ReplaySource(Backend, Embedder):
-    """A recorded trace served back as a run's backend and embedder.
+class ReplaySource(Backend):
+    """A recorded trace served back as a run's backend.
 
     Each call takes the next recorded effect, which must match it in kind
     and purpose, tool or text. Recorded failures are raised again, and a
@@ -214,7 +194,6 @@ class ReplaySource(Backend, Embedder):
     """
 
     def __init__(self, data: TraceData):
-        self.header = data.header
         self._effects = deque(e for e in data.events if e["type"] in _EFFECTS)
         self._timed_out = (data.result or {}).get("terminated_by") == "timeout"
 

@@ -22,7 +22,6 @@ from agentmeter import (
     ToolBox,
     default_config,
 )
-from agentmeter.backend import HashEmbedder
 
 # CI runs the tests with --hypothesis-profile=ci: property tests that set no
 # example count of their own, the page-text differential test among them,
@@ -43,7 +42,6 @@ def make_session(backend, pricing, run_id="test-run", trace=None, timeout_s=None
     return RunSession(
         run_id=run_id,
         backend=backend,
-        embedder=HashEmbedder(),
         pricing=pricing,
         trace=trace,
         timeout_s=timeout_s,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 from unittest import mock
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from agentmeter.backend import (
     BackendError,
-    HashEmbedder,
     Message,
     ModelRequest,
     OpenAIBackend,
@@ -251,19 +251,27 @@ def test_openai_base_url_from_env(monkeypatch):
 
 
 def test_hash_embedder_is_deterministic_and_unit_norm():
-    emb = HashEmbedder()
-    a, b = emb.embed("same text"), emb.embed("same text")
-    assert np.allclose(a, b)
+    backend = ScriptedBackend([])
+    a, b = backend.embed("same text"), backend.embed("same text")
+    assert (a == b).all()
     assert a.shape == (16,)
     assert np.linalg.norm(a) == pytest.approx(1.0)
 
 
 def test_hash_embedder_depends_on_seed_and_text():
-    base = HashEmbedder().embed("t")
-    assert not np.allclose(base, HashEmbedder().embed("u"))
-    assert not np.allclose(base, HashEmbedder(seed="other").embed("t"))
+    def draw(key):
+        digest = hashlib.sha256(key.encode("utf-8")).digest()
+        vec = np.random.default_rng(int.from_bytes(digest[:8], "big")).standard_normal(16)
+        return vec / np.linalg.norm(vec)
+
+    base = ScriptedBackend([]).embed("t")
+    assert not np.allclose(base, ScriptedBackend([]).embed("u"))
+    # the hash is seeded with the fixed "agentmeter" namespace, no other
+    assert np.allclose(base, draw("agentmeter:t"))
+    assert not np.allclose(base, draw("other:t"))
 
 
-def test_hash_embedder_rejects_bad_dim():
-    with pytest.raises(ValueError):
-        HashEmbedder(dim=0)
+def test_backend_embed_is_pinned():
+    # recorded traces hold these vectors, so they may never change
+    danube = ScriptedBackend([]).embed("Danube")
+    assert danube[:3].tolist() == [0.1795792817361148, 0.3170932772988629, -0.07877353208622974]

@@ -373,6 +373,10 @@ OUTSIDE_INPUTS = {
     "no_section_header": (
         {"config.ini": "max_steps = 3\n" + PRICED}, (), "File contains no section headers.",
     ),
+    "agent_key_unknown": (
+        {"config.ini": "[agent]\nmax_step = 3\n" + PRICED},
+        (), "AgentConfig has no field 'max_step'",
+    ),
     "temperature_nan": (
         {"config.ini": AGENT_SECTION + "temperature = nan\n" + PRICED},
         (), "temperature must be a finite number >= 0, got nan",
@@ -394,6 +398,15 @@ def test_bad_outside_input_exits_two_with_error(tmp_path, capsys, case):
     assert code == 2
     assert "error: " in captured.err and message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+def test_timeout_must_be_finite_and_positive(capsys, timeout):
+    with pytest.raises(SystemExit) as info:
+        run_cli("bench", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"), "--timeout", timeout)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --timeout: must be a finite number of seconds > 0" in err
 
 
 def test_missing_tasks_file_exits_two(tmp_path, capsys):

@@ -212,6 +212,11 @@ def test_parse_pricing_sections():
     assert table.lookup("m1").input_pico_per_token == 400_000
 
 
+def test_parse_rejects_unknown_agent_key():
+    with pytest.raises(InvalidConfigError, match="AgentConfig has no field 'max_step'"):
+        parse_config("[agent]\nmax_step = 3\n")
+
+
 def test_parse_rejects_unknown_enum_value():
     with pytest.raises(ValueError):
         parse_config("[agent]\nsource_set = everything\n")

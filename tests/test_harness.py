@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from agentmeter.agent import TerminatedBy
-from agentmeter.backend import BackendError, HashEmbedder, Purpose, ScriptEntry, ScriptedBackend
+from agentmeter.backend import BackendError, Purpose, ScriptEntry, ScriptedBackend
+from agentmeter.cli import main
 from agentmeter.config import (
     MemoryMode,
     PageStrategy,
@@ -29,8 +30,10 @@ from agentmeter.harness import (
     load_tasks,
     normalize_answer,
     replay_benchmark,
+    recorded_run,
     replay_run,
     run_benchmark,
+    run_header,
     sweep_configs,
 )
 from agentmeter.ledger import Scope
@@ -108,6 +111,14 @@ def test_load_tasks_error_lines_are_cited(tmp_path):
     p = write_tasks(tmp_path, [task_line(level=4)])
     with pytest.raises(TaskFileError, match="level"):
         load_tasks(p)
+
+    # a Level is an int that is no bool, or a decimal-integer string
+    for level in (True, 2.7, 2.0, "2.7", "two", "", None, [2]):
+        p = write_tasks(tmp_path, [task_line(level=level)])
+        with pytest.raises(TaskFileError, match=r"tasks\.jsonl:1: Level .* is not an integer"):
+            load_tasks(p)
+    p = write_tasks(tmp_path, [task_line("a", level=2), task_line("b", level=" 3 ")])
+    assert [t.level for t in load_tasks(p)] == [2, 3]
 
 
 def test_load_tasks_rejects_duplicate_ids(tmp_path):
@@ -268,7 +279,7 @@ def test_run_benchmark_survives_an_empty_plan(tmp_path):
     assert report.rows[0].task_count == 3
 
 
-class DanubeBreaksEmbedder(HashEmbedder):
+class DanubeBreaksEmbeddings(ScriptedBackend):
     """A faulty embedding service: norm 2 for any text that mentions the Danube."""
 
     def embed(self, text):
@@ -288,8 +299,8 @@ def test_run_benchmark_survives_an_error_outside_the_backend(tmp_path):
     )
     config = dataclasses.replace(bench_config(), memory_mode=MemoryMode.SUMMARIZED)
     outcomes, report = run_benchmark(
-        load_tasks(BENCH / "tasks.jsonl"), config, ScriptedBackend.from_jsonl(script),
-        bench_pricing(), embedder=DanubeBreaksEmbedder(), providers=bench_providers(),
+        load_tasks(BENCH / "tasks.jsonl"), config, DanubeBreaksEmbeddings.from_jsonl(script),
+        bench_pricing(), providers=bench_providers(),
         fetcher=bench_fetcher(), trace_dir=tmp_path / "traces",
     )
     assert [o.terminated_by for o in outcomes] == [
@@ -414,6 +425,68 @@ RESULT_EDITS = {
     "prompt_tokens": lambda value: value + 1,
     "completion_tokens": lambda value: value - 1,
 }
+
+
+DELETE = object()
+
+# (header field as a key path, its new value or DELETE, what the error says)
+HEADER_EDITS = [
+    (("task", "question"), DELETE, "header field task.question is missing or invalid: None"),
+    (("task", "level"), 7, "header field task is invalid: level must be 1, 2, or 3, got 7"),
+    (("task", "level"), True, "header field task.level is missing or invalid: True"),
+    (("task", "attachment_names"), 5, "header field task.attachment_names is missing"),
+    (("task", "attachment_names"), [5], "header field task.attachment_names is missing"),
+    (("task_id",), DELETE, "header field task_id is missing"),
+    (("config",), DELETE, "header field config is missing"),
+    (("config", "max_step"), 3, "header field config is invalid: AgentConfig has no field"),
+    (("config", "max_steps"), 0, "header field config is invalid: max_steps must be >= 1"),
+    (("config", "max_steps"), None, "header field config is invalid: max_steps: None is not"),
+    (("pricing",), DELETE, "header field pricing is missing"),
+    (("pricing",), {}, "header field pricing is invalid: not a pricing snapshot (KeyError"),
+    (("pricing", "models", "gpt-4.1", "input_pico_per_token"), -1,
+     "header field pricing is invalid: per-token prices must be non-negative"),
+    (("pricing", "models", "gpt-4.1", "input_pico_per_token"), 1.5,
+     "header field pricing is invalid: not a pricing snapshot (TypeError: per-token prices"),
+]
+
+
+def header_edit_id(edit):
+    keys, value, _ = edit
+    return ".".join(keys) + "=" + ("deleted" if value is DELETE else json.dumps(value))
+
+
+@pytest.mark.parametrize("edit", HEADER_EDITS, ids=header_edit_id)
+def test_replay_refuses_a_damaged_header(tmp_path, capsys, edit):
+    keys, value, message = edit
+    run_bench(trace_dir=tmp_path)
+    trace = next(tmp_path.glob("gaia-e1.*"))
+    events = trace_lines(trace)
+    *parents, last = keys
+    edited = events[0]
+    for key in parents:
+        edited = edited[key]
+    if value is DELETE:
+        del edited[last]
+    else:
+        edited[last] = value
+    write_trace_lines(trace, events)
+    with pytest.raises(TraceFormatError) as info:
+        replay_run(trace)
+    assert str(info.value).startswith(f"{trace}: {message}")
+    assert main(["replay", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {trace}: {message}")
+
+
+def test_recorded_run_reads_back_what_run_header_writes():
+    task, attached = load_tasks(BENCH / "tasks.jsonl")[:2]
+    config, pricing = dataclasses.replace(bench_config(), bon_n=3), bench_pricing()
+    read_task, read_config, read_pricing = recorded_run("t", run_header(task, config, pricing))
+    assert (read_task, read_config) == (task, config)
+    assert read_pricing.snapshot() == pricing.snapshot()
+    # attachments are recorded by name; a replay serves their contents from the trace
+    assert recorded_run("t", run_header(attached, config, pricing))[0].attachments == (
+        "data_sheet.txt",
+    )
 
 
 @pytest.mark.parametrize("key", list(RESULT_EDITS))

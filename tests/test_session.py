@@ -48,14 +48,6 @@ def test_call_tool_executes_thunk(pricing):
     assert session.call_tool("search", {"q": 1}, lambda: ["row"]) == ["row"]
 
 
-def test_embed_requires_embedder(pricing):
-    session = RunSession(
-        run_id="r", backend=actor_backend(), embedder=None, pricing=pricing
-    )
-    with pytest.raises(ValueError, match="embedder"):
-        session.embed("text")
-
-
 def test_timeout_raises_before_external_calls(pricing):
     session = make_session(actor_backend(), pricing, timeout_s=-1.0)
     with pytest.raises(RunTimeoutError):
@@ -71,7 +63,7 @@ def test_no_timeout_by_default(pricing):
 
 def test_trace_captures_all_effects(tmp_path, pricing):
     writer = TraceWriter(tmp_path / "t.trace")
-    writer.header(run_id="r", task_id="t", config={}, config_hash="x", pricing={})
+    writer.header({"run_id": "r"})
     session = make_session(actor_backend(), pricing, trace=writer)
     session.call_model(Purpose.ACTOR, "gpt-4.1", MSGS)
     session.call_tool("search", {"q": "x"}, lambda: [])
@@ -83,7 +75,7 @@ def test_trace_captures_all_effects(tmp_path, pricing):
 
 def test_replay_session_needs_no_backend(tmp_path, pricing):
     writer = TraceWriter(tmp_path / "t.trace")
-    writer.header(run_id="r", task_id="t", config={}, config_hash="x", pricing={})
+    writer.header({"run_id": "r"})
     live = make_session(actor_backend(), pricing, trace=writer)
     live.call_model(Purpose.ACTOR, "gpt-4.1", MSGS)
     live.call_tool("search", {"q": "x"}, lambda: ["live-result"])
@@ -91,7 +83,7 @@ def test_replay_session_needs_no_backend(tmp_path, pricing):
     writer.close()
 
     source = ReplaySource(read_trace(tmp_path / "t.trace"))
-    replay = RunSession(run_id="r", backend=source, embedder=source, pricing=pricing)
+    replay = RunSession(run_id="r", backend=source, pricing=pricing)
     out = replay.call_model(Purpose.ACTOR, "gpt-4.1", MSGS)
     assert out.text == "ok"
 

@@ -353,7 +353,7 @@ def test_toolbox_search_renders_results(tmp_path, pricing):
 
     cfg = dataclasses.replace(default_config(), query_expansion_count=1)
     writer = TraceWriter(tmp_path / "t.trace")
-    writer.header("r", "t", {}, "0" * 8, {})
+    writer.header({"run_id": "r"})
     session = make_session(ScriptedBackend(search_script()), pricing, trace=writer)
     from conftest import make_toolbox
 
@@ -413,7 +413,7 @@ def test_toolbox_extracts_a_page_opened_twice_once(tmp_path, pricing, monkeypatc
 
     def open_twice(name, bypass_memo):
         writer = TraceWriter(tmp_path / name)
-        writer.header("r", "t", {}, "0" * 8, {})
+        writer.header({"run_id": "r"})
         session = make_session(ScriptedBackend([]), pricing, trace=writer)
         box = make_toolbox(session)
         box.fetcher = CountingFetcher({"http://x.com/": "<p>same page</p>"})

@@ -42,12 +42,14 @@ def sample_response(text="out"):
 def write_sample(path):
     with TraceWriter(path) as w:
         w.header(
-            run_id="r",
-            task_id="t",
-            config={"max_steps": 3},
-            config_hash="abcd1234",
-            pricing={"models": {}},
-            task={"level": 1},
+            {
+                "run_id": "r",
+                "task_id": "t",
+                "config": {"max_steps": 3},
+                "config_hash": "abcd1234",
+                "pricing": {"models": {}},
+                "task": {"level": 1},
+            }
         )
         w.model_call(sample_request(), sample_response())
         w.tool_call("search", {"queries": ["a"]}, [{"url": "https://x"}])
@@ -93,7 +95,7 @@ def test_latency_is_not_recorded(tmp_path):
 
 def test_close_is_idempotent(tmp_path):
     w = TraceWriter(tmp_path / "t.trace")
-    w.header(run_id="r", task_id="t", config={}, config_hash="x", pricing={})
+    w.header({"run_id": "r"})
     w.close()
     w.close()
     assert read_trace(tmp_path / "t.trace").events == ()
@@ -205,7 +207,7 @@ def test_replay_out_of_order_effect_fails(tmp_path):
 
 def test_replay_raises_recorded_failures_then_times_out(tmp_path):
     with TraceWriter(tmp_path / "t.trace") as w:
-        w.header(run_id="r", task_id="t", config={}, config_hash="x", pricing={})
+        w.header({"run_id": "r"})
         w.model_call(sample_request(), error="HTTP 503")
         w.tool_call("fetch_page", {"url": "https://x"}, error="no page")
         w.result({"terminated_by": "timeout"})
