@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import abc
 import hashlib
-import json
 import math
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
 import numpy as np
+
+from .config import InputError, jsonl_objects, typed_value
 
 BYTES_PER_TOKEN_ESTIMATE = 4
 
@@ -148,6 +149,13 @@ class ScriptEntry:
         return bool(request.messages) and self.match in request.messages[-1].content
 
 
+_ENTRY_TYPES = get_type_hints(ScriptEntry)
+
+
+class ScriptFileError(InputError, ValueError):
+    """A ``--script`` file that is not UTF-8 JSONL of script entries."""
+
+
 class ScriptExhaustedError(BackendError):
     def __init__(self, request: ModelRequest):
         tail = request.messages[-1].content[-120:] if request.messages else ""
@@ -186,22 +194,20 @@ class ScriptedBackend(Backend):
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScriptedBackend":
+        """One entry per line, each field of its ScriptEntry type; a line
+        that is not one raises ``ScriptFileError`` citing ``file:line``."""
         entries = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            entries.append(
-                ScriptEntry(
-                    purpose=Purpose(raw["purpose"]),
-                    response=raw["response"],
-                    match=raw.get("match"),
-                    times=raw.get("times", 1),
-                    prompt_tokens=raw.get("prompt_tokens"),
-                    completion_tokens=raw.get("completion_tokens"),
-                )
-            )
+        for lineno, raw in jsonl_objects(path, ScriptFileError, "a script entry"):
+            values = {}
+            for f in fields(ScriptEntry):
+                if f.name in raw:
+                    try:
+                        values[f.name] = typed_value(_ENTRY_TYPES[f.name], raw[f.name])
+                    except ValueError as exc:
+                        raise ScriptFileError(f"{path}:{lineno}: {f.name}: {exc}") from None
+                elif f.default is MISSING:
+                    raise ScriptFileError(f"{path}:{lineno}: missing field {f.name!r}")
+            entries.append(ScriptEntry(**values))
         return cls(entries)
 
     def start_run(self, run_id: str) -> None:

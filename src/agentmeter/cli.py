@@ -24,6 +24,7 @@ from .backend import Backend, OpenAIBackend, ScriptedBackend
 from .config import (
     AgentConfig,
     ConfigIssue,
+    InputError,
     InvalidConfigError,
     PricingTable,
     default_config,
@@ -33,17 +34,15 @@ from .config import (
 )
 from .harness import (
     DEFAULT_RUN_TIMEOUT_S,
-    BenchmarkAbortError,
     Task,
     TaskFileError,
-    UnknownAxisError,
     execute_run,
     load_tasks,
     replay_benchmark,
     run_benchmark,
     sweep_configs,
 )
-from .ledger import AggregateRow, EmptyBenchmarkError, Scope
+from .ledger import AggregateRow, Scope
 from .money import pico_to_usd
 from .report import (
     FORMATS,
@@ -60,7 +59,6 @@ from .tools import (
     SearchProvider,
     live_providers,
 )
-from .trace import ReplayMismatchError, TraceFormatError
 
 
 def _seconds(text: str) -> float:
@@ -173,15 +171,11 @@ def make_fetcher(args) -> PageFetcher:
 def make_providers(args, config: AgentConfig) -> list[SearchProvider]:
     if args.fixtures:
         canned = Path(args.fixtures) / "searches.json"
-        if canned.exists():
-            raw = json.loads(canned.read_text(encoding="utf-8"))
-            mapping = {q: [tuple(row) for row in rows] for q, rows in raw.items()}
-            return [FixtureSearchProvider("fixture", mapping)]
-        return []
+        return [FixtureSearchProvider.from_file(canned)] if canned.exists() else []
     return live_providers(config.source_set)
 
 
-class ResultsFileError(ValueError):
+class ResultsFileError(InputError, ValueError):
     """A --results file that bench --out did not write."""
 
 
@@ -342,17 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return _COMMANDS[args.command](args)
-    except (
-        TaskFileError,
-        InvalidConfigError,
-        BenchmarkAbortError,
-        EmptyBenchmarkError,
-        UnknownAxisError,
-        ResultsFileError,
-        TraceFormatError,
-        ReplayMismatchError,
-        FileNotFoundError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -231,7 +231,12 @@ class ConfigIssue:
     message: str
 
 
-class InvalidConfigError(ValueError):
+class InputError(Exception):
+    """Input that cannot be used. Every error for a file, field or recording
+    the program refuses derives from it; the CLI exits 2 on it."""
+
+
+class InvalidConfigError(InputError, ValueError):
     def __init__(self, issues: list[ConfigIssue]):
         super().__init__("; ".join(i.message for i in issues))
         self.issues = issues
@@ -311,30 +316,43 @@ def config_snapshot(cfg: AgentConfig) -> dict:
     return out
 
 
+def typed_value(kind, value, text: bool = False):
+    """``value`` if its type is exactly ``kind``, the one rule for a value read
+    from a file; anything else raises ``ValueError``. A bool is no int; an int
+    may stand for a float; None passes only for an optional kind; an enum is
+    given by its value, in any case. With ``text``, a str for a number kind is
+    parsed first, as INI values, sweep values and task Levels are."""
+    kinds = get_args(kind) or (kind,)
+    for k in kinds:
+        if type(value) is k:
+            return value
+        try:
+            if k is float and type(value) is int:
+                return float(value)
+            if text and k in (int, float) and type(value) is str:
+                return k(value)
+            if issubclass(k, Enum) and type(value) is str:
+                return k(value.lower())
+        except (OverflowError, ValueError):  # OverflowError: an int too large for a float
+            pass
+    raise ValueError(f"{value!r} is not a valid {kinds[0].__name__}")
+
+
 _FIELD_TYPES = get_type_hints(AgentConfig)
 
 
 def coerce_field(name: str, value):
-    """Convert a raw value for AgentConfig field ``name`` to the field's type.
-
-    The one conversion used by config files, trace snapshots and sweep
-    axes. A value that already has the field's type passes through;
-    enum fields take their value case-insensitively.
-    """
+    """``typed_value`` of a value for AgentConfig field ``name``, text parsed
+    first: the one conversion used by config files, trace snapshots and
+    sweep axes. A bad value raises ``InvalidConfigError``."""
     try:
         kind = _FIELD_TYPES[name]
     except KeyError:
         raise UnknownFieldError(name) from None
-    if isinstance(value, kind):
-        return value
-    convert = (get_args(kind) or (kind,))[0]  # an optional field converts with its non-None type
     try:
-        if issubclass(convert, Enum):
-            return convert(str(value).lower())
-        return convert(value)
-    except (TypeError, ValueError):  # TypeError: a snapshot value such as null or a list
-        message = f"{name}: {value!r} is not a valid {convert.__name__}"
-        raise InvalidConfigError([ConfigIssue("value", name, message)]) from None
+        return typed_value(kind, value, text=True)
+    except ValueError as exc:
+        raise InvalidConfigError([ConfigIssue("value", name, f"{name}: {exc}")]) from None
 
 
 def config_from_snapshot(data: dict) -> AgentConfig:
@@ -368,8 +386,7 @@ def parse_config(text: str, source: str = "<string>") -> tuple[AgentConfig, Pric
         parser.read_string(text, source=source)
         sections = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
-        message = f"{source}: {' '.join(str(exc).split())}"
-        raise InvalidConfigError([ConfigIssue("value", "file", message)]) from None
+        raise _file_error(f"{source}: {' '.join(str(exc).split())}") from None
 
     cfg = config_from_snapshot(sections.get("agent", {}))
 
@@ -397,5 +414,39 @@ def _file_value(section: str, values: dict, key: str, convert):
         raise InvalidConfigError([issue]) from None
 
 
+def _file_error(message: str) -> InvalidConfigError:
+    return InvalidConfigError([ConfigIssue("value", "file", message)])
+
+
 def load_config(path: str | Path) -> tuple[AgentConfig, PricingTable]:
-    return parse_config(Path(path).read_text(encoding="utf-8"), source=str(path))
+    return parse_config(read_text(path, _file_error), source=str(path))
+
+
+# -- input files -------------------------------------------------------------
+
+
+def read_text(path: str | Path, error) -> str:
+    """The text of UTF-8 file ``path``; other bytes raise ``error(message)``
+    citing ``file:line``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # its object is the whole file
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
+
+
+def jsonl_objects(path: str | Path, error, noun: str):
+    """``(line number, object)`` for each non-blank line of UTF-8 JSONL file
+    ``path``; a line that is not a JSON object raises ``error(message)``
+    citing ``file:line``."""
+    for lineno, line in enumerate(read_text(path, error).splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise error(f"{path}:{lineno}: {noun} must be a JSON object")
+        yield lineno, raw

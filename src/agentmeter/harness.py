@@ -20,7 +20,6 @@ as an unordered list.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -36,12 +35,15 @@ from .config import (
     SWEEPABLE_FIELDS,
     AgentConfig,
     ConfigIssue,
+    InputError,
     InvalidConfigError,
     PricingTable,
     coerce_field,
     config_from_snapshot,
     config_hash,
     config_snapshot,
+    jsonl_objects,
+    typed_value,
     validate_config,
 )
 from .ledger import AggregateRow, EmptyBenchmarkError, aggregate
@@ -77,21 +79,12 @@ class Task:
             raise ValueError(f"level must be 1, 2, or 3, got {self.level!r}")
 
 
-class TaskFileError(ValueError):
+class TaskFileError(InputError, ValueError):
     pass
 
 
 class DuplicateTaskIdError(TaskFileError):
     pass
-
-
-def _task_level(value) -> int:
-    """A task file's Level: an int that is no bool, or a decimal-integer string."""
-    if type(value) is int:
-        return value
-    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value.strip()):
-        return int(value)
-    raise ValueError(value)
 
 
 def load_tasks(path: str | Path) -> list[Task]:
@@ -100,24 +93,15 @@ def load_tasks(path: str | Path) -> list[Task]:
     base = path.parent
     tasks: list[Task] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TaskFileError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise TaskFileError(f"{path}:{lineno}: a task must be a JSON object")
+    for lineno, raw in jsonl_objects(path, TaskFileError, "a task"):
         try:
             task_id = str(raw["task_id"])
-            level = _task_level(raw["Level"])
+            level = typed_value(int, raw["Level"], text=True)
             question = str(raw["Question"])
             expected = str(raw["Final answer"])
         except KeyError as exc:
             raise TaskFileError(f"{path}:{lineno}: missing field {exc}") from None
-        except ValueError:  # only _task_level raises it
+        except ValueError:  # only typed_value raises it
             raise TaskFileError(f"{path}:{lineno}: Level {raw['Level']!r} is not an integer") from None
         if task_id in seen:
             raise DuplicateTaskIdError(f"{path}:{lineno}: duplicate task_id {task_id!r}")
@@ -221,15 +205,15 @@ class TaskOutcome:
 
 _TASK_TYPES = get_type_hints(Task)
 _OUTCOME_TYPES = get_type_hints(TaskOutcome)
-_TERMINATIONS = tuple(t.value for t in TerminatedBy)
 
 
 def _typed(path: str | Path, field: str, value, kind: type):
-    """``value`` if its type is exactly ``kind`` (so bool is no int, nor int a
-    bool), else a ``TraceFormatError`` naming the trace ``field``."""
-    if type(value) is not kind:
-        raise TraceFormatError(f"{path}: {field} is missing or invalid: {value!r}")
-    return value
+    """``typed_value`` of ``value``; a value it refuses raises a
+    ``TraceFormatError`` naming the trace ``field``."""
+    try:
+        return typed_value(kind, value)
+    except ValueError:
+        raise TraceFormatError(f"{path}: {field} is missing or invalid: {value!r}") from None
 
 
 def _parsed(path: str | Path, field: str, build, *args, **kwargs):
@@ -289,11 +273,8 @@ def recorded_outcome(path: str | Path, line: dict | None, task: Task) -> TaskOut
     if line is None:
         raise TraceFormatError(f"{path}: no result line; the recording is incomplete")
     values = {"task_id": task.task_id, "level": task.level}
-    for f in fields(TaskOutcome)[2:]:
-        value = line.get(f.name)
-        if _OUTCOME_TYPES[f.name] is TerminatedBy and value in _TERMINATIONS:
-            value = TerminatedBy(value)
-        values[f.name] = _typed(path, f"result field {f.name}", value, _OUTCOME_TYPES[f.name])
+    for name, kind in list(_OUTCOME_TYPES.items())[2:]:
+        values[name] = _typed(path, f"result field {name}", line.get(name), kind)
     return TaskOutcome(**values)
 
 
@@ -315,11 +296,11 @@ class BenchmarkReport:
         }
 
 
-class BenchmarkAbortError(RuntimeError):
+class BenchmarkAbortError(InputError, RuntimeError):
     pass
 
 
-class UnknownAxisError(ValueError):
+class UnknownAxisError(InputError, ValueError):
     pass
 
 

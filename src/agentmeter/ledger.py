@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .backend import Purpose, TokenUsage
-from .config import ModelPricing, PricingTable
+from .config import InputError, ModelPricing, PricingTable, typed_value
 from .money import PICO_PER_USD
 
 
@@ -202,8 +202,9 @@ class AggregateRow:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AggregateRow":
-        """Inverse of :meth:`to_dict`; count values may also be strings, as in CSV."""
-        return cls(Scope(data["scope"]), *(int(data[name]) for name in _ROW_COUNTS))
+        """Inverse of :meth:`to_dict`; a value of the wrong type raises ``ValueError``."""
+        counts = (typed_value(int, data[name]) for name in _ROW_COUNTS)
+        return cls(typed_value(Scope, data["scope"]), *counts)
 
     @property
     def accuracy(self) -> float:
@@ -243,7 +244,7 @@ class AggregateRow:
         return Fraction(self.total_cost_pico, self.solved_count * PICO_PER_USD)
 
 
-class EmptyBenchmarkError(ValueError):
+class EmptyBenchmarkError(InputError, ValueError):
     pass
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
+import json
 import logging
 import os
 import re
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .actions import Action, ActionName
 from .backend import Message, Purpose
-from .config import AgentConfig, PageStrategy, SourceSet
+from .config import AgentConfig, InputError, PageStrategy, SourceSet, read_text, typed_value
 from . import prompts
 
 if TYPE_CHECKING:
@@ -54,6 +55,10 @@ class TransportError(ToolError):
 
 class NonHtmlError(ToolError):
     pass
+
+
+class FixtureFileError(InputError, ValueError):
+    """A ``--fixtures`` file that cannot be used: bad JSON, a bad row, not UTF-8."""
 
 
 # -- search ------------------------------------------------------------------
@@ -96,12 +101,38 @@ class FixtureSearchProvider(SearchProvider):
         self.name = name
         self._responses = dict(responses)
 
+    @classmethod
+    def from_file(cls, path: str | Path) -> "FixtureSearchProvider":
+        """The provider ``fixture`` of a ``searches.json`` file, which maps each
+        query to a list of ``[title, url, snippet]`` rows of strings; any other
+        file raises ``FixtureFileError``."""
+        try:
+            raw = json.loads(read_text(path, FixtureFileError))
+        except json.JSONDecodeError as exc:
+            raise FixtureFileError(f"{path}: invalid JSON: {exc}") from None
+        try:
+            responses = {
+                query: [_search_row(row) for row in typed_value(list, rows)]
+                for query, rows in typed_value(dict, raw).items()
+            }
+        except ValueError as exc:
+            message = "each query must map to a list of [title, url, snippet] rows"
+            raise FixtureFileError(f"{path}: {message}: {exc}") from None
+        return cls("fixture", responses)
+
     def search(self, query: str, limit: int) -> list[SearchResult]:
         rows = self._responses.get(query, [])[:limit]
         return [
             SearchResult(title=t, url=u, snippet=s, provider=self.name, rank=i + 1)
             for i, (t, u, s) in enumerate(rows)
         ]
+
+
+def _search_row(row) -> tuple[str, str, str]:
+    strings = tuple(typed_value(str, value) for value in typed_value(list, row))
+    if len(strings) != 3:
+        raise ValueError(f"{row!r} is not three strings")
+    return strings
 
 
 class WikipediaProvider(SearchProvider):
@@ -764,7 +795,7 @@ class FixtureFetcher(PageFetcher):
         pages = {}
         for path in Path(root).iterdir():
             if path.is_file():
-                pages[urllib.parse.unquote(path.name)] = path.read_text(encoding="utf-8")
+                pages[urllib.parse.unquote(path.name)] = read_text(path, FixtureFileError)
         return cls(pages)
 
     def fetch(self, url: str) -> str:

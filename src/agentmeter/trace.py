@@ -37,6 +37,7 @@ from .backend import (
     RunTimeoutError,
     TokenUsage,
 )
+from .config import InputError
 from .tools import ToolError
 
 TRACE_VERSION = 1
@@ -123,12 +124,6 @@ class TraceWriter:
             ) as gz:
                 gz.write(data)
 
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
 
 @dataclass(frozen=True)
 class TraceData:
@@ -143,7 +138,7 @@ class TraceData:
         return None
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(InputError, ValueError):
     pass
 
 
@@ -173,7 +168,7 @@ def read_trace(path: str | Path) -> TraceData:
     return TraceData(header=first, events=tuple(lines[1:]))
 
 
-class ReplayMismatchError(RuntimeError):
+class ReplayMismatchError(InputError, RuntimeError):
     """The live call sequence diverged from the recorded one."""
 
 

@@ -84,9 +84,7 @@ def bench_backend() -> ScriptedBackend:
 
 
 def bench_providers() -> list[FixtureSearchProvider]:
-    raw = json.loads((BENCH / "searches.json").read_text(encoding="utf-8"))
-    mapping = {q: [tuple(row) for row in rows] for q, rows in raw.items()}
-    return [FixtureSearchProvider("fixture", mapping)]
+    return [FixtureSearchProvider.from_file(BENCH / "searches.json")]
 
 
 def bench_fetcher() -> FixtureFetcher:

@@ -345,6 +345,12 @@ def test_run_with_unpriced_backbone_exits_two(tmp_path, capsys):
     assert "error: no pricing entry for 'mystery-model'" in capsys.readouterr().err
 
 
+DIRECTORY = object()  # a directory where the file should be
+RESULT_ROW = {"scope": "all", "task_count": 2, "solved_count": 1, "total_cost_pico": 5,
+              "total_tokens": 10}
+
+# (files written in place of the fixture bench's, extra arguments, what the error says);
+# a results.json runs report, anything else bench
 OUTSIDE_INPUTS = {
     "workers_0": ({}, ("--workers", "0"), "workers must be >= 1, got 0"),
     "level_not_a_number": (
@@ -381,22 +387,87 @@ OUTSIDE_INPUTS = {
         {"config.ini": AGENT_SECTION + "temperature = nan\n" + PRICED},
         (), "temperature must be a finite number >= 0, got nan",
     ),
+    "tasks_not_utf8": ({"tasks.jsonl": b"\xff\n"}, (), "tasks.jsonl:1: not UTF-8"),
+    "config_not_utf8": (
+        {"config.ini": AGENT_SECTION.encode() + b"; \xe9\n"}, (), "config.ini:3: not UTF-8",
+    ),
+    "tasks_is_a_directory": ({"tasks.jsonl": DIRECTORY}, (), "Is a directory"),
+    "config_is_a_directory": ({"config.ini": DIRECTORY}, (), "Is a directory"),
+    "pricing_is_a_directory": (
+        {"pricing.ini": DIRECTORY}, ("--pricing", "pricing.ini"), "Is a directory",
+    ),
+    "script_line_not_json": (
+        {"script.jsonl": "{oops\n"}, (), "script.jsonl:1: invalid JSON: Expecting",
+    ),
+    "script_line_is_a_list": (
+        {"script.jsonl": '["actor", "x"]\n'}, (), "script.jsonl:1: a script entry must be a JSON",
+    ),
+    "script_purpose_unknown": (
+        {"script.jsonl": '{"purpose": "critic", "response": "x"}\n'},
+        (), "script.jsonl:1: purpose: 'critic' is not a valid Purpose",
+    ),
+    "script_times_text": (
+        {"script.jsonl": '{"purpose": "actor", "response": "x", "times": "2"}\n'},
+        (), "script.jsonl:1: times: '2' is not a valid int",
+    ),
+    "script_response_missing": (
+        {"script.jsonl": '{"purpose": "actor"}\n'}, (), "script.jsonl:1: missing field 'response'",
+    ),
+    "script_not_utf8": (
+        {"script.jsonl": b'{"purpose": "actor", "response": "\xff"}\n'},
+        (), "script.jsonl:1: not UTF-8",
+    ),
+    "searches_not_json": (
+        {"fixtures/searches.json": "{oops"}, (), "searches.json: invalid JSON: Expecting",
+    ),
+    "search_row_two_fields": (
+        {"fixtures/searches.json": '{"q": [["title", "https://example.org/"]]}'},
+        (), "searches.json: each query must map to a list of [title, url, snippet] rows: "
+            "['title', 'https://example.org/'] is not three strings",
+    ),
+    "page_not_utf8": (
+        {"fixtures/pages/https%3A%2F%2Fexample.org%2F": b"<p>\xff</p>"},
+        (), "https%3A%2F%2Fexample.org%2F:1: not UTF-8",
+    ),
+    "results_count_true": (
+        {"results.json": json.dumps({"rows": [{**RESULT_ROW, "solved_count": True}]})},
+        (), "(ValueError: True is not a valid int)",
+    ),
+    "results_count_fraction": (
+        {"results.json": json.dumps({"rows": [{**RESULT_ROW, "total_tokens": 12.9}]})},
+        (), "(ValueError: 12.9 is not a valid int)",
+    ),
+    "results_is_a_directory": ({"results.json": DIRECTORY}, (), "Is a directory"),
 }
 
 
 @pytest.mark.parametrize("case", list(OUTSIDE_INPUTS))
 def test_bad_outside_input_exits_two_with_error(tmp_path, capsys, case):
     files, extra, message = OUTSIDE_INPUTS[case]
-    paths = {"tasks.jsonl": BENCH / "tasks.jsonl", "config.ini": BENCH / "config.ini"}
-    for name, text in files.items():
-        paths[name] = tmp_path / name
-        paths[name].write_text(text, encoding="utf-8")
-    argv = ["bench", "--config", str(paths["config.ini"]), "--script", str(BENCH / "script.jsonl"),
-            "--fixtures", str(BENCH), "--tasks", str(paths["tasks.jsonl"]), *extra]
+    paths = {"tasks.jsonl": BENCH / "tasks.jsonl", "config.ini": BENCH / "config.ini",
+             "script.jsonl": BENCH / "script.jsonl", "fixtures": BENCH}
+    for name, content in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if content is DIRECTORY:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        top = name.split("/")[0]  # a file under fixtures/ makes that the fixture directory
+        paths[top] = tmp_path / top
+    if "results.json" in files:
+        argv = ["report", "--results", str(paths["results.json"])]
+    else:
+        argv = ["bench", "--config", str(paths["config.ini"]), "--script",
+                str(paths["script.jsonl"]), "--fixtures", str(paths["fixtures"]),
+                "--tasks", str(paths["tasks.jsonl"]), *(str(paths.get(a, a)) for a in extra)]
     code = run_cli(*argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert "error: " in captured.err and message in captured.err
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
 
 

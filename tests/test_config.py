@@ -260,6 +260,24 @@ def test_every_field_round_trips_through_every_reader(name, value):
             assert sweep_configs(default_config(), name, [upper]) == [cfg]
 
 
+def test_snapshot_values_must_have_the_field_type():
+    # bool is no int, an int no str, and a fraction no whole step count
+    for name, value in [("max_steps", True), ("max_steps", 12.7), ("temperature", True),
+                        ("backbone_id", 5)]:
+        with pytest.raises(InvalidConfigError, match=f"{name}: {value!r} is not a valid"):
+            config_from_snapshot({name: value})
+    # an int stands for a float; None passes only for an optional field
+    assert config_from_snapshot({"temperature": 1}).temperature == 1.0
+    assert config_from_snapshot({"prm_backbone_id": None}).prm_backbone_id is None
+    with pytest.raises(InvalidConfigError, match="backbone_id: None is not a valid str"):
+        config_from_snapshot({"backbone_id": None})
+    # text from INI files and sweep axes is parsed first; enum values in any case
+    cfg = parse_config("[agent]\nmax_steps = 12\nsource_set = MULTI\n")[0]
+    assert (cfg.max_steps, cfg.source_set) == (12, SourceSet.MULTI)
+    assert sweep_configs(default_config(), "max_steps", ["12"])[0].max_steps == 12
+    assert sweep_configs(default_config(), "source_set", ["MULTI"])[0].source_set is SourceSet.MULTI
+
+
 def test_coerce_field_rejects_unknown_field():
     with pytest.raises(TypeError, match="no_such_field"):
         coerce_field("no_such_field", "1")

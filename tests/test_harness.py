@@ -441,6 +441,11 @@ HEADER_EDITS = [
     (("config", "max_step"), 3, "header field config is invalid: AgentConfig has no field"),
     (("config", "max_steps"), 0, "header field config is invalid: max_steps must be >= 1"),
     (("config", "max_steps"), None, "header field config is invalid: max_steps: None is not"),
+    (("config", "max_steps"), True, "header field config is invalid: max_steps: True is not a"),
+    (("config", "max_steps"), 12.7, "header field config is invalid: max_steps: 12.7 is not a"),
+    (("config", "temperature"), True,
+     "header field config is invalid: temperature: True is not a valid float"),
+    (("config", "backbone_id"), 5, "header field config is invalid: backbone_id: 5 is not a"),
     (("pricing",), DELETE, "header field pricing is missing"),
     (("pricing",), {}, "header field pricing is invalid: not a pricing snapshot (KeyError"),
     (("pricing", "models", "gpt-4.1", "input_pico_per_token"), -1,

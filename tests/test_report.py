@@ -67,7 +67,11 @@ def test_render_table_golden():
 
 def parse_csv(text):
     """Reference parser: rows rebuilt from render_csv output's integer columns."""
-    return [AggregateRow.from_dict(rec) for rec in csv.DictReader(io.StringIO(text))]
+    counts = ("task_count", "solved_count", "total_cost_pico", "total_tokens")
+    return [
+        AggregateRow.from_dict({"scope": rec["scope"], **{k: int(rec[k]) for k in counts}})
+        for rec in csv.DictReader(io.StringIO(text))
+    ]
 
 
 def test_csv_round_trip_is_exact():

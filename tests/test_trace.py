@@ -40,21 +40,22 @@ def sample_response(text="out"):
 
 
 def write_sample(path):
-    with TraceWriter(path) as w:
-        w.header(
-            {
-                "run_id": "r",
-                "task_id": "t",
-                "config": {"max_steps": 3},
-                "config_hash": "abcd1234",
-                "pricing": {"models": {}},
-                "task": {"level": 1},
-            }
-        )
-        w.model_call(sample_request(), sample_response())
-        w.tool_call("search", {"queries": ["a"]}, [{"url": "https://x"}])
-        w.embed("hello", np.array([0.6, 0.8]))
-        w.result({"solved": True})
+    w = TraceWriter(path)
+    w.header(
+        {
+            "run_id": "r",
+            "task_id": "t",
+            "config": {"max_steps": 3},
+            "config_hash": "abcd1234",
+            "pricing": {"models": {}},
+            "task": {"level": 1},
+        }
+    )
+    w.model_call(sample_request(), sample_response())
+    w.tool_call("search", {"queries": ["a"]}, [{"url": "https://x"}])
+    w.embed("hello", np.array([0.6, 0.8]))
+    w.result({"solved": True})
+    w.close()
     return path
 
 
@@ -206,11 +207,12 @@ def test_replay_out_of_order_effect_fails(tmp_path):
 
 
 def test_replay_raises_recorded_failures_then_times_out(tmp_path):
-    with TraceWriter(tmp_path / "t.trace") as w:
-        w.header({"run_id": "r"})
-        w.model_call(sample_request(), error="HTTP 503")
-        w.tool_call("fetch_page", {"url": "https://x"}, error="no page")
-        w.result({"terminated_by": "timeout"})
+    w = TraceWriter(tmp_path / "t.trace")
+    w.header({"run_id": "r"})
+    w.model_call(sample_request(), error="HTTP 503")
+    w.tool_call("fetch_page", {"url": "https://x"}, error="no page")
+    w.result({"terminated_by": "timeout"})
+    w.close()
     source = ReplaySource(read_trace(tmp_path / "t.trace"))
     with pytest.raises(BackendError, match="HTTP 503"):
         source.complete(sample_request())
