@@ -141,6 +141,10 @@ class ScriptEntry:
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
 
+    def __post_init__(self) -> None:
+        if min(self.prompt_tokens or 0, self.completion_tokens or 0) < 0:
+            raise ValueError("token counts must be non-negative")
+
     def matches(self, request: ModelRequest) -> bool:
         if request.purpose is not self.purpose:
             return False
@@ -207,7 +211,10 @@ class ScriptedBackend(Backend):
                         raise ScriptFileError(f"{path}:{lineno}: {f.name}: {exc}") from None
                 elif f.default is MISSING:
                     raise ScriptFileError(f"{path}:{lineno}: missing field {f.name!r}")
-            entries.append(ScriptEntry(**values))
+            try:
+                entries.append(ScriptEntry(**values))
+            except ValueError as exc:
+                raise ScriptFileError(f"{path}:{lineno}: {exc}") from None
         return cls(entries)
 
     def start_run(self, run_id: str) -> None:
@@ -313,10 +320,13 @@ class OpenAIBackend(Backend):
             raise BackendError(f"malformed completion payload: {body!r:.300}") from exc
         raw_usage = body.get("usage") or {}
         if "prompt_tokens" in raw_usage and "completion_tokens" in raw_usage:
-            usage = TokenUsage(
-                prompt_tokens=int(raw_usage["prompt_tokens"]),
-                completion_tokens=int(raw_usage["completion_tokens"]),
-            )
+            try:
+                usage = TokenUsage(
+                    prompt_tokens=typed_value(int, raw_usage["prompt_tokens"]),
+                    completion_tokens=typed_value(int, raw_usage["completion_tokens"]),
+                )
+            except ValueError as exc:
+                raise BackendError(f"bad usage in completion payload: {exc}") from None
         else:
             usage = TokenUsage(
                 prompt_tokens=estimate_prompt_tokens(request.messages),

@@ -87,6 +87,16 @@ class DuplicateTaskIdError(TaskFileError):
     pass
 
 
+def _task_text(raw: dict, key: str, where: str) -> str:
+    """A task's text field, which a JSON string or number gives."""
+    try:
+        return str(typed_value(str | int | float, raw[key]))
+    except KeyError:
+        raise TaskFileError(f"{where}: missing field {key!r}") from None
+    except ValueError as exc:
+        raise TaskFileError(f"{where}: {key}: {exc}") from None
+
+
 def load_tasks(path: str | Path) -> list[Task]:
     """Parse a JSONL task file; attachment paths resolve beside the file."""
     path = Path(path)
@@ -94,11 +104,11 @@ def load_tasks(path: str | Path) -> list[Task]:
     tasks: list[Task] = []
     seen: set[str] = set()
     for lineno, raw in jsonl_objects(path, TaskFileError, "a task"):
+        task_id, question, expected = (
+            _task_text(raw, key, f"{path}:{lineno}") for key in ("task_id", "Question", "Final answer")
+        )
         try:
-            task_id = str(raw["task_id"])
             level = typed_value(int, raw["Level"], text=True)
-            question = str(raw["Question"])
-            expected = str(raw["Final answer"])
         except KeyError as exc:
             raise TaskFileError(f"{path}:{lineno}: missing field {exc}") from None
         except ValueError:  # only typed_value raises it

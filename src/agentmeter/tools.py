@@ -3,10 +3,11 @@
 Search fans each expanded query out to every engine in the configured
 source set, then merges with URL deduplication in a fixed order, so the
 result list is deterministic for deterministic providers. Each distinct
-page is reduced to static text at most once per run, and parsing stops
-once the text is known to run past the crawler cut; the three page
-strategies differ only in how much of that text a single observation
-exposes and whether the agent may scroll.
+page is reduced to static text once per process (a cache shared by every
+run and worker, bounded by size), and parsing stops once the text is
+known to run past the crawler cut; the three page strategies differ only
+in how much of that text a single observation exposes and whether the
+agent may scroll.
 
 Live engine adapters degrade to empty results on failure (a dead engine
 must not kill a run); fixture adapters make the whole layer offline and
@@ -16,13 +17,15 @@ byte-stable for tests and replays.
 from __future__ import annotations
 
 import abc
-import hashlib
 import json
 import logging
 import os
 import re
+import sys
+import threading
 import time
 import urllib.parse
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from html import unescape
 from pathlib import Path
@@ -41,6 +44,7 @@ log = logging.getLogger("agentmeter.tools")
 VIEWPORT_CHARS = 8000
 CRAWLER_MAX_CHARS = 40000
 ATTACHMENT_MAX_CHARS = 40000
+PAGE_CACHE_MAX_BYTES = 32 * 2**20  # HTML plus text held by the page-text cache
 DEFAULT_PER_QUERY_LIMIT = 5
 SERP_GATEWAY_ENV = "AGENTMETER_SERP_URL"
 
@@ -706,10 +710,63 @@ def extract_static_text(html: str | bytes, max_chars: int | None = None) -> str:
     return "\n".join(page.lines)
 
 
-def page_text(html: str | bytes) -> tuple[str, bool]:
-    """The page's static text cut to CRAWLER_MAX_CHARS, and whether it was cut."""
+class PageTextCache:
+    """``page_text`` of the pages seen lately, keyed by their HTML.
+
+    One instance serves every run and worker of the process. The lock is
+    held only to look up and insert, never during extraction, so two
+    threads opening a new page at once may both extract it: that costs
+    CPU, never a different text. Once the HTML and text held take more
+    than ``max_bytes`` as ``sys.getsizeof`` counts them (1 to 4 bytes a
+    character, by the widest character of the string), the least recently
+    used pages go first.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._texts: OrderedDict[str, tuple[str, bool]] = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, html: str) -> tuple[str, bool]:
+        with self._lock:
+            value = self._texts.get(html)
+            if value is not None:
+                self._texts.move_to_end(html)
+                return value
+        value = _page_text(html)
+        with self._lock:
+            if html not in self._texts:  # another thread may have put it in meanwhile
+                self._texts[html] = value
+                self._bytes += _entry_bytes(html, value)
+                while self._bytes > self.max_bytes:
+                    self._bytes -= _entry_bytes(*self._texts.popitem(last=False))
+        return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._texts.clear()
+            self._bytes = 0
+
+
+def _entry_bytes(html: str, value: tuple[str, bool]) -> int:
+    return sys.getsizeof(html) + sys.getsizeof(value[0])
+
+
+PAGE_TEXTS = PageTextCache(PAGE_CACHE_MAX_BYTES)
+
+
+def _page_text(html: str) -> tuple[str, bool]:
     text = extract_static_text(html, CRAWLER_MAX_CHARS)
     return text[:CRAWLER_MAX_CHARS], len(text) > CRAWLER_MAX_CHARS
+
+
+def page_text(html: str | bytes) -> tuple[str, bool]:
+    """The page's static text cut to CRAWLER_MAX_CHARS, and whether it was
+    cut; a pure function of the HTML, extracted once per process."""
+    if isinstance(html, bytes):
+        html = html.decode("utf-8", errors="replace")
+    return PAGE_TEXTS.get(html)
 
 
 @dataclass(frozen=True)
@@ -904,8 +961,6 @@ class ToolBox:
         self.fetcher = fetcher
         self.attachments = dict(attachments or {})
         self.browser = BrowserState()
-        # sha256 of fetched HTML -> page_text of it; lives as long as the run
-        self._page_texts: dict[bytes, tuple[str, bool]] = {}
 
     def dispatch(self, action: Action) -> str:
         """Execute one action; failures come back as observations."""
@@ -949,11 +1004,7 @@ class ToolBox:
             return "The open_url action needs a url argument."
 
         def thunk() -> dict:
-            html = self.fetcher.fetch(url)
-            key = hashlib.sha256(html.encode("utf-8", "surrogatepass")).digest()
-            if key not in self._page_texts:
-                self._page_texts[key] = page_text(html)
-            text, truncated = self._page_texts[key]
+            text, truncated = page_text(self.fetcher.fetch(url))
             return {"text": text, "truncated": truncated}
 
         try:

@@ -37,7 +37,7 @@ from .backend import (
     RunTimeoutError,
     TokenUsage,
 )
-from .config import InputError
+from .config import InputError, typed_value
 from .tools import ToolError
 
 TRACE_VERSION = 1
@@ -163,8 +163,12 @@ def read_trace(path: str | Path) -> TraceData:
     first = lines[0] if lines else {}
     if first.get("type") != "header":
         raise TraceFormatError(f"{path}: missing header line")
-    if first.get("version") != TRACE_VERSION:
-        raise TraceFormatError(f"{path}: unsupported trace version {first.get('version')!r}")
+    try:
+        version = typed_value(int, first.get("version"))
+    except ValueError as exc:
+        raise TraceFormatError(f"{path}: trace version: {exc}") from None
+    if version != TRACE_VERSION:
+        raise TraceFormatError(f"{path}: unsupported trace version {version!r}")
     return TraceData(header=first, events=tuple(lines[1:]))
 
 

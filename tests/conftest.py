@@ -22,6 +22,7 @@ from agentmeter import (
     ToolBox,
     default_config,
 )
+from agentmeter import tools
 
 # CI runs the tests with --hypothesis-profile=ci: property tests that set no
 # example count of their own, the page-text differential test among them,
@@ -32,10 +33,26 @@ FIXTURES = Path(__file__).parent / "fixtures"
 BENCH = FIXTURES / "bench"
 
 
+@pytest.fixture(autouse=True)
+def empty_page_cache():
+    """Each test starts with no page text cached, so extractions can be counted."""
+    tools.PAGE_TEXTS.clear()
+
+
 @pytest.fixture
 def pricing() -> PricingTable:
     # 1 micro-dollar per input token, 10 per output token
     return PricingTable({"gpt-4.1": ModelPricing.per_million("1.00", "10.00")})
+
+
+def count_extractions(monkeypatch) -> list:
+    """The HTML of every extraction from now on, in order."""
+    real_extract = tools.extract_static_text
+    extracted = []
+    monkeypatch.setattr(
+        tools, "extract_static_text", lambda html, *a: extracted.append(html) or real_extract(html, *a)
+    )
+    return extracted
 
 
 def make_session(backend, pricing, run_id="test-run", trace=None, timeout_s=None) -> RunSession:
@@ -99,7 +116,12 @@ def trace_lines(path) -> list[dict]:
     return [json.loads(line) for line in gzip.decompress(Path(path).read_bytes()).splitlines()]
 
 
-def write_trace_lines(path, events) -> None:
-    """Overwrite a trace with ``events``, as an edited or cut recording."""
+def trace_bytes(events) -> bytes:
+    """A trace file holding ``events``, as an edited or cut recording."""
     data = "".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in events)
-    Path(path).write_bytes(gzip.compress(data.encode("utf-8"), mtime=0))
+    return gzip.compress(data.encode("utf-8"), mtime=0)
+
+
+def write_trace_lines(path, events) -> None:
+    """Overwrite a trace with ``events``."""
+    Path(path).write_bytes(trace_bytes(events))

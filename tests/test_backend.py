@@ -206,6 +206,21 @@ def test_openai_missing_usage_estimates():
     assert out.usage.completion_tokens == estimate_tokens("yo")
 
 
+@pytest.mark.parametrize("count", [None, 12.0, 12.5, True, -1, "12"])
+def test_openai_bad_usage_count_fails_the_call(count):
+    backend = OpenAIBackend(api_key="k")
+    for usage in ({"prompt_tokens": count, "completion_tokens": 5},
+                  {"prompt_tokens": 12, "completion_tokens": count}):
+        with mock.patch("requests.post", return_value=_http(200, _completion_body("hi", usage))):
+            with pytest.raises(BackendError, match="bad usage in completion payload"):
+                backend.complete(req())
+
+
+def test_script_entry_refuses_negative_token_counts():
+    with pytest.raises(ValueError, match="non-negative"):
+        ScriptEntry(Purpose.ACTOR, "x", completion_tokens=-1)
+
+
 def test_openai_retries_transient_then_succeeds():
     backend = OpenAIBackend(api_key="k")
     responses = [_http(429), _http(503), _http(200, _completion_body("ok"))]

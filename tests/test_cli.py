@@ -4,7 +4,7 @@ import pytest
 
 from agentmeter.cli import main
 
-from conftest import BENCH, trace_lines, write_trace_lines
+from conftest import BENCH, FIXTURES, trace_bytes, trace_lines, write_trace_lines
 
 AGENT_SECTION = "[agent]\nbackbone_id = gpt-4.1\n"
 PRICED = "[pricing.gpt-4.1]\ninput = 1.00\noutput = 10.00\n"
@@ -346,16 +346,33 @@ def test_run_with_unpriced_backbone_exits_two(tmp_path, capsys):
 
 
 DIRECTORY = object()  # a directory where the file should be
+LEVEL9 = next((FIXTURES / "level9").iterdir())
+
+
+def level9_with_version(version) -> dict:
+    """The level-9 fixture trace with its header version replaced, as a trace directory."""
+    events = trace_lines(LEVEL9)
+    events[0]["version"] = version
+    return {f"traces/{LEVEL9.name}": trace_bytes(events)}
+
 RESULT_ROW = {"scope": "all", "task_count": 2, "solved_count": 1, "total_cost_pico": 5,
               "total_tokens": 10}
 
 # (files written in place of the fixture bench's, extra arguments, what the error says);
-# a results.json runs report, anything else bench
+# a results.json runs report, a file under traces/ replay, anything else bench
 OUTSIDE_INPUTS = {
     "workers_0": ({}, ("--workers", "0"), "workers must be >= 1, got 0"),
     "level_not_a_number": (
         {"tasks.jsonl": '{"task_id": "t", "Level": "x", "Question": "q", "Final answer": "a"}\n'},
         (), "tasks.jsonl:1: Level 'x' is not an integer",
+    ),
+    "task_answer_null": (
+        {"tasks.jsonl": '{"task_id": "t", "Level": 1, "Question": "q", "Final answer": null}\n'},
+        (), "tasks.jsonl:1: Final answer: None is not a valid str",
+    ),
+    "task_question_an_object": (
+        {"tasks.jsonl": '{"task_id": "t", "Level": 1, "Question": {"q": 1}, "Final answer": "a"}\n'},
+        (), "tasks.jsonl:1: Question: {'q': 1} is not a valid str",
     ),
     "task_line_is_a_list": (
         {"tasks.jsonl": '["t", 1]\n'}, (), "tasks.jsonl:1: a task must be a JSON object",
@@ -410,6 +427,10 @@ OUTSIDE_INPUTS = {
         {"script.jsonl": '{"purpose": "actor", "response": "x", "times": "2"}\n'},
         (), "script.jsonl:1: times: '2' is not a valid int",
     ),
+    "script_prompt_tokens_negative": (
+        {"script.jsonl": '{"purpose": "actor", "response": "x", "prompt_tokens": -1}\n'},
+        (), "script.jsonl:1: token counts must be non-negative",
+    ),
     "script_response_missing": (
         {"script.jsonl": '{"purpose": "actor"}\n'}, (), "script.jsonl:1: missing field 'response'",
     ),
@@ -438,6 +459,8 @@ OUTSIDE_INPUTS = {
         (), "(ValueError: 12.9 is not a valid int)",
     ),
     "results_is_a_directory": ({"results.json": DIRECTORY}, (), "Is a directory"),
+    "trace_version_true": (level9_with_version(True), (), "trace version: True is not a valid int"),
+    "trace_version_float": (level9_with_version(1.0), (), "trace version: 1.0 is not a valid int"),
 }
 
 
@@ -459,6 +482,8 @@ def test_bad_outside_input_exits_two_with_error(tmp_path, capsys, case):
         paths[top] = tmp_path / top
     if "results.json" in files:
         argv = ["report", "--results", str(paths["results.json"])]
+    elif "traces" in paths:
+        argv = ["replay", str(paths["traces"])]
     else:
         argv = ["bench", "--config", str(paths["config.ini"]), "--script",
                 str(paths["script.jsonl"]), "--fixtures", str(paths["fixtures"]),

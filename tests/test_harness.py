@@ -1,6 +1,7 @@
 import dataclasses
 import gzip
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from agentmeter.harness import (
 )
 from agentmeter.ledger import Scope
 from agentmeter.money import PICO_PER_USD
+from agentmeter import tools
 from agentmeter.tools import FixtureFetcher, FixtureSearchProvider
 from agentmeter.trace import ReplayMismatchError, TraceFormatError, read_trace, trace_filename
 
@@ -48,6 +50,7 @@ from conftest import (
     bench_fetcher,
     bench_pricing,
     bench_providers,
+    count_extractions,
     trace_lines,
     write_trace_lines,
 )
@@ -119,6 +122,17 @@ def test_load_tasks_error_lines_are_cited(tmp_path):
             load_tasks(p)
     p = write_tasks(tmp_path, [task_line("a", level=2), task_line("b", level=" 3 ")])
     assert [t.level for t in load_tasks(p)] == [2, 3]
+
+
+def test_load_tasks_reads_text_fields_from_strings_and_numbers_only(tmp_path):
+    p = write_tasks(tmp_path, [task_line(7, question=12, answer=740.5)])
+    (task,) = load_tasks(p)
+    assert (task.task_id, task.question, task.expected_answer) == ("7", "12", "740.5")
+    for field in ("task_id", "question", "answer"):
+        for value in (None, True, [1], {"a": 1}):
+            p = write_tasks(tmp_path, [task_line(), task_line(**{field: value})])
+            with pytest.raises(TaskFileError, match=rf"tasks\.jsonl:2: .*{re.escape(repr(value))} is not a valid str"):
+                load_tasks(p)
 
 
 def test_load_tasks_rejects_duplicate_ids(tmp_path):
@@ -233,6 +247,36 @@ def test_run_benchmark_workers_equivalent():
     threaded = run_bench(workers=4)
     assert serial[0] == threaded[0]
     assert serial[1].rows == threaded[1].rows
+
+
+def test_workers_share_the_page_cache(tmp_path, monkeypatch):
+    extracted = count_extractions(monkeypatch)
+    pages = {f"https://example.org/p{k}": f"<h1>Page {k}</h1><p>{'filler ' * 300}</p>" for k in range(3)}
+    tasks = [Task(f"t{i}", 1, f"What heads page p{i % 3}?", f"Page {i % 3}") for i in range(9)]
+    entries = [ScriptEntry(Purpose.PLANNER, "1. Open the page.\n2. Answer.", times=0)]
+    for k in range(3):
+        entries += [
+            ScriptEntry(Purpose.ACTOR, f"ACTION: open_url(url=https://example.org/p{k})", f"page p{k}"),
+            ScriptEntry(Purpose.ACTOR, f"ACTION: final_answer(answer=Page {k})", f"page p{k}"),
+        ]
+
+    def bench(workers):
+        trace_dir = tmp_path / f"workers{workers}"
+        outcomes, _ = run_benchmark(
+            tasks, bench_config(), ScriptedBackend(entries), bench_pricing(), workers=workers,
+            fetcher=FixtureFetcher(pages), trace_dir=trace_dir,
+        )
+        assert all(o.solved for o in outcomes)
+        return {p.name: p.read_bytes() for p in trace_dir.iterdir()}
+
+    threaded = bench(workers=2)
+    # every page extracted, by each worker at most once: two workers opening
+    # a new page at once may both extract it, nine runs without the cache would
+    assert set(extracted) == set(pages.values()) and len(extracted) <= 2 * len(pages)
+    tools.PAGE_TEXTS.clear()
+    extracted.clear()
+    assert bench(workers=1) == threaded and len(threaded) == len(tasks)
+    assert sorted(extracted) == sorted(pages.values())
 
 
 def test_run_benchmark_aborts_when_every_run_errors():

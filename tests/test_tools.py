@@ -30,7 +30,7 @@ from agentmeter.tools import (
     search,
 )
 
-from conftest import BENCH, make_session
+from conftest import BENCH, count_extractions, make_session
 from reference_page_text import reference_extract
 
 
@@ -399,11 +399,7 @@ def test_toolbox_extracts_a_page_opened_twice_once(tmp_path, pricing, monkeypatc
     from agentmeter.trace import TraceWriter, read_trace
     from conftest import make_toolbox
 
-    real_extract = tools.extract_static_text
-    extracted = []
-    monkeypatch.setattr(
-        tools, "extract_static_text", lambda html, *a: extracted.append(html) or real_extract(html, *a)
-    )
+    extracted = count_extractions(monkeypatch)
     fetched = []
 
     class CountingFetcher(FixtureFetcher):
@@ -417,9 +413,11 @@ def test_toolbox_extracts_a_page_opened_twice_once(tmp_path, pricing, monkeypatc
         session = make_session(ScriptedBackend([]), pricing, trace=writer)
         box = make_toolbox(session)
         box.fetcher = CountingFetcher({"http://x.com/": "<p>same page</p>"})
+        if bypass_memo:
+            tools.PAGE_TEXTS.clear()
         first = box.dispatch(Action(ActionName.OPEN_URL, {"url": "http://x.com/"}))
         if bypass_memo:
-            box._page_texts.clear()
+            tools.PAGE_TEXTS.clear()
         assert box.dispatch(Action(ActionName.OPEN_URL, {"url": "http://x.com/"})) == first
         writer.close()
         return (tmp_path / name).read_bytes()
@@ -431,6 +429,84 @@ def test_toolbox_extracts_a_page_opened_twice_once(tmp_path, pricing, monkeypatc
     assert events[0]["tool"] == "fetch_page"
     assert open_twice("bypass.trace", bypass_memo=True) == memoized
     assert (len(fetched), len(extracted)) == (4, 3)
+
+
+def test_two_runs_opening_one_page_extract_it_once(pricing, monkeypatch):
+    from conftest import make_toolbox
+
+    extracted = count_extractions(monkeypatch)
+    pages = {"http://x.com/": "<h1>Shared</h1><p>one page, two runs</p>"}
+    views = []
+    for run_id in ("r1", "r2"):
+        box = make_toolbox(make_session(ScriptedBackend([]), pricing, run_id=run_id), pages=pages)
+        views.append(box.dispatch(Action(ActionName.OPEN_URL, {"url": "http://x.com/"})))
+    assert views[0] == views[1] and "# Shared" in views[0]
+    assert extracted == [pages["http://x.com/"]]
+
+
+def test_page_cache_evicts_the_least_recently_used_page_past_its_bound(monkeypatch):
+    extracted = count_extractions(monkeypatch)
+    a, b, c = ("<p>" + k * 40 + "</p>" for k in "abc")
+    size = sys.getsizeof(a) + sys.getsizeof("a" * 40)  # HTML plus text of one page
+    monkeypatch.setattr(tools.PAGE_TEXTS, "max_bytes", 2 * size)
+    page_text(a)
+    page_text(b)
+    page_text(a)  # a is now the most recently used
+    assert len(extracted) == 2
+    page_text(c)  # past the bound: b goes, a and c stay
+    page_text(a)
+    page_text(c)
+    assert extracted == [a, b, c]
+    page_text(b)
+    assert extracted == [a, b, c, b]
+
+
+def test_page_cache_bound_counts_bytes_not_characters(monkeypatch):
+    extracted = count_extractions(monkeypatch)
+    narrow, wide = ("<p>" + k * 1000 + "</p>" for k in ("a", "\U0001F600"))
+    assert len(narrow) == len(wide)
+    monkeypatch.setattr(tools.PAGE_TEXTS, "max_bytes", 2 * (len(narrow) + 1000) + 200)
+    page_text(narrow)
+    page_text(narrow)
+    assert extracted == [narrow]
+    page_text(wide)  # 4 bytes a character: over the bound on its own
+    page_text(wide)
+    assert extracted == [narrow, wide, wide]
+
+
+def test_bytes_and_str_of_one_page_share_a_cache_entry(monkeypatch):
+    extracted = count_extractions(monkeypatch)
+    html = "<p>caf\u00e9</p>"
+    assert page_text(html.encode("utf-8")) == page_text(html) == ("caf\u00e9", False)
+    assert extracted == [html]
+
+
+def test_a_page_extracted_by_two_threads_at_once_is_held_once(monkeypatch):
+    import threading
+
+    real_extract = tools.extract_static_text
+    extracted, results = [], []
+    second_done = threading.Event()
+    html = "<p>new page</p>"
+
+    def extract_in_turn(page, *a):
+        extracted.append(page)
+        if len(extracted) == 1:  # a second reader misses the cache while this one extracts
+            second.start()
+            second_done.wait(5)
+        text = real_extract(page, *a)
+        if len(extracted) == 2:
+            second_done.set()
+        return text
+
+    monkeypatch.setattr(tools, "extract_static_text", extract_in_turn)
+    second = threading.Thread(target=lambda: results.append(page_text(html)))
+    results.append(page_text(html))
+    second.join()
+    assert results == [("new page", False)] * 2 and extracted == [html, html]
+    assert tools.PAGE_TEXTS._bytes == sys.getsizeof(html) + sys.getsizeof("new page")
+    page_text(html)
+    assert len(extracted) == 2
 
 
 def test_toolbox_paging_requires_complex_strategy_and_open_page(pricing):
