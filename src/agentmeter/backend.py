@@ -310,15 +310,23 @@ class OpenAIBackend(Backend):
             if resp.status_code != 200:
                 raise BackendError(f"HTTP {resp.status_code}: {resp.text[:500]}")
             latency_ms = int((time.monotonic() - started) * 1000)
-            return self._parse(request, resp.json(), latency_ms)
+            try:
+                body = resp.json()
+            except ValueError:  # requests' JSONDecodeError is one
+                raise BackendError(f"completion body is not JSON: {resp.text[:200]!r}") from None
+            return self._parse(request, body, latency_ms)
         raise BackendError(f"model call failed after {self.max_retries + 1} attempts") from last_error
 
     def _parse(self, request: ModelRequest, body: dict, latency_ms: int = 0) -> ModelResponse:
         try:
-            text = body["choices"][0]["message"]["content"] or ""
-        except (KeyError, IndexError, TypeError) as exc:
+            text = typed_value(str | None, body["choices"][0]["message"]["content"]) or ""
+            model_id = typed_value(str, body.get("model", request.model_id))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed completion payload: {body!r:.300}") from exc
-        raw_usage = body.get("usage") or {}
+        try:
+            raw_usage = typed_value(dict | None, body.get("usage")) or {}
+        except ValueError as exc:
+            raise BackendError(f"bad usage in completion payload: {exc}") from None
         if "prompt_tokens" in raw_usage and "completion_tokens" in raw_usage:
             try:
                 usage = TokenUsage(
@@ -336,6 +344,6 @@ class OpenAIBackend(Backend):
         return ModelResponse(
             text=text,
             usage=usage,
-            model_id=body.get("model", request.model_id),
+            model_id=model_id,
             latency_ms=latency_ms,
         )

@@ -208,7 +208,6 @@ def _write_out(text: str, out: str | None) -> None:
 
 def cmd_run(args) -> int:
     config, pricing = load_settings(args)
-    validate_config(config, pricing)
     task = _select_task(load_tasks(args.tasks), args.task_id)
     outcome, _ = execute_run(
         task,

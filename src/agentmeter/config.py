@@ -322,6 +322,8 @@ def typed_value(kind, value, text: bool = False):
     may stand for a float; None passes only for an optional kind; an enum is
     given by its value, in any case. With ``text``, a str for a number kind is
     parsed first, as INI values, sweep values and task Levels are."""
+    if type(value) is kind:  # the common case, without the cost of get_args
+        return value
     kinds = get_args(kind) or (kind,)
     for k in kinds:
         if type(value) is k:

@@ -276,6 +276,27 @@ def recorded_run(path: str | Path, header: dict) -> tuple[Task, AgentConfig, Pri
     return task, config, pricing
 
 
+# what a replay reads of a recorded model call that did not fail
+_MODEL_CALL_TYPES = {"response": str, "model_id": str, "prompt_tokens": int,
+                     "completion_tokens": int, "estimated": bool}
+
+
+def _check_model_calls(path: str | Path, events: Sequence[dict]) -> None:
+    """Refuse a trace whose recorded model calls a replay could not serve:
+    a missing or invalid field raises ``TraceFormatError`` naming the call."""
+    calls = (event for event in events if event["type"] == "model_call")
+    for n, event in enumerate(calls, 1):
+        kinds = {"error": str} if "error" in event else _MODEL_CALL_TYPES
+        for name, kind in kinds.items():
+            value = event.get(name)
+            try:
+                typed_value(kind, value)
+            except ValueError:  # labelled only here: a label per field was most of the cost
+                _typed(path, f"model call {n} field {name}", value, kind)
+        if min(event.get("prompt_tokens", 0), event.get("completion_tokens", 0)) < 0:
+            raise TraceFormatError(f"{path}: model call {n} has a negative token count")
+
+
 def recorded_outcome(path: str | Path, line: dict | None, task: Task) -> TaskOutcome:
     """The outcome a trace records: task id and level from its header's
     task, the other fields from its result line. A missing or invalid field
@@ -327,8 +348,11 @@ def _run(
     """The one run path of live runs and replays: trace, session, loop, grade.
 
     ``backend`` is where every external effect comes from: live
-    collaborators, or for a replay the ReplaySource.
+    collaborators, or for a replay the ReplaySource. A config that
+    ``validate_config`` refuses raises ``InvalidConfigError`` before any
+    call is made or any trace is opened.
     """
+    validate_config(config, pricing)
     writer = None
     if trace_dir is not None:
         writer = TraceWriter(Path(trace_dir) / trace_filename(task.task_id, config_hash(config)))
@@ -490,6 +514,7 @@ def replay_run(
     data = read_trace(trace_path)
     task, config, pricing = recorded_run(trace_path, data.header)
     recorded = recorded_outcome(trace_path, data.result, task)
+    _check_model_calls(trace_path, data.events)
     source = ReplaySource(data)
     outcome, record = _run(task, config, pricing, trace_dir, source)
     was, now = recorded.to_dict(with_task=False), outcome.to_dict(with_task=False)

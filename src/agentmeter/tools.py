@@ -4,10 +4,9 @@ Search fans each expanded query out to every engine in the configured
 source set, then merges with URL deduplication in a fixed order, so the
 result list is deterministic for deterministic providers. Each distinct
 page is reduced to static text once per process (a cache shared by every
-run and worker, bounded by size), and parsing stops once the text is
-known to run past the crawler cut; the three page strategies differ only
-in how much of that text a single observation exposes and whether the
-agent may scroll.
+run and worker, bounded by size) and cut at the crawler limit; the three
+page strategies differ only in how much of that text a single
+observation exposes and whether the agent may scroll.
 
 Live engine adapters degrade to empty results on failure (a dead engine
 must not kill a run); fixture adapters make the whole layer offline and
@@ -365,14 +364,6 @@ _START_TEXT = dict.fromkeys(_BLOCK_TAGS | {"br"}, "\n") | {
     tag: "\n" + "#" * level + " " for tag, level in _HEADING_LEVEL.items()
 }
 
-# page text gathered between moves of finished lines into the output
-_FLUSH_CHARS = 8192
-
-
-class _PastLimit(Exception):
-    """Stops a bounded extraction once its output is longer than the limit."""
-
-
 # Page text follows html.parser's tokenization, as CPython 3.11.7 does it
 # for a whole page fed at once and then closed, in one pass: _TOKEN matches
 # the common tokens, and every other "<" takes one step of a port of
@@ -425,24 +416,14 @@ _UNFINISHED_TAG_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ="
 
 
 class _PageText:
-    """Collects one page's normalized lines; with max_chars, stops once past it.
+    """Collects one page's raw text in ``parts``; ``extract_static_text``
+    normalizes it."""
 
-    Raw text collects in ``parts``. Every _FLUSH_CHARS of data, the lines
-    before its last newline are final, since later text can only extend
-    the last one, and they move, normalized, into ``lines``.
-    """
+    __slots__ = ("html", "parts", "_skip", "_links", "_cdata", "_searched", "_attrs_end")
 
-    __slots__ = ("html", "max_chars", "flush_chars", "parts", "lines", "_size", "_unflushed",
-                 "_skip", "_links", "_cdata", "_searched", "_attrs_end")
-
-    def __init__(self, html: str, max_chars: int | None) -> None:
+    def __init__(self, html: str) -> None:
         self.html = html
-        self.max_chars = max_chars
-        self.flush_chars = _FLUSH_CHARS
         self.parts: list[str] = []
-        self.lines: list[str] = []
-        self._size = 0  # len("\n".join(self.lines))
-        self._unflushed = 0
         self._skip = 0
         self._links: list[str | None] = []
         self._cdata: str | None = None  # "script" or "style" while inside one
@@ -489,25 +470,9 @@ class _PageText:
 
     # -- handlers ---------------------------------------------------------
 
-    def flush(self) -> None:
-        """Move the lines finished so far, normalized, into ``lines``."""
-        done, _, rest = "".join(self.parts).rpartition("\n")
-        self.parts = [rest]
-        self._unflushed = 0
-        for raw_line in done.split("\n"):
-            line = " ".join(raw_line.split())
-            if line:
-                self._size += len(line) + (1 if self.lines else 0)
-                self.lines.append(line)
-
     def data(self, text: str) -> None:
         if not self._skip:
             self.parts.append(text)
-            self._unflushed += len(text)
-            if self._unflushed >= self.flush_chars:
-                self.flush()
-                if self.max_chars is not None and self._size > self.max_chars:
-                    raise _PastLimit
 
     def starttag(self, tag: str, attrs: Sequence[tuple[str, str | None]]) -> None:
         if tag in _SKIP_TAGS:
@@ -692,22 +657,13 @@ class _PageText:
         return self._end_after(end, i + 3)
 
 
-def extract_static_text(html: str | bytes, max_chars: int | None = None) -> str:
-    """Static page text: scripts dropped, # headings, links as "text (url)".
-
-    With max_chars, extraction may stop once the text is known to be longer;
-    the result is then a prefix of the full text, longer than max_chars.
-    """
-    if isinstance(html, bytes):
-        html = html.decode("utf-8", errors="replace")
-    page = _PageText(html, max_chars)
-    try:
-        page.run()
-    except _PastLimit:
-        return "\n".join(page.lines)
-    page.parts.append("\n")  # the end of the page finishes its last line
-    page.flush()
-    return "\n".join(page.lines)
+def extract_static_text(html: str) -> str:
+    """Static page text: scripts dropped, # headings, links as "text (url)";
+    each line's whitespace runs become one space, and blank lines go."""
+    page = _PageText(html)
+    page.run()
+    lines = (" ".join(raw_line.split()) for raw_line in "".join(page.parts).split("\n"))
+    return "\n".join(line for line in lines if line)
 
 
 class PageTextCache:
@@ -757,15 +713,13 @@ PAGE_TEXTS = PageTextCache(PAGE_CACHE_MAX_BYTES)
 
 
 def _page_text(html: str) -> tuple[str, bool]:
-    text = extract_static_text(html, CRAWLER_MAX_CHARS)
+    text = extract_static_text(html)
     return text[:CRAWLER_MAX_CHARS], len(text) > CRAWLER_MAX_CHARS
 
 
-def page_text(html: str | bytes) -> tuple[str, bool]:
+def page_text(html: str) -> tuple[str, bool]:
     """The page's static text cut to CRAWLER_MAX_CHARS, and whether it was
     cut; a pure function of the HTML, extracted once per process."""
-    if isinstance(html, bytes):
-        html = html.decode("utf-8", errors="replace")
     return PAGE_TEXTS.get(html)
 
 

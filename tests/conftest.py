@@ -50,7 +50,7 @@ def count_extractions(monkeypatch) -> list:
     real_extract = tools.extract_static_text
     extracted = []
     monkeypatch.setattr(
-        tools, "extract_static_text", lambda html, *a: extracted.append(html) or real_extract(html, *a)
+        tools, "extract_static_text", lambda html: extracted.append(html) or real_extract(html)
     )
     return extracted
 

@@ -7,39 +7,18 @@ text it gives does not change with the interpreter that runs the tests.
 
 from __future__ import annotations
 
-from agentmeter import tools
-from agentmeter.tools import _BLOCK_TAGS, _HEADING_LEVEL, _SKIP_TAGS, _PastLimit
+from agentmeter.tools import _BLOCK_TAGS, _HEADING_LEVEL, _SKIP_TAGS
 from pinned_html_parser import HTMLParser
 
 
 class StaticTextParser(HTMLParser):
-    """Collects normalized lines; with max_chars, stops once past it.
+    """Collects the page's raw text in ``parts``."""
 
-    Raw text collects in ``parts``. Every tools._FLUSH_CHARS of data, the
-    lines before its last newline are final, since later text can only
-    extend the last one, and they move, normalized, into ``lines``.
-    """
-
-    def __init__(self, max_chars: int | None = None) -> None:
+    def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
         self.parts: list[str] = []
-        self.lines: list[str] = []
-        self.max_chars = max_chars
-        self._size = 0  # len("\n".join(self.lines))
-        self._unflushed = 0
         self._skip = 0
         self._links: list[str | None] = []
-
-    def flush(self) -> None:
-        """Move the lines finished so far, normalized, into ``lines``."""
-        done, _, rest = "".join(self.parts).rpartition("\n")
-        self.parts = [rest]
-        self._unflushed = 0
-        for raw_line in done.split("\n"):
-            line = " ".join(raw_line.split())
-            if line:
-                self._size += len(line) + (1 if self.lines else 0)
-                self.lines.append(line)
 
     def handle_starttag(self, tag, attrs):
         if tag in _SKIP_TAGS:
@@ -74,25 +53,15 @@ class StaticTextParser(HTMLParser):
     def handle_data(self, data):
         if not self._skip:
             self.parts.append(data)
-            self._unflushed += len(data)
-            if self._unflushed >= tools._FLUSH_CHARS:
-                self.flush()
-                if self.max_chars is not None and self._size > self.max_chars:
-                    raise _PastLimit
 
 
-def reference_extract(html: str | bytes, max_chars: int | None = None) -> str:
-    """What ``tools.extract_static_text(html, max_chars)`` must return."""
-    if isinstance(html, bytes):
-        html = html.decode("utf-8", errors="replace")
-    parser = StaticTextParser(max_chars)
+def reference_extract(html: str) -> str:
+    """What ``tools.extract_static_text(html)`` must return."""
+    parser = StaticTextParser()
     try:
         parser.feed(html)
         parser.close()
-    except _PastLimit:
-        return "\n".join(parser.lines)
     except AssertionError:  # html.parser's reply to a "<![" it cannot read
         pass
-    parser.parts.append("\n")  # the end of the page finishes its last line
-    parser.flush()
-    return "\n".join(parser.lines)
+    lines = (" ".join(raw_line.split()) for raw_line in "".join(parser.parts).split("\n"))
+    return "\n".join(line for line in lines if line)

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import re
 import threading
 from unittest import mock
 
@@ -21,6 +23,8 @@ from agentmeter.backend import (
     estimate_prompt_tokens,
     estimate_tokens,
 )
+from agentmeter.config import ModelPricing, PricingTable
+from agentmeter.session import RunSession
 
 
 def req(content="hello", purpose=Purpose.ACTOR, temperature=0.0):
@@ -214,6 +218,34 @@ def test_openai_bad_usage_count_fails_the_call(count):
         with mock.patch("requests.post", return_value=_http(200, _completion_body("hi", usage))):
             with pytest.raises(BackendError, match="bad usage in completion payload"):
                 backend.complete(req())
+
+
+def _http_not_json(text):
+    resp = _http(200, text=text)
+    resp.json.side_effect = json.JSONDecodeError("Expecting value", text, 0)
+    return resp
+
+
+@pytest.mark.parametrize("resp,message", [
+    (_http_not_json("<html>Bad gateway</html>"),
+     "completion body is not JSON: '<html>Bad gateway</html>'"),
+    (_http(200, _completion_body("hi", 7)), "bad usage in completion payload: 7 is not a valid dict"),
+    # "prompt_tokens" in "prompt_tokens" holds, so this usage once fell back to estimates
+    (_http(200, _completion_body("hi", "prompt_tokens")),
+     "bad usage in completion payload: 'prompt_tokens' is not a valid dict"),
+    (_http(200, {**_completion_body("hi"), "model": 5}), "malformed completion payload"),
+    (_http(200, _completion_body(["hi"])), "malformed completion payload"),
+], ids=["html_body", "usage_a_number", "usage_a_string", "model_a_number", "content_a_list"])
+def test_openai_unusable_body_is_a_failed_call(resp, message):
+    trace = mock.Mock()
+    pricing = PricingTable({"gpt-4.1": ModelPricing.per_million("1.00", "10.00")})
+    session = RunSession("r", OpenAIBackend(api_key="k"), pricing, trace=trace)
+    with mock.patch("requests.post", return_value=resp):
+        with pytest.raises(BackendError, match=re.escape(message)):
+            session.call_model(Purpose.ACTOR, "gpt-4.1", (Message("user", "hi"),))
+    errors = [e.error for e in session.ledger.entries]
+    assert len(errors) == 1 and message in errors[0]
+    trace.model_call.assert_called_once_with(mock.ANY, error=errors[0])
 
 
 def test_script_entry_refuses_negative_token_counts():

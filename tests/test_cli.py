@@ -349,10 +349,11 @@ DIRECTORY = object()  # a directory where the file should be
 LEVEL9 = next((FIXTURES / "level9").iterdir())
 
 
-def level9_with_version(version) -> dict:
-    """The level-9 fixture trace with its header version replaced, as a trace directory."""
+def level9_with(kind, field, value) -> dict:
+    """The level-9 fixture trace with ``field`` of its first ``kind`` line
+    replaced, as a trace directory."""
     events = trace_lines(LEVEL9)
-    events[0]["version"] = version
+    next(e for e in events if e["type"] == kind)[field] = value
     return {f"traces/{LEVEL9.name}": trace_bytes(events)}
 
 RESULT_ROW = {"scope": "all", "task_count": 2, "solved_count": 1, "total_cost_pico": 5,
@@ -459,8 +460,36 @@ OUTSIDE_INPUTS = {
         (), "(ValueError: 12.9 is not a valid int)",
     ),
     "results_is_a_directory": ({"results.json": DIRECTORY}, (), "Is a directory"),
-    "trace_version_true": (level9_with_version(True), (), "trace version: True is not a valid int"),
-    "trace_version_float": (level9_with_version(1.0), (), "trace version: 1.0 is not a valid int"),
+    "trace_version_true": (
+        level9_with("header", "version", True), (), "trace version: True is not a valid int",
+    ),
+    "trace_version_float": (
+        level9_with("header", "version", 1.0), (), "trace version: 1.0 is not a valid int",
+    ),
+    "trace_prompt_tokens_float": (
+        level9_with("model_call", "prompt_tokens", 200.0),
+        (), "model call 1 field prompt_tokens is missing or invalid: 200.0",
+    ),
+    "trace_completion_tokens_true": (
+        level9_with("model_call", "completion_tokens", True),
+        (), "model call 1 field completion_tokens is missing or invalid: True",
+    ),
+    "trace_prompt_tokens_text": (
+        level9_with("model_call", "prompt_tokens", "200"),
+        (), "model call 1 field prompt_tokens is missing or invalid: '200'",
+    ),
+    "trace_prompt_tokens_negative": (
+        level9_with("model_call", "prompt_tokens", -200),
+        (), "model call 1 has a negative token count",
+    ),
+    "trace_estimated_not_a_bool": (
+        level9_with("model_call", "estimated", "no"),
+        (), "model call 1 field estimated is missing or invalid: 'no'",
+    ),
+    "trace_response_not_text": (
+        level9_with("model_call", "response", ["1. Look it up."]),
+        (), "model call 1 field response is missing or invalid: ['1. Look it up.']",
+    ),
 }
 
 

@@ -11,6 +11,7 @@ from agentmeter.agent import TerminatedBy
 from agentmeter.backend import BackendError, Purpose, ScriptEntry, ScriptedBackend
 from agentmeter.cli import main
 from agentmeter.config import (
+    InvalidConfigError,
     MemoryMode,
     PageStrategy,
     PrmMode,
@@ -203,6 +204,19 @@ def test_execute_run_solves_search_task(tmp_path):
     assert outcome.cost_pico == 3970 * MICRO
     trace = tmp_path / trace_filename(task.task_id, config_hash(config))
     assert trace.exists()
+
+
+def test_execute_run_refuses_an_invalid_config_before_any_call(tmp_path):
+    task = load_tasks(BENCH / "tasks.jsonl")[0]
+    config = dataclasses.replace(bench_config(), backbone_id="unpriced-model")
+    backend = bench_backend()
+    with pytest.raises(InvalidConfigError, match="no pricing entry for 'unpriced-model'"):
+        execute_run(
+            task, config, backend, bench_pricing(),
+            providers=bench_providers(), fetcher=bench_fetcher(), trace_dir=tmp_path,
+        )
+    assert backend.calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_execute_run_reads_attachment_and_fails_grading():

@@ -151,8 +151,7 @@ def test_extract_static_text_golden():
     assert extract_static_text(GOLDEN_HTML) == GOLDEN_TEXT
 
 
-def test_extract_handles_bytes_and_malformed():
-    assert extract_static_text(b"<p>bytes</p>") == "bytes"
+def test_extract_handles_malformed_markup():
     # unterminated junk must not raise
     assert isinstance(extract_static_text("<p><a href='x'>oops"), str)
 
@@ -186,51 +185,18 @@ _HTML_FRAGMENTS = st.one_of(
 _HTML = st.lists(_HTML_FRAGMENTS, max_size=40).map("".join)
 
 
-def extract_flushing_every(flush_chars, html, max_chars=None, extract=extract_static_text):
-    """extract_static_text (or the reference) with finished lines moved out every flush_chars of data."""
-    saved = tools._FLUSH_CHARS
-    tools._FLUSH_CHARS = flush_chars
-    try:
-        return extract(html, max_chars)
-    finally:
-        tools._FLUSH_CHARS = saved
-
-
-@settings(max_examples=60, deadline=None)
-@given(_HTML, st.integers(min_value=0), st.sampled_from([1, 7, tools._FLUSH_CHARS]))
-def test_bounded_extraction_agrees_with_full_parse(html, max_chars, flush_chars):
-    # never flushing mid-parse normalizes the whole text at the end, as a one-shot parse would
-    reference = extract_flushing_every(sys.maxsize, html)
-    full = extract_flushing_every(flush_chars, html)
-    assert full == reference == extract_static_text(html)
-    max_chars %= len(full) + 2
-    bounded = extract_flushing_every(flush_chars, html, max_chars)
-    assert full.startswith(bounded)
-    assert bounded[:max_chars] == full[:max_chars]
-    assert (len(bounded) > max_chars) == (len(full) > max_chars)
-
-
 # the examples come from the hypothesis profile: 2,000 in CI (conftest.py)
 @settings(deadline=None)
-@given(_HTML, st.integers(min_value=0), st.sampled_from([1, 7, tools._FLUSH_CHARS]))
-def test_extraction_matches_pinned_html_parser(html, max_chars, flush_chars):
-    full = extract_flushing_every(flush_chars, html, None, reference_extract)
-    assert extract_flushing_every(flush_chars, html) == full
-    max_chars %= len(full) + 2
-    assert extract_flushing_every(flush_chars, html, max_chars) == extract_flushing_every(
-        flush_chars, html, max_chars, reference_extract
-    )
+@given(_HTML)
+def test_extraction_matches_pinned_html_parser(html):
+    assert extract_static_text(html) == reference_extract(html)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in (BENCH / "pages").iterdir()) + ["golden"])
 def test_extraction_matches_pinned_html_parser_on_fixture_pages(name):
     html = GOLDEN_HTML if name == "golden" else (BENCH / "pages" / name).read_text(encoding="utf-8")
-    for max_chars in (None, 0, 1, 100, CRAWLER_MAX_CHARS):
-        for flush_chars in (1, 7, tools._FLUSH_CHARS):
-            assert extract_flushing_every(flush_chars, html, max_chars) == extract_flushing_every(
-                flush_chars, html, max_chars, reference_extract
-            )
     full = reference_extract(html)
+    assert extract_static_text(html) == full
     assert page_text(html) == (full[:CRAWLER_MAX_CHARS], len(full) > CRAWLER_MAX_CHARS)
 
 
@@ -474,13 +440,6 @@ def test_page_cache_bound_counts_bytes_not_characters(monkeypatch):
     assert extracted == [narrow, wide, wide]
 
 
-def test_bytes_and_str_of_one_page_share_a_cache_entry(monkeypatch):
-    extracted = count_extractions(monkeypatch)
-    html = "<p>caf\u00e9</p>"
-    assert page_text(html.encode("utf-8")) == page_text(html) == ("caf\u00e9", False)
-    assert extracted == [html]
-
-
 def test_a_page_extracted_by_two_threads_at_once_is_held_once(monkeypatch):
     import threading
 
@@ -489,12 +448,12 @@ def test_a_page_extracted_by_two_threads_at_once_is_held_once(monkeypatch):
     second_done = threading.Event()
     html = "<p>new page</p>"
 
-    def extract_in_turn(page, *a):
+    def extract_in_turn(page):
         extracted.append(page)
         if len(extracted) == 1:  # a second reader misses the cache while this one extracts
             second.start()
             second_done.wait(5)
-        text = real_extract(page, *a)
+        text = real_extract(page)
         if len(extracted) == 2:
             second_done.set()
         return text
