@@ -22,7 +22,7 @@ from typing import Any, Callable, get_type_hints
 
 import numpy as np
 
-from .config import InputError, jsonl_objects, typed_value
+from .config import InputError, jsonl_objects, read_fields, typed_value
 
 BYTES_PER_TOKEN_ESTIMATE = 4
 
@@ -154,6 +154,7 @@ class ScriptEntry:
 
 
 _ENTRY_TYPES = get_type_hints(ScriptEntry)
+_ENTRY_DEFAULTS = {f.name for f in fields(ScriptEntry) if f.default is not MISSING}
 
 
 class ScriptFileError(InputError, ValueError):
@@ -202,15 +203,8 @@ class ScriptedBackend(Backend):
         that is not one raises ``ScriptFileError`` citing ``file:line``."""
         entries = []
         for lineno, raw in jsonl_objects(path, ScriptFileError, "a script entry"):
-            values = {}
-            for f in fields(ScriptEntry):
-                if f.name in raw:
-                    try:
-                        values[f.name] = typed_value(_ENTRY_TYPES[f.name], raw[f.name])
-                    except ValueError as exc:
-                        raise ScriptFileError(f"{path}:{lineno}: {f.name}: {exc}") from None
-                elif f.default is MISSING:
-                    raise ScriptFileError(f"{path}:{lineno}: missing field {f.name!r}")
+            values = read_fields(raw, _ENTRY_TYPES, ScriptFileError, f"{path}:{lineno}: field ",
+                                 optional=_ENTRY_DEFAULTS)
             try:
                 entries.append(ScriptEntry(**values))
             except ValueError as exc:
@@ -253,6 +247,7 @@ class ScriptedBackend(Backend):
 API_BASE_ENV = "AGENTMETER_API_BASE"
 API_KEY_ENV = "AGENTMETER_API_KEY"
 DEFAULT_API_BASE = "https://api.openai.com/v1"
+COMPLETION_TIMEOUT_S = 120.0
 
 
 class OpenAIBackend(Backend):
@@ -267,12 +262,10 @@ class OpenAIBackend(Backend):
         self,
         base_url: str | None = None,
         api_key: str | None = None,
-        timeout: float = 120.0,
         max_retries: int = 3,
     ):
         self.base_url = (base_url or os.environ.get(API_BASE_ENV, DEFAULT_API_BASE)).rstrip("/")
         self.api_key = api_key or os.environ.get(API_KEY_ENV) or os.environ.get("OPENAI_API_KEY")
-        self.timeout = timeout
         self.max_retries = max_retries
 
     def complete(self, request: ModelRequest) -> ModelResponse:
@@ -299,7 +292,7 @@ class OpenAIBackend(Backend):
                     f"{self.base_url}/chat/completions",
                     json=payload,
                     headers=headers,
-                    timeout=self.timeout,
+                    timeout=COMPLETION_TIMEOUT_S,
                 )
             except requests.RequestException as exc:
                 last_error = exc

@@ -23,7 +23,6 @@ from pathlib import Path
 from .backend import Backend, OpenAIBackend, ScriptedBackend
 from .config import (
     AgentConfig,
-    ConfigIssue,
     InputError,
     InvalidConfigError,
     PricingTable,
@@ -141,15 +140,7 @@ def load_settings(args) -> tuple[AgentConfig, PricingTable]:
     if args.pricing:
         _, override = load_config(args.pricing)
         if not override.models():
-            raise InvalidConfigError(
-                [
-                    ConfigIssue(
-                        "missing_pricing",
-                        "pricing",
-                        f"{args.pricing} has no [pricing.<model>] sections",
-                    )
-                ]
-            )
+            raise InvalidConfigError(f"{args.pricing} has no [pricing.<model>] sections")
         pricing = override
     return config, pricing
 

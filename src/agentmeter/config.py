@@ -224,30 +224,18 @@ def default_pricing() -> PricingTable:
     )
 
 
-@dataclass(frozen=True)
-class ConfigIssue:
-    kind: str  # "range" | "missing_pricing" | "value"
-    field: str
-    message: str
-
-
 class InputError(Exception):
     """Input that cannot be used. Every error for a file, field or recording
     the program refuses derives from it; the CLI exits 2 on it."""
 
 
 class InvalidConfigError(InputError, ValueError):
-    def __init__(self, issues: list[ConfigIssue]):
-        super().__init__("; ".join(i.message for i in issues))
-        self.issues = issues
+    pass
 
 
 class UnknownFieldError(InvalidConfigError, TypeError):
     """A key that names no AgentConfig field: a TypeError too, as an unknown
     keyword argument is."""
-
-    def __init__(self, name: str):
-        super().__init__([ConfigIssue("value", name, f"AgentConfig has no field {name!r}")])
 
 
 _POSITIVE_FIELDS = (
@@ -260,31 +248,19 @@ _POSITIVE_FIELDS = (
 )
 
 
-def config_issues(cfg: AgentConfig, pricing: PricingTable) -> list[ConfigIssue]:
+def config_issues(cfg: AgentConfig, pricing: PricingTable) -> list[str]:
     issues = []
     for name in _POSITIVE_FIELDS:
         value = getattr(cfg, name)
         if value < 1:
-            issues.append(ConfigIssue("range", name, f"{name} must be >= 1, got {value}"))
+            issues.append(f"{name} must be >= 1, got {value}")
     for name in ("temperature", "bon_temperature"):
         value = getattr(cfg, name)
         if not (math.isfinite(value) and value >= 0):
-            message = f"{name} must be a finite number >= 0, got {value}"
-            issues.append(ConfigIssue("range", name, message))
-    if cfg.backbone_id not in pricing:
-        issues.append(
-            ConfigIssue(
-                "missing_pricing", "backbone_id", f"no pricing entry for {cfg.backbone_id!r}"
-            )
-        )
-    if cfg.prm_backbone_id is not None and cfg.prm_backbone_id not in pricing:
-        issues.append(
-            ConfigIssue(
-                "missing_pricing",
-                "prm_backbone_id",
-                f"no pricing entry for {cfg.prm_backbone_id!r}",
-            )
-        )
+            issues.append(f"{name} must be a finite number >= 0, got {value}")
+    for model in (cfg.backbone_id, cfg.prm_backbone_id):
+        if model is not None and model not in pricing:
+            issues.append(f"no pricing entry for {model!r}")
     return issues
 
 
@@ -292,7 +268,7 @@ def validate_config(cfg: AgentConfig, pricing: PricingTable) -> AgentConfig:
     """Return the config unchanged if every invariant holds, else raise."""
     issues = config_issues(cfg, pricing)
     if issues:
-        raise InvalidConfigError(issues)
+        raise InvalidConfigError("; ".join(issues))
     return cfg
 
 
@@ -340,6 +316,30 @@ def typed_value(kind, value, text: bool = False):
     raise ValueError(f"{value!r} is not a valid {kinds[0].__name__}")
 
 
+def read_fields(raw: dict, kinds: dict, error, where: str, optional=(), text: bool = False) -> dict:
+    """``typed_value`` of each field of record ``raw`` that ``kinds`` maps to
+    its kind: the one reader of a record read from a file or a recording. A
+    field missing from ``raw`` is left out if it is ``optional``; otherwise,
+    or when its value is refused, ``error`` is raised with the message
+    ``<where><name> is missing or invalid: <value!r>``. ``where`` ends just
+    before the field name, such as ``"tasks.jsonl:3: field "``."""
+    values = {}
+    for name, kind in kinds.items():
+        if name in raw:
+            value = raw[name]
+            try:
+                values[name] = typed_value(kind, value, text)
+                continue
+            except ValueError:
+                pass
+        elif name in optional:
+            continue
+        else:
+            value = None
+        raise error(f"{where}{name} is missing or invalid: {value!r}")
+    return values
+
+
 _FIELD_TYPES = get_type_hints(AgentConfig)
 
 
@@ -350,11 +350,11 @@ def coerce_field(name: str, value):
     try:
         kind = _FIELD_TYPES[name]
     except KeyError:
-        raise UnknownFieldError(name) from None
+        raise UnknownFieldError(f"AgentConfig has no field {name!r}") from None
     try:
         return typed_value(kind, value, text=True)
     except ValueError as exc:
-        raise InvalidConfigError([ConfigIssue("value", name, f"{name}: {exc}")]) from None
+        raise InvalidConfigError(f"{name}: {exc}") from None
 
 
 def config_from_snapshot(data: dict) -> AgentConfig:
@@ -388,7 +388,7 @@ def parse_config(text: str, source: str = "<string>") -> tuple[AgentConfig, Pric
         parser.read_string(text, source=source)
         sections = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
-        raise _file_error(f"{source}: {' '.join(str(exc).split())}") from None
+        raise InvalidConfigError(f"{source}: {' '.join(str(exc).split())}") from None
 
     cfg = config_from_snapshot(sections.get("agent", {}))
 
@@ -412,16 +412,11 @@ def _file_value(section: str, values: dict, key: str, convert):
             raise ValueError("missing")
         return convert(values[key])
     except ValueError as exc:  # MoneyResolutionError among them
-        issue = ConfigIssue("value", f"{section}.{key}", f"[{section}] {key}: {exc}")
-        raise InvalidConfigError([issue]) from None
-
-
-def _file_error(message: str) -> InvalidConfigError:
-    return InvalidConfigError([ConfigIssue("value", "file", message)])
+        raise InvalidConfigError(f"[{section}] {key}: {exc}") from None
 
 
 def load_config(path: str | Path) -> tuple[AgentConfig, PricingTable]:
-    return parse_config(read_text(path, _file_error), source=str(path))
+    return parse_config(read_text(path, InvalidConfigError), source=str(path))
 
 
 # -- input files -------------------------------------------------------------

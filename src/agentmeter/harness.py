@@ -34,7 +34,6 @@ from .backend import Backend
 from .config import (
     SWEEPABLE_FIELDS,
     AgentConfig,
-    ConfigIssue,
     InputError,
     InvalidConfigError,
     PricingTable,
@@ -43,7 +42,7 @@ from .config import (
     config_hash,
     config_snapshot,
     jsonl_objects,
-    typed_value,
+    read_fields,
     validate_config,
 )
 from .ledger import AggregateRow, EmptyBenchmarkError, aggregate
@@ -87,14 +86,9 @@ class DuplicateTaskIdError(TaskFileError):
     pass
 
 
-def _task_text(raw: dict, key: str, where: str) -> str:
-    """A task's text field, which a JSON string or number gives."""
-    try:
-        return str(typed_value(str | int | float, raw[key]))
-    except KeyError:
-        raise TaskFileError(f"{where}: missing field {key!r}") from None
-    except ValueError as exc:
-        raise TaskFileError(f"{where}: {key}: {exc}") from None
+# a task's text fields are JSON strings or numbers; Level may be an integer string
+_TASK_LINE_TYPES = {"task_id": str | int | float, "Question": str | int | float,
+                    "Final answer": str | int | float, "Level": int, "file_name": str | None}
 
 
 def load_tasks(path: str | Path) -> list[Task]:
@@ -104,27 +98,21 @@ def load_tasks(path: str | Path) -> list[Task]:
     tasks: list[Task] = []
     seen: set[str] = set()
     for lineno, raw in jsonl_objects(path, TaskFileError, "a task"):
-        task_id, question, expected = (
-            _task_text(raw, key, f"{path}:{lineno}") for key in ("task_id", "Question", "Final answer")
-        )
-        try:
-            level = typed_value(int, raw["Level"], text=True)
-        except KeyError as exc:
-            raise TaskFileError(f"{path}:{lineno}: missing field {exc}") from None
-        except ValueError:  # only typed_value raises it
-            raise TaskFileError(f"{path}:{lineno}: Level {raw['Level']!r} is not an integer") from None
+        values = read_fields(raw, _TASK_LINE_TYPES, TaskFileError, f"{path}:{lineno}: field ",
+                             optional=("file_name",), text=True)
+        task_id = str(values["task_id"])
         if task_id in seen:
             raise DuplicateTaskIdError(f"{path}:{lineno}: duplicate task_id {task_id!r}")
         seen.add(task_id)
-        file_name = str(raw.get("file_name") or "").strip()
+        file_name = (values.get("file_name") or "").strip()
         attachments = (str(base / file_name),) if file_name else ()
         try:
             tasks.append(
                 Task(
                     task_id=task_id,
-                    level=level,
-                    question=question,
-                    expected_answer=expected,
+                    level=values["Level"],
+                    question=str(values["Question"]),
+                    expected_answer=str(values["Final answer"]),
                     attachments=attachments,
                 )
             )
@@ -213,17 +201,12 @@ class TaskOutcome:
                 "total_tokens": self.total_tokens}
 
 
-_TASK_TYPES = get_type_hints(Task)
-_OUTCOME_TYPES = get_type_hints(TaskOutcome)
-
-
-def _typed(path: str | Path, field: str, value, kind: type):
-    """``typed_value`` of ``value``; a value it refuses raises a
-    ``TraceFormatError`` naming the trace ``field``."""
-    try:
-        return typed_value(kind, value)
-    except ValueError:
-        raise TraceFormatError(f"{path}: {field} is missing or invalid: {value!r}") from None
+# what a trace records: its header, the header's task, and its result line
+_HEADER_TYPES = {"task": dict, "task_id": str, "config": dict, "pricing": dict}
+_HEADER_TASK_TYPES = {"attachment_names": list, "level": int, "question": str,
+                      "expected_answer": str}
+_RESULT_TYPES = {name: kind for name, kind in get_type_hints(TaskOutcome).items()
+                 if name not in ("task_id", "level")}
 
 
 def _parsed(path: str | Path, field: str, build, *args, **kwargs):
@@ -256,29 +239,24 @@ def run_header(task: Task, config: AgentConfig, pricing: PricingTable) -> dict:
 def recorded_run(path: str | Path, header: dict) -> tuple[Task, AgentConfig, PricingTable]:
     """The task, config and pricing a trace header records: the inverse of
     ``run_header``. A missing or invalid field raises ``TraceFormatError``."""
-    info = _typed(path, "header field task", header.get("task"), dict)
-    names = _typed(path, "header field task.attachment_names", info.get("attachment_names"), list)
+    head = read_fields(header, _HEADER_TYPES, TraceFormatError, f"{path}: header field ")
+    where = f"{path}: header field task."
+    info = read_fields(head["task"], _HEADER_TASK_TYPES, TraceFormatError, where)
+    names = info.pop("attachment_names")
     for name in names:
-        _typed(path, "header field task.attachment_names", name, str)
-    values = {
-        "task_id": _typed(path, "header field task_id", header.get("task_id"), str),
-        # names only; replayed read_attachment events never touch disk
-        "attachments": tuple(names),
-    }
-    for name in ("level", "question", "expected_answer"):
-        values[name] = _typed(path, f"header field task.{name}", info.get(name), _TASK_TYPES[name])
-    task = _parsed(path, "task", Task, **values)
-    config = _parsed(path, "config", config_from_snapshot,
-                     _typed(path, "header field config", header.get("config"), dict))
-    pricing = _parsed(path, "pricing", PricingTable.from_snapshot,
-                      _typed(path, "header field pricing", header.get("pricing"), dict))
+        read_fields({"attachment_names": name}, {"attachment_names": str}, TraceFormatError, where)
+    # names only; replayed read_attachment events never touch disk
+    task = _parsed(path, "task", Task, head["task_id"], attachments=tuple(names), **info)
+    config = _parsed(path, "config", config_from_snapshot, head["config"])
+    pricing = _parsed(path, "pricing", PricingTable.from_snapshot, head["pricing"])
     _parsed(path, "config", validate_config, config, pricing)
     return task, config, pricing
 
 
-# what a replay reads of a recorded model call that did not fail
+# what a replay reads of a recorded model call that did not fail, and of one that did
 _MODEL_CALL_TYPES = {"response": str, "model_id": str, "prompt_tokens": int,
                      "completion_tokens": int, "estimated": bool}
+_FAILED_CALL_TYPES = {"error": str}
 
 
 def _check_model_calls(path: str | Path, events: Sequence[dict]) -> None:
@@ -286,13 +264,9 @@ def _check_model_calls(path: str | Path, events: Sequence[dict]) -> None:
     a missing or invalid field raises ``TraceFormatError`` naming the call."""
     calls = (event for event in events if event["type"] == "model_call")
     for n, event in enumerate(calls, 1):
-        kinds = {"error": str} if "error" in event else _MODEL_CALL_TYPES
-        for name, kind in kinds.items():
-            value = event.get(name)
-            try:
-                typed_value(kind, value)
-            except ValueError:  # labelled only here: a label per field was most of the cost
-                _typed(path, f"model call {n} field {name}", value, kind)
+        kinds = _FAILED_CALL_TYPES if "error" in event else _MODEL_CALL_TYPES
+        # one label per call: a label per field was most of this check's cost
+        read_fields(event, kinds, TraceFormatError, f"{path}: model call {n} field ")
         if min(event.get("prompt_tokens", 0), event.get("completion_tokens", 0)) < 0:
             raise TraceFormatError(f"{path}: model call {n} has a negative token count")
 
@@ -303,10 +277,8 @@ def recorded_outcome(path: str | Path, line: dict | None, task: Task) -> TaskOut
     raises ``TraceFormatError``."""
     if line is None:
         raise TraceFormatError(f"{path}: no result line; the recording is incomplete")
-    values = {"task_id": task.task_id, "level": task.level}
-    for name, kind in list(_OUTCOME_TYPES.items())[2:]:
-        values[name] = _typed(path, f"result field {name}", line.get(name), kind)
-    return TaskOutcome(**values)
+    values = read_fields(line, _RESULT_TYPES, TraceFormatError, f"{path}: result field ")
+    return TaskOutcome(task.task_id, task.level, **values)
 
 
 @dataclass(frozen=True)
@@ -434,8 +406,7 @@ def run_benchmark(
     if not tasks:
         raise EmptyBenchmarkError("no tasks to run")
     if workers < 1:
-        message = f"workers must be >= 1, got {workers}"
-        raise InvalidConfigError([ConfigIssue("range", "workers", message)])
+        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     validate_config(config, pricing)
     if trace_dir is not None:
         _check_trace_names(tasks, config_hash(config))
@@ -487,7 +458,7 @@ def sweep_configs(base: AgentConfig, axis: str, values: Sequence) -> list[AgentC
         if first < i:
             # equal configs would repeat one benchmark and overwrite its trace files
             message = f"{axis}: {values[i]!r} repeats {values[first]!r}; give each value once"
-            raise InvalidConfigError([ConfigIssue("value", axis, message)])
+            raise InvalidConfigError(message)
     return [replace(base, **{axis: v}) for v in coerced]
 
 

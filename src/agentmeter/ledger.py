@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .backend import Purpose, TokenUsage
-from .config import InputError, ModelPricing, PricingTable, typed_value
+from .config import InputError, ModelPricing, PricingTable, read_fields
 from .money import PICO_PER_USD
 
 
@@ -173,6 +173,7 @@ class Scope(Enum):
 
 
 _ROW_COUNTS = ("task_count", "solved_count", "total_cost_pico", "total_tokens")
+_ROW_TYPES = {"scope": Scope, **dict.fromkeys(_ROW_COUNTS, int)}
 
 
 @dataclass(frozen=True)
@@ -202,9 +203,9 @@ class AggregateRow:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AggregateRow":
-        """Inverse of :meth:`to_dict`; a value of the wrong type raises ``ValueError``."""
-        counts = (typed_value(int, data[name]) for name in _ROW_COUNTS)
-        return cls(typed_value(Scope, data["scope"]), *counts)
+        """Inverse of :meth:`to_dict`; a missing field or a value of the wrong
+        type raises ``ValueError``."""
+        return cls(**read_fields(data, _ROW_TYPES, ValueError, "row field "))
 
     @property
     def accuracy(self) -> float:

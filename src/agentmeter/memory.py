@@ -49,8 +49,8 @@ class SummaryEntry:
 class VectorStore:
     """Ordered collection of embedded step summaries, one dimension throughout."""
 
-    def __init__(self, dim: int | None = None):
-        self.dim = dim
+    def __init__(self) -> None:
+        self.dim: int | None = None  # set by the first entry
         self._entries: list[SummaryEntry] = []
 
     def add(self, entry: SummaryEntry) -> None:

@@ -32,7 +32,15 @@ from typing import TYPE_CHECKING, Sequence
 
 from .actions import Action, ActionName
 from .backend import Message, Purpose
-from .config import AgentConfig, InputError, PageStrategy, SourceSet, read_text, typed_value
+from .config import (
+    AgentConfig,
+    InputError,
+    PageStrategy,
+    SourceSet,
+    read_fields,
+    read_text,
+    typed_value,
+)
 from . import prompts
 
 if TYPE_CHECKING:
@@ -46,6 +54,11 @@ ATTACHMENT_MAX_CHARS = 40000
 PAGE_CACHE_MAX_BYTES = 32 * 2**20  # HTML plus text held by the page-text cache
 DEFAULT_PER_QUERY_LIMIT = 5
 SERP_GATEWAY_ENV = "AGENTMETER_SERP_URL"
+WIKIPEDIA_API = "https://en.wikipedia.org/w/api.php"
+USER_AGENT = "agentmeter/0.1 (research harness)"
+SEARCH_TIMEOUT_S = 15.0
+FETCH_TIMEOUT_S = 30.0
+FETCH_DELAY_S = 0.5  # between two live fetches from one host
 
 
 class ToolError(RuntimeError):
@@ -138,35 +151,41 @@ def _search_row(row) -> tuple[str, str, str]:
     return strings
 
 
+# a row of a live engine's answer; one that is not all strings fails the engine
+_ROW_TYPES = {"title": str, "url": str, "snippet": str}
+
+
+def _live_row(row: dict, provider: str, rank: int, optional=()) -> SearchResult:
+    values = read_fields(row, _ROW_TYPES, ToolError, f"row {rank} field ", optional)
+    title, snippet = values.get("title", ""), values.get("snippet", "")
+    return SearchResult(title, values["url"], snippet, provider, rank)
+
+
 class WikipediaProvider(SearchProvider):
     """Wikipedia's public opensearch endpoint."""
 
     name = "wikipedia"
 
-    def __init__(self, lang: str = "en", timeout: float = 15.0):
-        self._endpoint = f"https://{lang}.wikipedia.org/w/api.php"
-        self._timeout = timeout
-
     def search(self, query: str, limit: int) -> list[SearchResult]:
         import requests
 
         resp = requests.get(
-            self._endpoint,
+            WIKIPEDIA_API,
             params={
                 "action": "opensearch",
                 "search": query,
                 "limit": str(limit),
                 "format": "json",
             },
-            timeout=self._timeout,
-            headers={"User-Agent": DEFAULT_USER_AGENT},
+            timeout=SEARCH_TIMEOUT_S,
+            headers={"User-Agent": USER_AGENT},
         )
         resp.raise_for_status()
         body = resp.json()
         titles, descriptions, urls = body[1], body[2], body[3]
         return [
-            SearchResult(title=t, url=u, snippet=d, provider=self.name, rank=i + 1)
-            for i, (t, d, u) in enumerate(zip(titles, descriptions, urls))
+            _live_row({"title": t, "url": u, "snippet": d}, self.name, i)
+            for i, (t, d, u) in enumerate(zip(titles, descriptions, urls), 1)
         ]
 
 
@@ -181,17 +200,14 @@ class DuckDuckGoProvider(SearchProvider):
     )
     _TAGS = re.compile(r"<[^>]+>")
 
-    def __init__(self, timeout: float = 15.0):
-        self._timeout = timeout
-
     def search(self, query: str, limit: int) -> list[SearchResult]:
         import requests
 
         resp = requests.get(
             "https://html.duckduckgo.com/html/",
             params={"q": query},
-            timeout=self._timeout,
-            headers={"User-Agent": DEFAULT_USER_AGENT},
+            timeout=SEARCH_TIMEOUT_S,
+            headers={"User-Agent": USER_AGENT},
         )
         resp.raise_for_status()
         results = []
@@ -214,15 +230,14 @@ class SerpGatewayProvider(SearchProvider):
 
     The gateway URL comes from AGENTMETER_SERP_URL and must answer
     GET ?provider=...&q=...&limit=... with a JSON list of objects holding
-    title, url, snippet. Without a gateway the provider yields nothing,
-    with a single warning per process.
+    a string url and, optionally, a string title and snippet. Without a
+    gateway the provider yields nothing, with a single warning per process.
     """
 
     _warned: set[str] = set()
 
-    def __init__(self, name: str, timeout: float = 15.0):
+    def __init__(self, name: str):
         self.name = name
-        self._timeout = timeout
 
     def search(self, query: str, limit: int) -> list[SearchResult]:
         gateway = os.environ.get(SERP_GATEWAY_ENV)
@@ -240,18 +255,12 @@ class SerpGatewayProvider(SearchProvider):
         resp = requests.get(
             gateway,
             params={"provider": self.name, "q": query, "limit": str(limit)},
-            timeout=self._timeout,
+            timeout=SEARCH_TIMEOUT_S,
         )
         resp.raise_for_status()
         return [
-            SearchResult(
-                title=row.get("title", ""),
-                url=row.get("url", ""),
-                snippet=row.get("snippet", ""),
-                provider=self.name,
-                rank=i + 1,
-            )
-            for i, row in enumerate(resp.json())
+            _live_row(row, self.name, i, optional=("title", "snippet"))
+            for i, row in enumerate(resp.json(), 1)
         ]
 
 
@@ -348,8 +357,6 @@ def expand_queries(
 
 
 # -- page fetching and text extraction ---------------------------------------
-
-DEFAULT_USER_AGENT = "agentmeter/0.1 (research harness)"
 
 _SKIP_TAGS = {"script", "style", "noscript", "template"}
 _HEADING_LEVEL = {f"h{i}": i for i in range(1, 7)}
@@ -754,23 +761,13 @@ class HttpFetcher(PageFetcher):
 
     _HTML_TYPES = ("text/html", "application/xhtml", "text/plain")
 
-    def __init__(
-        self,
-        user_agent: str = DEFAULT_USER_AGENT,
-        timeout: float = 30.0,
-        delay_s: float = 0.5,
-    ):
-        self.user_agent = user_agent
-        self.timeout = timeout
-        self.delay_s = delay_s
+    def __init__(self) -> None:
         self._last_hit: dict[str, float] = {}
 
     def _polite_wait(self, host: str) -> None:
-        if self.delay_s <= 0:
-            return
         last = self._last_hit.get(host)
         if last is not None:
-            remaining = self.delay_s - (time.monotonic() - last)
+            remaining = FETCH_DELAY_S - (time.monotonic() - last)
             if remaining > 0:
                 time.sleep(remaining)
         self._last_hit[host] = time.monotonic()
@@ -783,7 +780,7 @@ class HttpFetcher(PageFetcher):
         self._polite_wait(urllib.parse.urlsplit(url).netloc)
         try:
             resp = requests.get(
-                url, timeout=self.timeout, headers={"User-Agent": self.user_agent}
+                url, timeout=FETCH_TIMEOUT_S, headers={"User-Agent": USER_AGENT}
             )
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc

@@ -365,15 +365,30 @@ OUTSIDE_INPUTS = {
     "workers_0": ({}, ("--workers", "0"), "workers must be >= 1, got 0"),
     "level_not_a_number": (
         {"tasks.jsonl": '{"task_id": "t", "Level": "x", "Question": "q", "Final answer": "a"}\n'},
-        (), "tasks.jsonl:1: Level 'x' is not an integer",
+        (), "tasks.jsonl:1: field Level is missing or invalid: 'x'",
     ),
     "task_answer_null": (
         {"tasks.jsonl": '{"task_id": "t", "Level": 1, "Question": "q", "Final answer": null}\n'},
-        (), "tasks.jsonl:1: Final answer: None is not a valid str",
+        (), "tasks.jsonl:1: field Final answer is missing or invalid: None",
     ),
     "task_question_an_object": (
         {"tasks.jsonl": '{"task_id": "t", "Level": 1, "Question": {"q": 1}, "Final answer": "a"}\n'},
-        (), "tasks.jsonl:1: Question: {'q': 1} is not a valid str",
+        (), "tasks.jsonl:1: field Question is missing or invalid: {'q': 1}",
+    ),
+    "task_file_name_a_list": (
+        {"tasks.jsonl": '{"task_id": "t", "Level": 1, "Question": "q", "Final answer": "a", '
+                        '"file_name": ["notes.txt"]}\n'},
+        (), "tasks.jsonl:1: field file_name is missing or invalid: ['notes.txt']",
+    ),
+    "task_file_name_true": (
+        {"tasks.jsonl": '{"task_id": "t", "Level": 1, "Question": "q", "Final answer": "a", '
+                        '"file_name": true}\n'},
+        (), "tasks.jsonl:1: field file_name is missing or invalid: True",
+    ),
+    "task_file_name_an_object": (
+        {"tasks.jsonl": '{"task_id": "t", "Level": 1, "Question": "q", "Final answer": "a", '
+                        '"file_name": {"name": "notes.txt"}}\n'},
+        (), "tasks.jsonl:1: field file_name is missing or invalid: {'name': 'notes.txt'}",
     ),
     "task_line_is_a_list": (
         {"tasks.jsonl": '["t", 1]\n'}, (), "tasks.jsonl:1: a task must be a JSON object",
@@ -422,18 +437,19 @@ OUTSIDE_INPUTS = {
     ),
     "script_purpose_unknown": (
         {"script.jsonl": '{"purpose": "critic", "response": "x"}\n'},
-        (), "script.jsonl:1: purpose: 'critic' is not a valid Purpose",
+        (), "script.jsonl:1: field purpose is missing or invalid: 'critic'",
     ),
     "script_times_text": (
         {"script.jsonl": '{"purpose": "actor", "response": "x", "times": "2"}\n'},
-        (), "script.jsonl:1: times: '2' is not a valid int",
+        (), "script.jsonl:1: field times is missing or invalid: '2'",
     ),
     "script_prompt_tokens_negative": (
         {"script.jsonl": '{"purpose": "actor", "response": "x", "prompt_tokens": -1}\n'},
         (), "script.jsonl:1: token counts must be non-negative",
     ),
     "script_response_missing": (
-        {"script.jsonl": '{"purpose": "actor"}\n'}, (), "script.jsonl:1: missing field 'response'",
+        {"script.jsonl": '{"purpose": "actor"}\n'},
+        (), "script.jsonl:1: field response is missing or invalid: None",
     ),
     "script_not_utf8": (
         {"script.jsonl": b'{"purpose": "actor", "response": "\xff"}\n'},
@@ -453,11 +469,11 @@ OUTSIDE_INPUTS = {
     ),
     "results_count_true": (
         {"results.json": json.dumps({"rows": [{**RESULT_ROW, "solved_count": True}]})},
-        (), "(ValueError: True is not a valid int)",
+        (), "(ValueError: row field solved_count is missing or invalid: True)",
     ),
     "results_count_fraction": (
         {"results.json": json.dumps({"rows": [{**RESULT_ROW, "total_tokens": 12.9}]})},
-        (), "(ValueError: 12.9 is not a valid int)",
+        (), "(ValueError: row field total_tokens is missing or invalid: 12.9)",
     ),
     "results_is_a_directory": ({"results.json": DIRECTORY}, (), "Is a directory"),
     "trace_version_true": (

@@ -7,7 +7,6 @@ import pytest
 from agentmeter.config import (
     SWEEPABLE_FIELDS,
     AgentConfig,
-    ConfigIssue,
     InvalidConfigError,
     MemoryMode,
     MissingPricingError,
@@ -25,6 +24,7 @@ from agentmeter.config import (
     default_pricing,
     efficient_config,
     parse_config,
+    read_fields,
     validate_config,
 )
 from agentmeter.harness import sweep_configs
@@ -135,28 +135,26 @@ def test_validate_flags_bad_ranges(pricing):
         default_config(), max_steps=0, retrieval_k=-2, temperature=math.nan, bon_temperature=math.inf
     )
     issues = config_issues(bad, pricing)
-    assert {i.field for i in issues} == {
-        "max_steps", "retrieval_k", "temperature", "bon_temperature"
-    }
-    with pytest.raises(InvalidConfigError):
+    assert issues == [
+        "max_steps must be >= 1, got 0",
+        "retrieval_k must be >= 1, got -2",
+        "temperature must be a finite number >= 0, got nan",
+        "bon_temperature must be a finite number >= 0, got inf",
+    ]
+    with pytest.raises(InvalidConfigError, match="^max_steps must be >= 1, got 0; retrieval_k"):
         validate_config(bad, pricing)
 
 
 def test_validate_flags_missing_pricing():
     cfg = default_config()
     issues = config_issues(cfg, PricingTable({}))
-    assert any(i.kind == "missing_pricing" for i in issues)
+    assert issues == ["no pricing entry for 'gpt-4.1'"]
 
 
 def test_validate_checks_judge_model_pricing(pricing):
     cfg = dataclasses.replace(default_config(), prm_backbone_id="other-model")
     issues = config_issues(cfg, pricing)
-    assert any(i.field == "prm_backbone_id" for i in issues)
-
-
-def test_issue_is_plain_data():
-    issue = ConfigIssue("range", "max_steps", "msg")
-    assert issue.kind == "range"
+    assert issues == ["no pricing entry for 'other-model'"]
 
 
 # -- snapshot / hash ---------------------------------------------------------
@@ -276,6 +274,27 @@ def test_snapshot_values_must_have_the_field_type():
     assert (cfg.max_steps, cfg.source_set) == (12, SourceSet.MULTI)
     assert sweep_configs(default_config(), "max_steps", ["12"])[0].max_steps == 12
     assert sweep_configs(default_config(), "source_set", ["MULTI"])[0].source_set is SourceSet.MULTI
+
+
+def test_read_fields_types_each_field_of_a_record():
+    kinds = {"name": str, "count": int, "note": str | None}
+
+    def read(raw, **options):
+        return read_fields(raw, kinds, InvalidConfigError, "r.jsonl:1: field ", **options)
+
+    assert read({"name": "a", "count": 2, "note": None}) == {"name": "a", "count": 2, "note": None}
+    # an optional field left out is left out; a missing one that is not optional is refused
+    assert read({"name": "a", "count": 2}, optional=("note",)) == {"name": "a", "count": 2}
+    with pytest.raises(InvalidConfigError) as info:
+        read({"name": "a", "count": 2})
+    assert str(info.value) == "r.jsonl:1: field note is missing or invalid: None"
+    # a bool is no int; with text, an integer string is parsed
+    with pytest.raises(InvalidConfigError) as info:
+        read({"name": "a", "count": True, "note": None})
+    assert str(info.value) == "r.jsonl:1: field count is missing or invalid: True"
+    assert read({"name": "a", "count": "3", "note": None}, text=True)["count"] == 3
+    with pytest.raises(InvalidConfigError, match="field count is missing or invalid: '3'"):
+        read({"name": "a", "count": "3", "note": None})
 
 
 def test_coerce_field_rejects_unknown_field():

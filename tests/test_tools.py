@@ -76,6 +76,42 @@ def test_search_skips_failing_provider_and_bad_urls():
     assert [r.url for r in out] == ["http://x.com/"]
 
 
+class LiveResponse:
+    def __init__(self, body):
+        self._body = body
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self._body
+
+
+def test_a_malformed_live_row_fails_its_engine_and_search_goes_on(monkeypatch, caplog):
+    import requests
+
+    def get(url, params, timeout, headers=None):
+        if url == tools.WIKIPEDIA_API:  # opensearch: query, titles, descriptions, urls
+            return LiveResponse(["q", [{"t": 1}], ["d"], ["http://w.org/"]])
+        rows = {"google": [{"title": "t", "url": 5}], "bing": [{"url": "http://b.com/"}]}
+        return LiveResponse(rows[params["provider"]])
+
+    monkeypatch.setattr(requests, "get", get)
+    monkeypatch.setenv(tools.SERP_GATEWAY_ENV, "http://gateway.test/")
+    engines = [tools.SerpGatewayProvider("google"), tools.WikipediaProvider(),
+               tools.SerpGatewayProvider("bing"), provider("ok", {"q": [("T", "http://x.com/", "s")]})]
+    with caplog.at_level("WARNING", logger="agentmeter.tools"):
+        out = search(engines, ["q"])
+    # a gateway row without title or snippet reads them as ""
+    assert [(r.provider, r.title, r.url, r.snippet) for r in out] == [
+        ("bing", "", "http://b.com/", ""), ("ok", "T", "http://x.com/", "s"),
+    ]
+    assert [r.getMessage() for r in caplog.records] == [
+        "provider google failed for 'q': row 1 field url is missing or invalid: 5",
+        "provider wikipedia failed for 'q': row 1 field title is missing or invalid: {'t': 1}",
+    ]
+
+
 def test_search_respects_per_query_limit_and_requires_queries():
     rows = [(f"T{i}", f"http://site.com/{i}", "s") for i in range(10)]
     out = search([provider("p", {"q": rows})], ["q"], per_query_limit=3)
