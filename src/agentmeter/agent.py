@@ -16,7 +16,7 @@ from enum import Enum
 
 from .actions import Action, ActionName, UnparsableActionError, parse_action
 from .backend import Message, Purpose, TokenUsage
-from .config import AgentConfig
+from .config import AgentConfig, InputError
 from .memory import RunMemory, full_block
 from .session import RunSession, RunTimeoutError
 from .tools import ToolBox
@@ -275,6 +275,8 @@ def run_task(
     except RunTimeoutError:
         log.warning("run %s hit its wall-clock limit", task_id)
         terminated_by = TerminatedBy.TIMEOUT
+    except InputError:
+        raise  # a recording that a replay cannot serve: refused, not a failed run
     except Exception as exc:
         # one failing run must not take the benchmark down; its cost and trace stay
         log.warning("run %s aborted: %s", task_id, exc, exc_info=True)

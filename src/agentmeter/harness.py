@@ -253,24 +253,6 @@ def recorded_run(path: str | Path, header: dict) -> tuple[Task, AgentConfig, Pri
     return task, config, pricing
 
 
-# what a replay reads of a recorded model call that did not fail, and of one that did
-_MODEL_CALL_TYPES = {"response": str, "model_id": str, "prompt_tokens": int,
-                     "completion_tokens": int, "estimated": bool}
-_FAILED_CALL_TYPES = {"error": str}
-
-
-def _check_model_calls(path: str | Path, events: Sequence[dict]) -> None:
-    """Refuse a trace whose recorded model calls a replay could not serve:
-    a missing or invalid field raises ``TraceFormatError`` naming the call."""
-    calls = (event for event in events if event["type"] == "model_call")
-    for n, event in enumerate(calls, 1):
-        kinds = _FAILED_CALL_TYPES if "error" in event else _MODEL_CALL_TYPES
-        # one label per call: a label per field was most of this check's cost
-        read_fields(event, kinds, TraceFormatError, f"{path}: model call {n} field ")
-        if min(event.get("prompt_tokens", 0), event.get("completion_tokens", 0)) < 0:
-            raise TraceFormatError(f"{path}: model call {n} has a negative token count")
-
-
 def recorded_outcome(path: str | Path, line: dict | None, task: Task) -> TaskOutcome:
     """The outcome a trace records: task id and level from its header's
     task, the other fields from its result line. A missing or invalid field
@@ -310,11 +292,11 @@ class UnknownAxisError(InputError, ValueError):
 def _run(
     task: Task,
     config: AgentConfig,
-    pricing: PricingTable,
-    trace_dir: str | Path | None,
     backend: Backend,
+    pricing: PricingTable,
     providers: Sequence[SearchProvider] = (),
     fetcher: PageFetcher | None = None,
+    trace_dir: str | Path | None = None,
     timeout_s: float | None = None,
 ) -> tuple[TaskOutcome, TaskRunRecord]:
     """The one run path of live runs and replays: trace, session, loop, grade.
@@ -368,16 +350,7 @@ def execute_run(
     timeout_s: float | None = DEFAULT_RUN_TIMEOUT_S,
 ) -> tuple[TaskOutcome, TaskRunRecord]:
     """One complete, isolated task run: trace, session, loop, grade."""
-    return _run(
-        task,
-        config,
-        pricing,
-        trace_dir,
-        backend,
-        providers=providers,
-        fetcher=fetcher,
-        timeout_s=timeout_s,
-    )
+    return _run(task, config, backend, pricing, providers, fetcher, trace_dir, timeout_s)
 
 
 def _check_trace_names(tasks: Sequence[Task], digest: str) -> None:
@@ -478,16 +451,15 @@ def replay_run(
     replay writes its own trace, which for a deterministic run is
     byte-identical to the original.
 
-    A recording without a valid header or result line is refused, and a
-    replay that ends differently from it, or leaves recorded effects
-    unused, raises ``ReplayMismatchError``.
+    A recording that ``read_trace`` or ``recorded_run`` refuses is refused;
+    a replay that asks for another effect than the next recorded one, ends
+    unlike it or leaves recorded effects unused raises ``ReplayMismatchError``.
     """
     data = read_trace(trace_path)
     task, config, pricing = recorded_run(trace_path, data.header)
     recorded = recorded_outcome(trace_path, data.result, task)
-    _check_model_calls(trace_path, data.events)
-    source = ReplaySource(data)
-    outcome, record = _run(task, config, pricing, trace_dir, source)
+    source = ReplaySource(data, recorded.terminated_by is TerminatedBy.TIMEOUT)
+    outcome, record = _run(task, config, source, pricing, trace_dir=trace_dir)
     was, now = recorded.to_dict(with_task=False), outcome.to_dict(with_task=False)
     diverged = [
         f"{key} recorded {was[key]!r}, replayed {value!r}"

@@ -762,15 +762,18 @@ class HttpFetcher(PageFetcher):
     _HTML_TYPES = ("text/html", "application/xhtml", "text/plain")
 
     def __init__(self) -> None:
-        self._last_hit: dict[str, float] = {}
+        self._next_slot: dict[str, float] = {}
+        self._lock = threading.Lock()
 
     def _polite_wait(self, host: str) -> None:
-        last = self._last_hit.get(host)
-        if last is not None:
-            remaining = FETCH_DELAY_S - (time.monotonic() - last)
-            if remaining > 0:
-                time.sleep(remaining)
-        self._last_hit[host] = time.monotonic()
+        """Wait for the host's next free slot. Slots are reserved under the
+        lock and waited for outside it, so workers keep the delay between them."""
+        with self._lock:
+            now = time.monotonic()
+            slot = max(now, self._next_slot.get(host, now))
+            self._next_slot[host] = slot + FETCH_DELAY_S
+        if slot > now:
+            time.sleep(slot - now)
 
     def fetch(self, url: str) -> str:
         import requests

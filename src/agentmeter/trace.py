@@ -1,9 +1,9 @@
 """Run traces: deterministic capture of every external effect, plus replay.
 
-A trace is a gzip-compressed JSONL file holding one header line followed
-by one event per model call, tool call, and embedding, and a final result
-line; a failed model or tool call is an event with an ``error`` key in
-place of its response. Writing is fully deterministic (sorted keys,
+A trace is a gzip-compressed JSONL file holding one header line, one
+effect line per model call, tool call and embedding, with the fields
+``_EFFECTS`` lists (a failed call has ``error`` in place of its outcome),
+and a final result line. Writing is fully deterministic (sorted keys,
 compact separators, gzip mtime pinned to zero) so identical runs produce
 byte-identical files. A recorded trace contains everything needed to
 re-run the task offline and reproduce the run event for event.
@@ -34,10 +34,11 @@ from .backend import (
     BackendError,
     ModelRequest,
     ModelResponse,
+    Purpose,
     RunTimeoutError,
     TokenUsage,
 )
-from .config import InputError, typed_value
+from .config import InputError, read_fields, typed_value
 from .tools import ToolError
 
 TRACE_VERSION = 1
@@ -127,22 +128,31 @@ class TraceWriter:
 
 @dataclass(frozen=True)
 class TraceData:
+    path: str | Path
     header: dict
-    events: tuple[dict, ...]
-
-    @property
-    def result(self) -> dict | None:
-        for event in reversed(self.events):
-            if event["type"] == "result":
-                return event
-        return None
+    events: tuple[dict, ...]  # the effect lines, in order
+    result: dict | None  # None when the recording ended early
 
 
 class TraceFormatError(InputError, ValueError):
     pass
 
 
+_EMBED = {"text_sha256": str, "vector": list}
+# each effect line kind: name in errors, field a replay matches, fields, fields if it failed
+_EFFECTS = {
+    "model_call": ("model call", "purpose", {"purpose": Purpose, "response": str, "model_id": str,
+                   "prompt_tokens": int, "completion_tokens": int, "estimated": bool},
+                   {"purpose": Purpose, "error": str}),
+    "tool_call": ("tool call", "tool", {"tool": str, "args": dict, "result": list | dict},
+                  {"tool": str, "error": str}),
+    "embed": ("embedding", "text_sha256", _EMBED, _EMBED),
+}
+
+
 def read_trace(path: str | Path) -> TraceData:
+    """The header, effect lines and result line of trace ``path``; a line
+    out of place or unlike ``_EFFECTS`` raises ``TraceFormatError``."""
     try:
         raw = gzip.decompress(Path(path).read_bytes())
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
@@ -159,8 +169,8 @@ def read_trace(path: str | Path) -> TraceData:
             raise TraceFormatError(f"{path}: line {lineno} is not JSON ({exc})") from None
         if not isinstance(event, dict):
             raise TraceFormatError(f"{path}: line {lineno} is not a JSON object")
-        lines.append(event)
-    first = lines[0] if lines else {}
+        lines.append((lineno, event))
+    first = lines[0][1] if lines else {}
     if first.get("type") != "header":
         raise TraceFormatError(f"{path}: missing header line")
     try:
@@ -169,19 +179,25 @@ def read_trace(path: str | Path) -> TraceData:
         raise TraceFormatError(f"{path}: trace version: {exc}") from None
     if version != TRACE_VERSION:
         raise TraceFormatError(f"{path}: unsupported trace version {version!r}")
-    return TraceData(header=first, events=tuple(lines[1:]))
+    effects = lines[1:]
+    result = effects.pop()[1] if effects and effects[-1][1].get("type") == "result" else None
+    counts = dict.fromkeys(_EFFECTS, 0)
+    for lineno, event in effects:
+        kind = event.get("type")
+        if kind not in _EFFECTS:
+            raise TraceFormatError(f"{path}: line {lineno} has type {kind!r}; after the header "
+                                   "come effect lines, then one result line")
+        name, _, fields, failed = _EFFECTS[kind]
+        n = counts[kind] = counts[kind] + 1
+        values = read_fields(event, failed if "error" in event else fields,
+                             TraceFormatError, f"{path}: {name} {n} field ")
+        if min(values.get("prompt_tokens", 0), values.get("completion_tokens", 0)) < 0:
+            raise TraceFormatError(f"{path}: {name} {n} has a negative token count")
+    return TraceData(path, first, tuple(event for _, event in effects), result)
 
 
 class ReplayMismatchError(InputError, RuntimeError):
     """The live call sequence diverged from the recorded one."""
-
-
-# what each kind of effect is called in errors, and the field that must match
-_EFFECTS = {
-    "model_call": ("model call", "purpose"),
-    "tool_call": ("tool call", "tool"),
-    "embed": ("embedding", "text_sha256"),
-}
 
 
 class ReplaySource(Backend):
@@ -189,25 +205,26 @@ class ReplaySource(Backend):
 
     Each call takes the next recorded effect, which must match it in kind
     and purpose, tool or text. Recorded failures are raised again, and a
-    run that timed out times out again where its recording ends.
+    run that ``timed_out`` times out again where its recording ends.
     """
 
-    def __init__(self, data: TraceData):
-        self._effects = deque(e for e in data.events if e["type"] in _EFFECTS)
-        self._timed_out = (data.result or {}).get("terminated_by") == "timeout"
+    def __init__(self, data: TraceData, timed_out: bool = False):
+        self._path = data.path
+        self._effects = deque(data.events)
+        self._timed_out = timed_out
 
     def _next(self, kind: str, value: str) -> dict:
-        name, key = _EFFECTS[kind]
+        name, key, _, _ = _EFFECTS[kind]
         asked = f"{name} {key}={value!r}"
         if not self._effects:
             if self._timed_out:
                 raise RunTimeoutError(f"the recorded run ran out of time before {asked}")
-            raise ReplayMismatchError(f"replay ran out of recorded effects at {asked}")
+            raise ReplayMismatchError(f"{self._path}: replay ran out of recorded effects at {asked}")
         event = self._effects.popleft()
-        recorded_name, recorded_key = _EFFECTS[event["type"]]
+        recorded_name, recorded_key, _, _ = _EFFECTS[event["type"]]
         recorded = f"{recorded_name} {recorded_key}={event[recorded_key]!r}"
         if recorded != asked:
-            raise ReplayMismatchError(f"replay expected {recorded}, got {asked}")
+            raise ReplayMismatchError(f"{self._path}: replay expected {recorded}, got {asked}")
         return event
 
     def complete(self, request: ModelRequest) -> ModelResponse:

@@ -506,6 +506,18 @@ OUTSIDE_INPUTS = {
         level9_with("model_call", "response", ["1. Look it up."]),
         (), "model call 1 field response is missing or invalid: ['1. Look it up.']",
     ),
+    "trace_line_type_unknown": (
+        level9_with("model_call", "type", "note"), (), "line 2 has type 'note'; after the header",
+    ),
+    "trace_tool_args_text": (
+        level9_with("tool_call", "args", "q"),
+        (), "tool call 1 field args is missing or invalid: 'q'",
+    ),
+    # a valid purpose, but not the one the replayed run asks for first
+    "trace_purpose_edited": (
+        level9_with("model_call", "purpose", "memory"),
+        (), "replay expected model call purpose='memory', got model call purpose='planner'",
+    ),
 }
 
 
@@ -537,6 +549,8 @@ def test_bad_outside_input_exits_two_with_error(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and message in captured.err
+    if "traces" in paths:  # a trace's error names it first
+        assert captured.err.startswith(f"error: {paths['traces'] / LEVEL9.name}: ")
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
 

@@ -755,6 +755,20 @@ def test_failed_and_timed_out_runs_replay_exactly(tmp_path, scenario):
         assert any(entry.error for entry in live_record.ledger.entries)
 
 
+def test_a_timeout_recorded_in_upper_case_replays_as_a_timeout(tmp_path):
+    # an enum is read in any case, and the replay takes its timeout from that reading
+    _, make_backend, timeout_s = FAILURE_SCENARIOS["timeout"]
+    task = Task(task_id="bridge", level=1, question="When did the bridge open?",
+                expected_answer="1931")
+    execute_run(task, default_config(), make_backend(), bench_pricing(), trace_dir=tmp_path,
+                timeout_s=timeout_s)
+    trace = next(tmp_path.glob("bridge.*"))
+    events = trace_lines(trace)
+    events[-1]["terminated_by"] = "TIMEOUT"
+    write_trace_lines(trace, events)
+    assert replay_run(trace)[0].terminated_by is TerminatedBy.TIMEOUT
+
+
 def test_empty_plans_are_asked_again_metered_and_replay_exactly(tmp_path):
     # step 0: an empty plan, then a real one; step 1: empty twice, so step 0's plan stands
     entries = [

@@ -1,6 +1,8 @@
 import dataclasses
 import sys
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,41 @@ def test_a_malformed_live_row_fails_its_engine_and_search_goes_on(monkeypatch, c
         "provider google failed for 'q': row 1 field url is missing or invalid: 5",
         "provider wikipedia failed for 'q': row 1 field title is missing or invalid: {'t': 1}",
     ]
+
+
+def test_concurrent_fetches_from_one_host_keep_the_delay(monkeypatch):
+    import requests
+
+    class Page:
+        status_code = 200
+        headers = {"Content-Type": "text/html"}
+        text = "<p>x</p>"
+
+    gets, waits = [], []
+    monkeypatch.setattr(requests, "get", lambda url, timeout, headers: gets.append(url) or Page())
+    # a clock that stands still: each wait is the whole gap its fetch keeps
+    clock = SimpleNamespace(monotonic=lambda: 100.0, sleep=waits.append)
+    monkeypatch.setattr(tools, "time", clock)
+    fetcher = tools.HttpFetcher()
+    start = threading.Barrier(8)
+
+    def fetch():
+        start.wait(timeout=10)
+        fetcher.fetch("http://x.com/page")
+
+    threads = [threading.Thread(target=fetch) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(gets) == 8
+    assert sorted(waits) == [tools.FETCH_DELAY_S * i for i in range(1, 8)]
 
 
 def test_search_respects_per_query_limit_and_requires_queries():

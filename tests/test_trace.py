@@ -25,6 +25,8 @@ from agentmeter.trace import (
     trace_filename,
 )
 
+from conftest import trace_lines, write_trace_lines
+
 
 def sample_request(purpose=Purpose.ACTOR):
     return ModelRequest(
@@ -70,7 +72,7 @@ def test_round_trip(tmp_path):
     assert data.header["run_id"] == "r"
     assert data.header["task"] == {"level": 1}
     kinds = [e["type"] for e in data.events]
-    assert kinds == ["model_call", "tool_call", "embed", "result"]
+    assert kinds == ["model_call", "tool_call", "embed"]
     assert data.result["solved"] is True
 
 
@@ -155,6 +157,36 @@ def test_read_rejects_line_that_is_not_a_json_object(tmp_path, line):
         read_trace(path)
 
 
+LAYOUT = "after the header come effect lines, then one result line"
+# edits of the sample trace's lines that a replay could not serve, and what the error says
+BAD_LINES = {
+    "result_mid_trace": (
+        lambda lines: lines.insert(2, lines[-1]), f"line 3 has type 'result'; {LAYOUT}",
+    ),
+    "line_without_type": (lambda lines: lines[2].pop("type"), f"line 3 has type None; {LAYOUT}"),
+    "embedding_vector_text": (
+        lambda lines: lines[3].update(vector="0.6,0.8"),
+        "embedding 1 field vector is missing or invalid: '0.6,0.8'",
+    ),
+    "failed_call_error_null": (
+        lambda lines: lines[1].update(error=None),
+        "model call 1 field error is missing or invalid: None",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_LINES))
+def test_read_refuses_a_line_a_replay_cannot_serve(tmp_path, case):
+    edit, message = BAD_LINES[case]
+    path = write_sample(tmp_path / "t.trace")
+    lines = trace_lines(path)
+    edit(lines)
+    write_trace_lines(path, lines)
+    with pytest.raises(TraceFormatError) as info:
+        read_trace(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 # -- replay ------------------------------------------------------------------
 
 
@@ -213,7 +245,7 @@ def test_replay_raises_recorded_failures_then_times_out(tmp_path):
     w.tool_call("fetch_page", {"url": "https://x"}, error="no page")
     w.result({"terminated_by": "timeout"})
     w.close()
-    source = ReplaySource(read_trace(tmp_path / "t.trace"))
+    source = ReplaySource(read_trace(tmp_path / "t.trace"), timed_out=True)
     with pytest.raises(BackendError, match="HTTP 503"):
         source.complete(sample_request())
     with pytest.raises(ToolError, match="no page"):
