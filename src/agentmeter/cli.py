@@ -285,6 +285,9 @@ def cmd_report(args) -> int:
             f"{args.results} is not a results file written by bench --out "
             f"({type(exc).__name__}: {exc})"
         ) from None
+    if not rows:  # bench --out always writes an 'all' row
+        raise ResultsFileError(f"{args.results} is not a results file written by bench --out "
+                               "(it holds no rows)")
     if args.scope:
         rows = filter_scope(rows, args.scope)
     title = f"config {payload.get('config_hash', '')}".strip()

@@ -202,7 +202,8 @@ class TaskOutcome:
 
 
 # what a trace records: its header, the header's task, and its result line
-_HEADER_TYPES = {"task": dict, "task_id": str, "config": dict, "pricing": dict}
+_HEADER_TYPES = {"task": dict, "task_id": str, "config": dict, "pricing": dict, "run_id": str,
+                 "config_hash": str}
 _HEADER_TASK_TYPES = {"attachment_names": list, "level": int, "question": str,
                       "expected_answer": str}
 _RESULT_TYPES = {name: kind for name, kind in get_type_hints(TaskOutcome).items()
@@ -250,6 +251,11 @@ def recorded_run(path: str | Path, header: dict) -> tuple[Task, AgentConfig, Pri
     config = _parsed(path, "config", config_from_snapshot, head["config"])
     pricing = _parsed(path, "pricing", PricingTable.from_snapshot, head["pricing"])
     _parsed(path, "config", validate_config, config, pricing)
+    derived = {"run_id": task.task_id, "config_hash": config_hash(config)}  # as run_header writes
+    for field in derived:
+        if head[field] != derived[field]:
+            raise TraceFormatError(f"{path}: header field {field} is invalid: {head[field]!r}, "
+                                   f"but the header's task and config give {derived[field]!r}")
     return task, config, pricing
 
 

@@ -25,7 +25,10 @@ import re
 import zlib
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .backend import (
     TokenUsage,
 )
 from .config import InputError, read_fields, typed_value
-from .tools import ToolError
+from .tools import SearchResult, ToolError
 
 TRACE_VERSION = 1
 TRACE_SUFFIX = ".trace"
@@ -86,13 +89,7 @@ class TraceWriter:
         if response is None:
             event.update(model_id=request.model_id, error=error)
         else:
-            event.update(
-                model_id=response.model_id,
-                response=response.text,
-                prompt_tokens=response.usage.prompt_tokens,
-                completion_tokens=response.usage.completion_tokens,
-                estimated=response.usage.estimated,
-            )
+            event.update(model_id=response.model_id, response=response.text, **vars(response.usage))
         self._events.append(event)
 
     def tool_call(self, tool: str, args: dict, result=None, error: str | None = None) -> None:
@@ -130,7 +127,7 @@ class TraceWriter:
 class TraceData:
     path: str | Path
     header: dict
-    events: tuple[dict, ...]  # the effect lines, in order
+    events: tuple[dict, ...]  # the checked effect records, in order, each with its type
     result: dict | None  # None when the recording ended early
 
 
@@ -138,20 +135,58 @@ class TraceFormatError(InputError, ValueError):
     pass
 
 
+_USAGE = get_type_hints(TokenUsage)  # a model call's token counts
 _EMBED = {"text_sha256": str, "vector": list}
-# each effect line kind: name in errors, field a replay matches, fields, fields if it failed
+# each effect line kind: name in errors, field a replay matches, fields,
+# fields if it failed, and the error a replay raises again for a failure
 _EFFECTS = {
     "model_call": ("model call", "purpose", {"purpose": Purpose, "response": str, "model_id": str,
-                   "prompt_tokens": int, "completion_tokens": int, "estimated": bool},
-                   {"purpose": Purpose, "error": str}),
+                   **_USAGE}, {"purpose": Purpose, "error": str}, BackendError),
     "tool_call": ("tool call", "tool", {"tool": str, "args": dict, "result": list | dict},
-                  {"tool": str, "error": str}),
-    "embed": ("embedding", "text_sha256", _EMBED, _EMBED),
+                  {"tool": str, "error": str}, ToolError),
+    "embed": ("embedding", "text_sha256", _EMBED, _EMBED, None),
 }
+_PAGE = {"text": str, "truncated": bool}
+# what each tool returns: a page, or a list of search result rows
+_RESULTS = {"fetch_page": dict, "read_attachment": dict, "search": list}
+_ROW = get_type_hints(SearchResult)
+_row_values, _ROW_TYPES = itemgetter(*_ROW), list(_ROW.values())
+_NUMBERS = {float, int}  # what typed_value reads as a float
+
+
+def _invalid(where: str, name: str, value) -> TraceFormatError:
+    """A refusal in ``read_fields``' wording, for a value it does not read."""
+    return TraceFormatError(f"{where}{name} is missing or invalid: {value!r}")
+
+
+def _check_tool_call(record: dict, where: str) -> None:
+    """Refuse a tool call of a tool not in ``_RESULTS``, or whose result is
+    not what that tool returns."""
+    tool = record["tool"]
+    if tool not in _RESULTS:
+        raise _invalid(where, "tool", tool)
+    if "error" in record:
+        return
+    result = record["result"]
+    if type(result) is not _RESULTS[tool]:
+        raise _invalid(where, "result", result)
+    if type(result) is dict:
+        read_fields(result, _PAGE, TraceFormatError, f"{where}result.")
+        return
+    try:  # exact types, as typed_value's fast path: a replay reads thousands of rows
+        types = list(map(type, chain.from_iterable(map(_row_values, result))))
+        if types == _ROW_TYPES * len(result):
+            return
+    except (KeyError, TypeError):  # a field missing, or a row that is not an object
+        pass
+    for i, row in enumerate(result):
+        if type(row) is not dict:
+            raise _invalid(where, f"result[{i}]", row)
+        read_fields(row, _ROW, TraceFormatError, f"{where}result[{i}].")
 
 
 def read_trace(path: str | Path) -> TraceData:
-    """The header, effect lines and result line of trace ``path``; a line
+    """The header, effect records and result line of trace ``path``; a line
     out of place or unlike ``_EFFECTS`` raises ``TraceFormatError``."""
     try:
         raw = gzip.decompress(Path(path).read_bytes())
@@ -182,18 +217,31 @@ def read_trace(path: str | Path) -> TraceData:
     effects = lines[1:]
     result = effects.pop()[1] if effects and effects[-1][1].get("type") == "result" else None
     counts = dict.fromkeys(_EFFECTS, 0)
+    records = []
     for lineno, event in effects:
         kind = event.get("type")
         if kind not in _EFFECTS:
             raise TraceFormatError(f"{path}: line {lineno} has type {kind!r}; after the header "
                                    "come effect lines, then one result line")
-        name, _, fields, failed = _EFFECTS[kind]
+        name, _, fields, failed, _ = _EFFECTS[kind]
         n = counts[kind] = counts[kind] + 1
-        values = read_fields(event, failed if "error" in event else fields,
-                             TraceFormatError, f"{path}: {name} {n} field ")
-        if min(values.get("prompt_tokens", 0), values.get("completion_tokens", 0)) < 0:
-            raise TraceFormatError(f"{path}: {name} {n} has a negative token count")
-    return TraceData(path, first, tuple(event for _, event in effects), result)
+        where = f"{path}: {name} {n} field "
+        record = read_fields(event, failed if "error" in event else fields, TraceFormatError, where)
+        record["type"] = kind
+        records.append(record)
+        if kind == "tool_call":
+            _check_tool_call(record, where)
+        elif kind == "embed":
+            vector = record["vector"]
+            if not _NUMBERS.issuperset(map(type, vector)):
+                i, x = next((i, x) for i, x in enumerate(vector) if type(x) not in _NUMBERS)
+                raise _invalid(where, f"vector[{i}]", x)
+        elif "error" not in record:
+            try:
+                record["usage"] = TokenUsage(*map(record.pop, _USAGE))
+            except ValueError:
+                raise TraceFormatError(f"{path}: {name} {n} has a negative token count") from None
+    return TraceData(path, first, tuple(records), result)
 
 
 class ReplayMismatchError(InputError, RuntimeError):
@@ -213,26 +261,26 @@ class ReplaySource(Backend):
         self._effects = deque(data.events)
         self._timed_out = timed_out
 
-    def _next(self, kind: str, value: str) -> dict:
-        name, key, _, _ = _EFFECTS[kind]
-        asked = f"{name} {key}={value!r}"
-        if not self._effects:
+    def _next(self, kind: str, value) -> dict:
+        record = self._effects.popleft() if self._effects else {"type": None}
+        recorded = record["type"]
+        name, key, _, _, error = _EFFECTS[kind]
+        if recorded == kind and record[key] == value:
+            if "error" in record:
+                raise error(record["error"])
+            return record
+        asked = f"{name} {key}={getattr(value, 'value', value)!r}"  # a Purpose by its value
+        if recorded is None:
             if self._timed_out:
                 raise RunTimeoutError(f"the recorded run ran out of time before {asked}")
             raise ReplayMismatchError(f"{self._path}: replay ran out of recorded effects at {asked}")
-        event = self._effects.popleft()
-        recorded_name, recorded_key, _, _ = _EFFECTS[event["type"]]
-        recorded = f"{recorded_name} {recorded_key}={event[recorded_key]!r}"
-        if recorded != asked:
-            raise ReplayMismatchError(f"{self._path}: replay expected {recorded}, got {asked}")
-        return event
+        name, key, *_ = _EFFECTS[recorded]
+        recorded = f"{name} {key}={getattr(record[key], 'value', record[key])!r}"
+        raise ReplayMismatchError(f"{self._path}: replay expected {recorded}, got {asked}")
 
     def complete(self, request: ModelRequest) -> ModelResponse:
-        event = self._next("model_call", request.purpose.value)
-        if "error" in event:
-            raise BackendError(event["error"])
-        usage = TokenUsage(event["prompt_tokens"], event["completion_tokens"], event["estimated"])
-        return ModelResponse(text=event["response"], usage=usage, model_id=event["model_id"])
+        record = self._next("model_call", request.purpose)
+        return ModelResponse(record["response"], record["usage"], record["model_id"])
 
     def run_tool(self, tool: str, args: dict, thunk) -> tuple[dict, object]:
         """The recorded ``(args, result)``; the thunk never runs.
@@ -241,14 +289,11 @@ class ReplaySource(Backend):
         the live collaborators (e.g. provider names) to rebuild them, and
         a re-recorded trace must match the original byte for byte.
         """
-        event = self._next("tool_call", tool)
-        if "error" in event:
-            raise ToolError(event["error"])
-        return event["args"], event["result"]
+        record = self._next("tool_call", tool)
+        return record["args"], record["result"]
 
     def embed(self, text: str) -> np.ndarray:
-        event = self._next("embed", text_digest(text))
-        return np.asarray(event["vector"], dtype=float)
+        return np.asarray(self._next("embed", text_digest(text))["vector"], dtype=float)
 
     def exhausted(self) -> bool:
         return not self._effects

@@ -147,6 +147,17 @@ def test_report_scope_without_rows_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and "l3" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "svg"])
+def test_report_of_a_results_file_without_rows_exits_two(tmp_path, capsys, fmt):
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps({"config_hash": "abcd1234", "rows": []}), encoding="utf-8")
+    assert run_cli("report", "--results", str(results), "--format", fmt) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {results} is not a results file written by bench --out " \
+                           "(it holds no rows)\n"
+    assert captured.out == ""
+
+
 def test_report_rejects_sweep_results(tmp_path, capsys):
     results = tmp_path / "sweep.json"
     assert run_cli(
@@ -296,6 +307,20 @@ def test_replay_of_a_damaged_trace_exits_two(tmp_path, capsys, damage):
     assert err.startswith("error: ") and trace.name in err
 
 
+def test_replay_reads_a_recorded_purpose_in_any_case(tmp_path, capsys):
+    # the one type rule reads an enum in any case; the re-recording is canonical
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    (traces / LEVEL9.name).write_bytes(
+        level9_with("model_call", "purpose", "PLANNER")[f"traces/{LEVEL9.name}"]
+    )
+    assert run_cli("replay", str(LEVEL9.parent), "--format", "csv") == 0
+    unedited = capsys.readouterr().out
+    assert run_cli("replay", str(traces), "--format", "csv", "--trace-dir", str(tmp_path)) == 0
+    assert capsys.readouterr().out == unedited
+    assert trace_lines(tmp_path / LEVEL9.name) == trace_lines(LEVEL9)
+
+
 def test_replay_without_traces_exits_two(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -349,12 +374,31 @@ DIRECTORY = object()  # a directory where the file should be
 LEVEL9 = next((FIXTURES / "level9").iterdir())
 
 
-def level9_with(kind, field, value) -> dict:
-    """The level-9 fixture trace with ``field`` of its first ``kind`` line
-    replaced, as a trace directory."""
+def level9_edited(edit) -> dict:
+    """The level-9 fixture trace with its lines changed by ``edit``, as a
+    trace directory."""
     events = trace_lines(LEVEL9)
-    next(e for e in events if e["type"] == kind)[field] = value
+    edit(events)
     return {f"traces/{LEVEL9.name}": trace_bytes(events)}
+
+
+def level9_with(kind, field, value, index=0) -> dict:
+    """The level-9 fixture trace with ``field`` of its ``kind`` line number
+    ``index`` (from 0) replaced, as a trace directory."""
+    def edit(events):
+        [e for e in events if e["type"] == kind][index][field] = value
+    return level9_edited(edit)
+
+
+def level9_row_without_url(events):
+    search = next(e for e in events if e["type"] == "tool_call")
+    del search["result"][0]["url"]
+
+
+def level9_with_embedding_of(vector):
+    return level9_edited(lambda events: events.insert(
+        1, {"type": "embed", "text_sha256": "0" * 64, "vector": vector}
+    ))
 
 RESULT_ROW = {"scope": "all", "task_count": 2, "solved_count": 1, "total_cost_pico": 5,
               "total_tokens": 10}
@@ -512,6 +556,30 @@ OUTSIDE_INPUTS = {
     "trace_tool_args_text": (
         level9_with("tool_call", "args", "q"),
         (), "tool call 1 field args is missing or invalid: 'q'",
+    ),
+    # the first tool call is a search, the second opens a page
+    "trace_page_without_text": (
+        level9_with("tool_call", "result", {"truncated": False}, index=1),
+        (), "tool call 2 field result.text is missing or invalid: None",
+    ),
+    "trace_page_truncated_text": (
+        level9_with("tool_call", "result", {"text": "Acme", "truncated": "no"}, index=1),
+        (), "tool call 2 field result.truncated is missing or invalid: 'no'",
+    ),
+    "trace_search_result_numbers": (
+        level9_with("tool_call", "result", [1, 2]),
+        (), "tool call 1 field result[0] is missing or invalid: 1",
+    ),
+    "trace_search_row_without_url": (
+        level9_edited(level9_row_without_url),
+        (), "tool call 1 field result[0].url is missing or invalid: None",
+    ),
+    "trace_tool_unknown": (
+        level9_with("tool_call", "tool", "browse"),
+        (), "tool call 1 field tool is missing or invalid: 'browse'",
+    ),
+    "trace_vector_text": (
+        level9_with_embedding_of(["a"]), (), "embedding 1 field vector[0] is missing or invalid: 'a'",
     ),
     # a valid purpose, but not the one the replayed run asks for first
     "trace_purpose_edited": (

@@ -332,7 +332,9 @@ def test_run_benchmark_survives_an_empty_plan(tmp_path):
     assert not failed.solved and failed.cost_pico > 0  # the planner call stays metered
     trace = read_trace(tmp_path / "traces" / trace_filename("gaia-e3", config_hash(bench_config())))
     assert trace.result["terminated_by"] == "error"
-    assert [e["purpose"] for e in trace.events if e["type"] == "model_call"] == ["planner"] * 2
+    assert [e["purpose"] for e in trace.events if e["type"] == "model_call"] == [
+        Purpose.PLANNER
+    ] * 2
     assert trace.result["cost_pico"] == failed.cost_pico
     assert report.rows[0].task_count == 3
 
@@ -510,6 +512,15 @@ HEADER_EDITS = [
      "header field pricing is invalid: per-token prices must be non-negative"),
     (("pricing", "models", "gpt-4.1", "input_pico_per_token"), 1.5,
      "header field pricing is invalid: not a pricing snapshot (TypeError: per-token prices"),
+    # run_id and config_hash derive from the task and config; a replay writes them anew
+    (("run_id",), "gaia-e2",
+     "header field run_id is invalid: 'gaia-e2', but the header's task and config give 'gaia-e1'"),
+    (("run_id",), DELETE, "header field run_id is missing or invalid: None"),
+    (("config_hash",), "deadbeef", "header field config_hash is invalid: 'deadbeef', but the "
+     f"header's task and config give {config_hash(bench_config())!r}"),
+    (("config", "max_steps"), 11, "header field config_hash is invalid: "
+     f"{config_hash(bench_config())!r}, but the header's task and config give "
+     f"{config_hash(dataclasses.replace(bench_config(), max_steps=11))!r}"),
 ]
 
 

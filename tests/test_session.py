@@ -78,7 +78,8 @@ def test_replay_session_needs_no_backend(tmp_path, pricing):
     writer.header({"run_id": "r"})
     live = make_session(actor_backend(), pricing, trace=writer)
     live.call_model(Purpose.ACTOR, "gpt-4.1", MSGS)
-    live.call_tool("search", {"q": "x"}, lambda: ["live-result"])
+    row = {"title": "T", "url": "https://t", "snippet": "s", "provider": "google", "rank": 1}
+    live.call_tool("search", {"q": "x"}, lambda: [row])
     vec_live = live.embed("note")
     writer.close()
 
@@ -90,7 +91,7 @@ def test_replay_session_needs_no_backend(tmp_path, pricing):
     def boom():
         raise AssertionError("replay must not execute tool thunks")
 
-    assert replay.call_tool("search", {"q": "x"}, boom) == ["live-result"]
+    assert replay.call_tool("search", {"q": "x"}, boom) == [row]
     assert np.allclose(replay.embed("note"), vec_live)
     # replayed costs equal live costs
     assert replay.ledger.total_cost_pico == live.ledger.total_cost_pico

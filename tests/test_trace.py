@@ -41,6 +41,10 @@ def sample_response(text="out"):
     return ModelResponse(text=text, usage=TokenUsage(10, 2), model_id="gpt-4.1", latency_ms=123)
 
 
+# one search result row, as a live search records it
+ROW = {"title": "X", "url": "https://x", "snippet": "about x", "provider": "google", "rank": 1}
+
+
 def write_sample(path):
     w = TraceWriter(path)
     w.header(
@@ -54,7 +58,7 @@ def write_sample(path):
         }
     )
     w.model_call(sample_request(), sample_response())
-    w.tool_call("search", {"queries": ["a"]}, [{"url": "https://x"}])
+    w.tool_call("search", {"queries": ["a"]}, [ROW])
     w.embed("hello", np.array([0.6, 0.8]))
     w.result({"solved": True})
     w.close()
@@ -91,9 +95,8 @@ def test_lines_are_compact_sorted_json(tmp_path):
 
 def test_latency_is_not_recorded(tmp_path):
     # wall-clock noise would break byte-identical replay
-    path = write_sample(tmp_path / "t.trace")
-    event = read_trace(path).events[0]
-    assert "latency" not in json.dumps(event)
+    line = trace_lines(write_sample(tmp_path / "t.trace"))[1]
+    assert line["type"] == "model_call" and "latency" not in json.dumps(line)
 
 
 def test_close_is_idempotent(tmp_path):
@@ -195,7 +198,7 @@ def test_replay_serves_in_order(tmp_path):
     resp = source.complete(sample_request())
     assert resp.text == "out"
     assert resp.usage.prompt_tokens == 10
-    assert source.run_tool("search", {}, None) == ({"queries": ["a"]}, [{"url": "https://x"}])
+    assert source.run_tool("search", {}, None) == ({"queries": ["a"]}, [ROW])
     vec = source.embed("hello")
     assert vec.tolist() == [0.6, 0.8]
     assert source.exhausted()
