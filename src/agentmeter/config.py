@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -292,6 +293,12 @@ def config_snapshot(cfg: AgentConfig) -> dict:
     return out
 
 
+@cache  # one entry per kind named in the program's field tables
+def _kinds(kind) -> tuple:
+    """The kinds ``typed_value`` accepts for ``kind``: each member of a union."""
+    return get_args(kind) or (kind,)
+
+
 def typed_value(kind, value, text: bool = False):
     """``value`` if its type is exactly ``kind``, the one rule for a value read
     from a file; anything else raises ``ValueError``. A bool is no int; an int
@@ -300,7 +307,7 @@ def typed_value(kind, value, text: bool = False):
     parsed first, as INI values, sweep values and task Levels are."""
     if type(value) is kind:  # the common case, without the cost of get_args
         return value
-    kinds = get_args(kind) or (kind,)
+    kinds = _kinds(kind)
     for k in kinds:
         if type(value) is k:
             return value
@@ -309,10 +316,12 @@ def typed_value(kind, value, text: bool = False):
                 return float(value)
             if text and k in (int, float) and type(value) is str:
                 return k(value)
-            if issubclass(k, Enum) and type(value) is str:
-                return k(value.lower())
         except (OverflowError, ValueError):  # OverflowError: an int too large for a float
             pass
+        if type(value) is str and issubclass(k, Enum):
+            member = k._value2member_map_.get(value.lower())
+            if member is not None:
+                return member
     raise ValueError(f"{value!r} is not a valid {kinds[0].__name__}")
 
 

@@ -220,8 +220,11 @@ def _parsed(path: str | Path, field: str, build, *args, **kwargs):
         raise TraceFormatError(f"{path}: header field {field} is invalid: {exc}") from None
 
 
-def run_header(task: Task, config: AgentConfig, pricing: PricingTable) -> dict:
-    """The header fields of a run's trace: what a replay needs to run it again."""
+def run_header(
+    task: Task, config: AgentConfig, pricing: PricingTable, digest: str | None = None
+) -> dict:
+    """The header fields of a run's trace: what a replay needs to run it again.
+    ``digest`` is ``config_hash(config)`` when the caller already holds it."""
     return {
         "run_id": task.task_id,
         "task_id": task.task_id,
@@ -232,7 +235,7 @@ def run_header(task: Task, config: AgentConfig, pricing: PricingTable) -> dict:
             "attachment_names": [Path(p).name for p in task.attachments],
         },
         "config": config_snapshot(config),
-        "config_hash": config_hash(config),
+        "config_hash": config_hash(config) if digest is None else digest,
         "pricing": pricing.snapshot(),
     }
 
@@ -304,6 +307,7 @@ def _run(
     fetcher: PageFetcher | None = None,
     trace_dir: str | Path | None = None,
     timeout_s: float | None = None,
+    digest: str | None = None,
 ) -> tuple[TaskOutcome, TaskRunRecord]:
     """The one run path of live runs and replays: trace, session, loop, grade.
 
@@ -315,8 +319,9 @@ def _run(
     validate_config(config, pricing)
     writer = None
     if trace_dir is not None:
-        writer = TraceWriter(Path(trace_dir) / trace_filename(task.task_id, config_hash(config)))
-        writer.header(run_header(task, config, pricing))
+        header = run_header(task, config, pricing, digest)
+        writer = TraceWriter(Path(trace_dir) / trace_filename(task.task_id, header["config_hash"]))
+        writer.header(header)
     session = RunSession(task.task_id, backend, pricing, writer, timeout_s)
     toolbox = ToolBox(
         session,
@@ -465,7 +470,9 @@ def replay_run(
     task, config, pricing = recorded_run(trace_path, data.header)
     recorded = recorded_outcome(trace_path, data.result, task)
     source = ReplaySource(data, recorded.terminated_by is TerminatedBy.TIMEOUT)
-    outcome, record = _run(task, config, source, pricing, trace_dir=trace_dir)
+    # recorded_run checked that the header's config_hash is that of config
+    digest = data.header["config_hash"]
+    outcome, record = _run(task, config, source, pricing, trace_dir=trace_dir, digest=digest)
     was, now = recorded.to_dict(with_task=False), outcome.to_dict(with_task=False)
     diverged = [
         f"{key} recorded {was[key]!r}, replayed {value!r}"

@@ -25,7 +25,8 @@ import threading
 import time
 import urllib.parse
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import lru_cache
 from html import unescape
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -59,6 +60,7 @@ USER_AGENT = "agentmeter/0.1 (research harness)"
 SEARCH_TIMEOUT_S = 15.0
 FETCH_TIMEOUT_S = 30.0
 FETCH_DELAY_S = 0.5  # between two live fetches from one host
+URL_KEYS_CACHED = 4096  # normalize_url results kept per process
 
 
 class ToolError(RuntimeError):
@@ -89,6 +91,7 @@ class SearchResult:
     rank: int  # 1-based position within its provider's response
 
 
+@lru_cache(maxsize=URL_KEYS_CACHED)
 def normalize_url(url: str) -> str:
     """Dedup key: lowercased scheme and host, fragment dropped."""
     parts = urllib.parse.urlsplit(url.strip())
@@ -943,7 +946,7 @@ class ToolBox:
         providers = self.providers
 
         def thunk() -> list[dict]:
-            return [asdict(r) for r in search(providers, queries)]
+            return [dict(vars(r)) for r in search(providers, queries)]
 
         results = self.session.call_tool(
             "search",

@@ -1,3 +1,5 @@
+import gzip
+import hashlib
 import json
 
 import pytest
@@ -169,6 +171,29 @@ def test_report_rejects_sweep_results(tmp_path, capsys):
     assert run_cli("report", "--results", str(results)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bench --out" in err
+
+
+# sha256 of each fixture-bench trace, decompressed: a change that alters what
+# a run records changes this table, whatever the Python version or worker count
+FIXTURE_TRACE_SHA256 = {
+    "gaia-e1.2010141e.trace": "75caf6a89b715acd6c6206b63f86e4d398ed37aee5595d76c4b7cfaaf008939a",
+    "gaia-e2.2010141e.trace": "5838b9861b57eb441c79933e3d5229c134cb873d7d1ca2d2190e10cf5babcb74",
+    "gaia-e3.2010141e.trace": "bf7b0fe713e897b607c53622a20e6df3f7becd26a59c24541c2b8104cfe2829d",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_fixture_bench_writes_the_pinned_trace_bytes(tmp_path, capsys, workers):
+    code = run_cli(
+        "bench", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
+        "--trace-dir", str(tmp_path), "--workers", workers, "--format", "csv",
+    )
+    assert code == 0
+    digests = {
+        path.name: hashlib.sha256(gzip.decompress(path.read_bytes())).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert digests == FIXTURE_TRACE_SHA256
 
 
 def test_bench_workers_flag(capsys):

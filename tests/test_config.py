@@ -261,7 +261,7 @@ def test_every_field_round_trips_through_every_reader(name, value):
 def test_snapshot_values_must_have_the_field_type():
     # bool is no int, an int no str, and a fraction no whole step count
     for name, value in [("max_steps", True), ("max_steps", 12.7), ("temperature", True),
-                        ("backbone_id", 5)]:
+                        ("backbone_id", 5), ("source_set", "bogus"), ("source_set", 1)]:
         with pytest.raises(InvalidConfigError, match=f"{name}: {value!r} is not a valid"):
             config_from_snapshot({name: value})
     # an int stands for a float; None passes only for an optional field

@@ -1,7 +1,9 @@
 import dataclasses
+import random
 import sys
 import threading
 import time
+import typing
 from types import SimpleNamespace
 
 import pytest
@@ -55,6 +57,14 @@ def test_normalize_url_cases():
     assert normalize_url("http://a.com/x") == normalize_url("http://A.COM/x#other")
     # path case is significant
     assert normalize_url("http://a.com/X") != normalize_url("http://a.com/x")
+
+
+def test_the_memoized_url_key_is_the_uncached_one():
+    urls = ["HTTPS://Example.ORG/Path?q=1#frag", "http://B.com/1#x", "http://b.com/1",
+            "  http://a.com/2  ", "\thttps://C.org/0#x\n", "/relative/3", "relative#x", ""]
+    for url in urls * 2:  # the second round is served from the cache
+        assert normalize_url(url) == normalize_url.__wrapped__(url)
+    assert normalize_url.cache_info().maxsize == tools.URL_KEYS_CACHED
 
 
 def test_search_merge_order_and_dedup():
@@ -410,6 +420,75 @@ def test_toolbox_search_renders_results(tmp_path, pricing):
     event = [e for e in read_trace(tmp_path / "t.trace").events if e["type"] == "tool_call"][0]
     assert event["tool"] == "search"
     assert event["args"]["queries"] == ["acme history"]
+
+
+class ResultKeepingBackend(ScriptedBackend):
+    """A scripted backend that keeps what each tool thunk returned."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.results = []
+
+    def run_tool(self, tool, args, thunk):
+        args, result = super().run_tool(tool, args, thunk)
+        self.results.append(result)
+        return args, result
+
+
+def random_providers(rng, queries):
+    """One to three providers shaped as in the release gate's merge check:
+    mixed-case hosts, fragments, both schemes, repeated URLs, and a relative
+    URL one row in ten."""
+    providers = []
+    for p in range(rng.randint(1, 3)):
+        responses = {}
+        for query in queries:
+            rows = []
+            for r in range(rng.randint(0, 5)):
+                host = rng.choice(["a.com", "B.com", "c.org"])
+                scheme = rng.choice(["http", "https"])
+                frag = rng.choice(["", "#x"])
+                url = f"{scheme}://{host}/{rng.randint(0, 3)}{frag}"
+                if rng.randint(0, 9) == 0:
+                    url = f"/relative/{rng.randint(0, 3)}"
+                rows.append((f"t{r}", url, "s"))
+            responses[query] = rows
+        providers.append(provider(f"p{p}", responses))
+    return providers
+
+
+def test_recorded_search_rows_are_the_dataclass_rows(tmp_path, pricing):
+    from agentmeter.trace import TraceWriter, read_trace
+    from conftest import make_toolbox
+
+    queries = ["q0", "q1", "q2"]
+    cfg = dataclasses.replace(default_config(), query_expansion_count=len(queries))
+    field_types = typing.get_type_hints(tools.SearchResult)
+    rng = random.Random(7)
+    recorded = 0
+    for trial in range(25):
+        providers = random_providers(rng, queries)
+        backend = ResultKeepingBackend([ScriptEntry(
+            Purpose.QUERY_EXPANSION, "1. q0\n2. q1\n3. q2", times=0,
+            prompt_tokens=10, completion_tokens=5,
+        )])
+        writer = TraceWriter(tmp_path / f"{trial}.trace")
+        writer.header({"run_id": "r"})
+        box = make_toolbox(make_session(backend, pricing, trace=writer), cfg, providers)
+        box.dispatch(Action(ActionName.SEARCH, {"query": "q"}))
+        writer.close()
+
+        oracle = [dataclasses.asdict(r) for r in search(providers, queries)]
+        [rows] = backend.results
+        assert rows == oracle
+        for row in rows:
+            assert list(row) == list(field_types)
+            assert {name: type(value) for name, value in row.items()} == field_types
+        [event] = [e for e in read_trace(tmp_path / f"{trial}.trace").events
+                   if e["type"] == "tool_call"]
+        assert event["result"] == oracle
+        recorded += len(rows)
+    assert recorded > 0
 
 
 def test_toolbox_search_empty_results_and_missing_query(pricing):
