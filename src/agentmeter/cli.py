@@ -37,6 +37,7 @@ from .harness import (
     TaskFileError,
     execute_run,
     load_tasks,
+    read_results,
     replay_benchmark,
     run_benchmark,
     sweep_configs,
@@ -166,10 +167,6 @@ def make_providers(args, config: AgentConfig) -> list[SearchProvider]:
     return live_providers(config.source_set)
 
 
-class ResultsFileError(InputError, ValueError):
-    """A --results file that bench --out did not write."""
-
-
 def _select_task(tasks: list[Task], task_id: str | None) -> Task:
     if task_id is None:
         if len(tasks) == 1:
@@ -277,21 +274,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        payload = json.loads(Path(args.results).read_text(encoding="utf-8"))
-        rows = [AggregateRow.from_dict(r) for r in payload["rows"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ResultsFileError(
-            f"{args.results} is not a results file written by bench --out "
-            f"({type(exc).__name__}: {exc})"
-        ) from None
-    if not rows:  # bench --out always writes an 'all' row
-        raise ResultsFileError(f"{args.results} is not a results file written by bench --out "
-                               "(it holds no rows)")
+    digest, _, rows = read_results(args.results)
     if args.scope:
         rows = filter_scope(rows, args.scope)
-    title = f"config {payload.get('config_hash', '')}".strip()
-    _write_out(render_report(rows, args.format, title=title), args.out)
+    _write_out(render_report(rows, args.format, title=f"config {digest}"), args.out)
     return 0
 
 

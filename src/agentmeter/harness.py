@@ -20,6 +20,7 @@ as an unordered list.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import re
@@ -43,6 +44,7 @@ from .config import (
     config_snapshot,
     jsonl_objects,
     read_fields,
+    read_text,
     validate_config,
 )
 from .ledger import AggregateRow, EmptyBenchmarkError, aggregate
@@ -206,8 +208,9 @@ _HEADER_TYPES = {"task": dict, "task_id": str, "config": dict, "pricing": dict, 
                  "config_hash": str}
 _HEADER_TASK_TYPES = {"attachment_names": list, "level": int, "question": str,
                       "expected_answer": str}
-_RESULT_TYPES = {name: kind for name, kind in get_type_hints(TaskOutcome).items()
-                 if name not in ("task_id", "level")}
+# a results file's outcome entry holds every field; the result line all but two
+_OUTCOME_TYPES = get_type_hints(TaskOutcome)
+_RESULT_TYPES = {k: v for k, v in _OUTCOME_TYPES.items() if k not in ("task_id", "level")}
 
 
 def _parsed(path: str | Path, field: str, build, *args, **kwargs):
@@ -272,6 +275,50 @@ def recorded_outcome(path: str | Path, line: dict | None, task: Task) -> TaskOut
     return TaskOutcome(task.task_id, task.level, **values)
 
 
+class ResultsFileError(InputError, ValueError):
+    """A --results file that bench --out did not write."""
+
+
+def read_results(path: str | Path) -> tuple[str, list[TaskOutcome], list[AggregateRow]]:
+    """The config hash, outcomes and aggregate rows of a ``bench --out``
+    file. The rows are derived from the outcomes, as a benchmark derives
+    them; a ``rows`` key, which files of earlier versions hold, is ignored."""
+    refused = f"{path} is not a results file written by bench --out: "
+    try:
+        payload = json.loads(read_text(path, ResultsFileError))
+    except json.JSONDecodeError as exc:
+        raise ResultsFileError(f"{refused}invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ResultsFileError(f"{refused}it is not a JSON object")
+    head = read_fields(payload, {"config_hash": str, "outcomes": list}, ResultsFileError,
+                       f"{refused}field ")
+    if not head["outcomes"]:
+        raise ResultsFileError(f"{refused}it holds no outcomes")
+    outcomes = []
+    for n, entry in enumerate(head["outcomes"], 1):
+        if not isinstance(entry, dict):
+            raise ResultsFileError(f"{refused}outcome {n} is not a JSON object")
+        where = f"{refused}outcome {n} field "
+        values = read_fields(entry, _OUTCOME_TYPES, ResultsFileError, where)
+        if values["level"] not in (1, 2, 3):
+            raise ResultsFileError(f"{where}level is missing or invalid: {values['level']!r}")
+        outcomes.append(TaskOutcome(**values))
+    return head["config_hash"], outcomes, _tally(outcomes, refused)
+
+
+def _tally(outcomes: list[TaskOutcome], where: str = "") -> list[AggregateRow]:
+    """The aggregate rows of one benchmark's ``outcomes``, which this sorts by
+    task id in place. A task id that appears twice raises ``DuplicateTaskIdError``
+    whose message starts with ``where``."""
+    outcomes.sort(key=lambda o: o.task_id)
+    for first, second in zip(outcomes, outcomes[1:]):
+        if first.task_id == second.task_id:
+            raise DuplicateTaskIdError(f"{where}task_id {first.task_id!r} appears twice; "
+                                       "a benchmark counts each task once")
+    # looked up in this module, where perfbench's span tracer wraps it
+    return aggregate(o.as_tuple() for o in outcomes)
+
+
 @dataclass(frozen=True)
 class BenchmarkReport:
     config_hash: str
@@ -285,7 +332,6 @@ class BenchmarkReport:
         return {
             "config": config_snapshot(self.config),
             "config_hash": self.config_hash,
-            "rows": [r.to_dict() for r in self.rows],
             "outcomes": [o.to_dict() for o in self.outcomes],
         }
 
@@ -414,13 +460,12 @@ def run_benchmark(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one, tasks))
 
-    outcomes.sort(key=lambda o: o.task_id)
     if all(o.terminated_by is TerminatedBy.ERROR for o in outcomes):
         raise BenchmarkAbortError(
             f"every run failed ({len(outcomes)} tasks ended in error); "
             "the log names each run's cause"
         )
-    rows = aggregate(o.as_tuple() for o in outcomes)
+    rows = _tally(outcomes)
     report = BenchmarkReport(config_hash(config), config, tuple(rows), tuple(outcomes))
     return outcomes, report
 
@@ -501,5 +546,4 @@ def replay_benchmark(
         outcome, _ = replay_run(path, trace_dir=trace_dir)
         log.info("replayed %s: solved=%s", Path(path).name, outcome.solved)
         outcomes.append(outcome)
-    outcomes.sort(key=lambda o: o.task_id)
-    return outcomes, aggregate(o.as_tuple() for o in outcomes)
+    return outcomes, _tally(outcomes)

@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .backend import Purpose, TokenUsage
-from .config import InputError, ModelPricing, PricingTable, read_fields
+from .config import InputError, ModelPricing, PricingTable
 from .money import PICO_PER_USD
 
 
@@ -172,10 +172,6 @@ class Scope(Enum):
     L3 = "l3"
 
 
-_ROW_COUNTS = ("task_count", "solved_count", "total_cost_pico", "total_tokens")
-_ROW_TYPES = {"scope": Scope, **dict.fromkeys(_ROW_COUNTS, int)}
-
-
 @dataclass(frozen=True)
 class AggregateRow:
     """One report row: accuracy, mean cost, mean tokens, dollars per solve.
@@ -196,16 +192,6 @@ class AggregateRow:
             raise ValueError("a row needs at least one task")
         if not 0 <= self.solved_count <= self.task_count:
             raise ValueError("solved count out of range")
-
-    def to_dict(self) -> dict:
-        """Plain JSON-safe form, as saved by ``bench --out``."""
-        return {"scope": self.scope.value, **{name: getattr(self, name) for name in _ROW_COUNTS}}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AggregateRow":
-        """Inverse of :meth:`to_dict`; a missing field or a value of the wrong
-        type raises ``ValueError``."""
-        return cls(**read_fields(data, _ROW_TYPES, ValueError, "row field "))
 
     @property
     def accuracy(self) -> float:

@@ -92,7 +92,7 @@ def test_bench_out_feeds_report(tmp_path, capsys):
     payload = json.loads(results.read_text(encoding="utf-8"))
     assert [o["task_id"] for o in payload["outcomes"]] == ["gaia-e1", "gaia-e2", "gaia-e3"]
     assert [o["solved"] for o in payload["outcomes"]] == [True, False, True]
-    assert payload["rows"][0]["scope"] == "all"
+    assert "rows" not in payload  # report derives them from the outcomes
 
 
 def test_bench_out_outcome_is_the_trace_result_line(tmp_path, capsys):
@@ -152,12 +152,39 @@ def test_report_scope_without_rows_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["table", "csv", "svg"])
 def test_report_of_a_results_file_without_rows_exits_two(tmp_path, capsys, fmt):
     results = tmp_path / "results.json"
-    results.write_text(json.dumps({"config_hash": "abcd1234", "rows": []}), encoding="utf-8")
+    results.write_text(json.dumps({"config_hash": "abcd1234", "outcomes": []}), encoding="utf-8")
     assert run_cli("report", "--results", str(results), "--format", fmt) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {results} is not a results file written by bench --out " \
-                           "(it holds no rows)\n"
+    assert captured.err == f"error: {results} is not a results file written by bench --out: " \
+                           "it holds no outcomes\n"
     assert captured.out == ""
+
+
+# written by bench --out over the fixture bench when results files still held rows
+RESULTS_WITH_ROWS = FIXTURES / "results_with_rows.json"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "svg"])
+def test_report_of_a_file_with_rows_matches_bench(capsys, fmt):
+    assert run_cli("bench", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
+                   "--format", fmt) == 0
+    bench_out = capsys.readouterr().out
+    assert run_cli("report", "--results", str(RESULTS_WITH_ROWS), "--format", fmt) == 0
+    assert capsys.readouterr().out == bench_out
+
+
+def test_report_ignores_edited_rows(tmp_path, capsys):
+    payload = json.loads(RESULTS_WITH_ROWS.read_text(encoding="utf-8"))
+    assert payload["rows"][0]["solved_count"] == 2
+    payload["rows"][0]["solved_count"] = 3
+    edited = tmp_path / "results.json"
+    edited.write_text(json.dumps(payload), encoding="utf-8")
+
+    assert run_cli("report", "--results", str(RESULTS_WITH_ROWS)) == 0
+    unedited = capsys.readouterr().out
+    assert run_cli("report", "--results", str(edited)) == 0
+    assert capsys.readouterr().out == unedited
+    assert "66.7" in unedited  # 2 of the 3 outcomes are solved
 
 
 def test_report_rejects_sweep_results(tmp_path, capsys):
@@ -346,6 +373,24 @@ def test_replay_reads_a_recorded_purpose_in_any_case(tmp_path, capsys):
     assert trace_lines(tmp_path / LEVEL9.name) == trace_lines(LEVEL9)
 
 
+def test_replay_counts_each_task_once(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    assert run_cli(
+        "sweep", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
+        "--axis", "max_steps", "--values", "6,12", "--trace-dir", str(traces),
+    ) == 0
+    capsys.readouterr()
+    assert len(list(traces.glob("*.trace"))) == 6  # 3 tasks under two configs
+
+    trace = next(traces.glob("gaia-e1.*"))
+    for argv in ([str(traces)], [str(trace), str(trace)]):
+        assert run_cli("replay", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: task_id 'gaia-e1' appears twice; " \
+                               "a benchmark counts each task once\n"
+        assert captured.out == ""
+
+
 def test_replay_without_traces_exits_two(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -425,8 +470,16 @@ def level9_with_embedding_of(vector):
         1, {"type": "embed", "text_sha256": "0" * 64, "vector": vector}
     ))
 
-RESULT_ROW = {"scope": "all", "task_count": 2, "solved_count": 1, "total_cost_pico": 5,
-              "total_tokens": 10}
+OUTCOME = {"task_id": "t", "level": 1, "final_answer": "a", "terminated_by": "final_answer",
+           "steps": 1, "plan_count": 1, "solved": True, "cost_pico": 5, "prompt_tokens": 7,
+           "completion_tokens": 3, "total_tokens": 10}
+
+
+def results_with(*outcomes):
+    return {"results.json": json.dumps({"config_hash": "abcd1234", "outcomes": list(outcomes)})}
+
+
+NOT_RESULTS = "results.json is not a results file written by bench --out: "
 
 # (files written in place of the fixture bench's, extra arguments, what the error says);
 # a results.json runs report, a file under traces/ replay, anything else bench
@@ -537,12 +590,35 @@ OUTSIDE_INPUTS = {
         (), "https%3A%2F%2Fexample.org%2F:1: not UTF-8",
     ),
     "results_count_true": (
-        {"results.json": json.dumps({"rows": [{**RESULT_ROW, "solved_count": True}]})},
-        (), "(ValueError: row field solved_count is missing or invalid: True)",
+        results_with({**OUTCOME, "solved": 1}),
+        (), NOT_RESULTS + "outcome 1 field solved is missing or invalid: 1",
     ),
     "results_count_fraction": (
-        {"results.json": json.dumps({"rows": [{**RESULT_ROW, "total_tokens": 12.9}]})},
-        (), "(ValueError: row field total_tokens is missing or invalid: 12.9)",
+        results_with({**OUTCOME, "cost_pico": 12.9}),
+        (), NOT_RESULTS + "outcome 1 field cost_pico is missing or invalid: 12.9",
+    ),
+    "results_level_4": (
+        results_with({**OUTCOME, "level": 4}),
+        (), NOT_RESULTS + "outcome 1 field level is missing or invalid: 4",
+    ),
+    # an entry as written before outcomes held their token counts
+    "results_without_prompt_tokens": (
+        results_with(OUTCOME, {k: v for k, v in OUTCOME.items() if k != "prompt_tokens"}),
+        (), NOT_RESULTS + "outcome 2 field prompt_tokens is missing or invalid: None",
+    ),
+    "results_task_id_twice": (
+        results_with(OUTCOME, {**OUTCOME, "solved": False}),
+        (), NOT_RESULTS + "task_id 't' appears twice; a benchmark counts each task once",
+    ),
+    "results_outcome_a_list": (
+        results_with(OUTCOME, ["t", 1]), (), NOT_RESULTS + "outcome 2 is not a JSON object",
+    ),
+    "results_a_list": (
+        {"results.json": json.dumps([OUTCOME])}, (), NOT_RESULTS + "it is not a JSON object",
+    ),
+    "results_not_json": ({"results.json": "{oops"}, (), NOT_RESULTS + "invalid JSON: Expecting"),
+    "results_not_utf8": (
+        {"results.json": b'{"config_hash": "\xff"}'}, (), "results.json:1: not UTF-8",
     ),
     "results_is_a_directory": ({"results.json": DIRECTORY}, (), "Is a directory"),
     "trace_version_true": (

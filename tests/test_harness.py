@@ -31,6 +31,7 @@ from agentmeter.harness import (
     grade,
     load_tasks,
     normalize_answer,
+    read_results,
     replay_benchmark,
     recorded_run,
     replay_run,
@@ -385,6 +386,20 @@ def test_run_benchmark_rejects_task_ids_sharing_a_trace_file(tmp_path):
 
     outcomes, _ = run_benchmark(*args, **kwargs)  # no traces, no collision
     assert [o.solved for o in outcomes] == [True, True]
+
+
+def test_run_benchmark_counts_each_task_once():
+    task = load_tasks(BENCH / "tasks.jsonl")[0]
+    kwargs = dict(providers=bench_providers(), fetcher=bench_fetcher())
+    with pytest.raises(DuplicateTaskIdError, match="task_id 'gaia-e1' appears twice"):
+        run_benchmark([task, task], bench_config(), bench_backend(), bench_pricing(), **kwargs)
+
+
+def test_read_results_gives_the_benchmark_outcomes_and_rows(tmp_path):
+    outcomes, report = run_bench()
+    results = tmp_path / "results.json"
+    results.write_text(json.dumps(report.to_dict()), encoding="utf-8")
+    assert read_results(results) == (report.config_hash, outcomes, list(report.rows))
 
 
 def test_run_benchmark_rejects_empty_and_bad_workers():

@@ -69,7 +69,7 @@ def parse_csv(text):
     """Reference parser: rows rebuilt from render_csv output's integer columns."""
     counts = ("task_count", "solved_count", "total_cost_pico", "total_tokens")
     return [
-        AggregateRow.from_dict({"scope": rec["scope"], **{k: int(rec[k]) for k in counts}})
+        AggregateRow(Scope(rec["scope"]), *(int(rec[k]) for k in counts))
         for rec in csv.DictReader(io.StringIO(text))
     ]
 
