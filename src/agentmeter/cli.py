@@ -20,7 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from .backend import Backend, OpenAIBackend, ScriptedBackend
+from .backend import OpenAIBackend, ScriptedBackend
 from .config import (
     AgentConfig,
     InputError,
@@ -55,8 +55,6 @@ from .tools import (
     FixtureFetcher,
     FixtureSearchProvider,
     HttpFetcher,
-    PageFetcher,
-    SearchProvider,
     live_providers,
 )
 
@@ -146,25 +144,28 @@ def load_settings(args) -> tuple[AgentConfig, PricingTable]:
     return config, pricing
 
 
-def make_backend(args) -> Backend:
-    if args.script:
-        return ScriptedBackend.from_jsonl(args.script)
-    return OpenAIBackend()
-
-
-def make_fetcher(args) -> PageFetcher:
+def run_options(args, config: AgentConfig) -> dict:
+    """The collaborators and limits of a run of ``config``, as keywords of
+    ``execute_run`` and ``run_benchmark``: canned with ``--script`` and
+    ``--fixtures``, live without them. Live search fans out to the engines
+    of ``config``'s own ``source_set``."""
+    backend = ScriptedBackend.from_jsonl(args.script) if args.script else OpenAIBackend()
     if args.fixtures:
         root = Path(args.fixtures)
+        canned = root / "searches.json"
+        providers = [FixtureSearchProvider.from_file(canned)] if canned.exists() else []
         pages = root / "pages"
-        return FixtureFetcher.from_dir(pages if pages.is_dir() else root)
-    return HttpFetcher()
-
-
-def make_providers(args, config: AgentConfig) -> list[SearchProvider]:
-    if args.fixtures:
-        canned = Path(args.fixtures) / "searches.json"
-        return [FixtureSearchProvider.from_file(canned)] if canned.exists() else []
-    return live_providers(config.source_set)
+        fetcher = FixtureFetcher.from_dir(pages if pages.is_dir() else root)
+    else:
+        providers = live_providers(config.source_set)
+        fetcher = HttpFetcher()
+    return {
+        "backend": backend,
+        "providers": providers,
+        "fetcher": fetcher,
+        "trace_dir": args.trace_dir,
+        "timeout_s": args.timeout,
+    }
 
 
 def _select_task(tasks: list[Task], task_id: str | None) -> Task:
@@ -200,12 +201,8 @@ def cmd_run(args) -> int:
     outcome, _ = execute_run(
         task,
         config,
-        make_backend(args),
-        pricing,
-        providers=make_providers(args, config),
-        fetcher=make_fetcher(args),
-        trace_dir=args.trace_dir,
-        timeout_s=args.timeout,
+        pricing=pricing,
+        **run_options(args, config),
     )
     print(f"task:        {outcome.task_id} (level {outcome.level})")
     print(f"answer:      {outcome.final_answer}")
@@ -226,13 +223,9 @@ def cmd_bench(args) -> int:
     _, report = run_benchmark(
         tasks,
         config,
-        make_backend(args),
-        pricing,
+        pricing=pricing,
         workers=args.workers,
-        providers=make_providers(args, config),
-        fetcher=make_fetcher(args),
-        trace_dir=args.trace_dir,
-        timeout_s=args.timeout,
+        **run_options(args, config),
     )
     if args.out:
         _write_json(report.to_dict(), args.out)
@@ -246,9 +239,6 @@ def cmd_sweep(args) -> int:
     base, pricing = load_settings(args)
     tasks = load_tasks(args.tasks)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
-    backend = make_backend(args)
-    providers = make_providers(args, base)
-    fetcher = make_fetcher(args)
     # every value is checked before the first run, so a bad one wastes none
     configs = [validate_config(cfg, pricing) for cfg in sweep_configs(base, args.axis, values)]
     entries: list[tuple[str, AggregateRow]] = []
@@ -257,13 +247,9 @@ def cmd_sweep(args) -> int:
         _, report = run_benchmark(
             tasks,
             cfg,
-            backend,
-            pricing,
+            pricing=pricing,
             workers=args.workers,
-            providers=providers,
-            fetcher=fetcher,
-            trace_dir=args.trace_dir,
-            timeout_s=args.timeout,
+            **run_options(args, cfg),
         )
         entries.append((value, report.rows[0]))
         saved.append({"value": value, **report.to_dict()})

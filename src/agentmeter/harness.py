@@ -28,7 +28,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
 
 from .agent import TaskRunRecord, TerminatedBy, run_task
 from .backend import Backend
@@ -303,18 +303,35 @@ def read_results(path: str | Path) -> tuple[str, list[TaskOutcome], list[Aggrega
         if values["level"] not in (1, 2, 3):
             raise ResultsFileError(f"{where}level is missing or invalid: {values['level']!r}")
         outcomes.append(TaskOutcome(**values))
-    return head["config_hash"], outcomes, _tally(outcomes, refused)
+    _check_runs(((o.task_id, head["config_hash"]) for o in outcomes), None, refused)
+    return head["config_hash"], outcomes, _tally(outcomes)
 
 
-def _tally(outcomes: list[TaskOutcome], where: str = "") -> list[AggregateRow]:
-    """The aggregate rows of one benchmark's ``outcomes``, which this sorts by
-    task id in place. A task id that appears twice raises ``DuplicateTaskIdError``
-    whose message starts with ``where``."""
-    outcomes.sort(key=lambda o: o.task_id)
-    for first, second in zip(outcomes, outcomes[1:]):
-        if first.task_id == second.task_id:
-            raise DuplicateTaskIdError(f"{where}task_id {first.task_id!r} appears twice; "
+def _check_runs(
+    runs: Iterable[tuple[str, str]], trace_dir: str | Path | None, where: str = ""
+) -> None:
+    """Refuse a benchmark's runs, each a task id and config hash, that count a
+    task twice or, with a ``trace_dir``, write two task ids to one trace file.
+    The ``DuplicateTaskIdError`` message starts with ``where``."""
+    seen: set[str] = set()
+    owners: dict[str, str] = {}
+    for task_id, digest in runs:
+        if task_id in seen:
+            raise DuplicateTaskIdError(f"{where}task_id {task_id!r} appears twice; "
                                        "a benchmark counts each task once")
+        seen.add(task_id)
+        name = trace_filename(task_id, digest)
+        owner = owners.setdefault(name, task_id)
+        if trace_dir is not None and owner != task_id:
+            raise DuplicateTaskIdError(
+                f"{where}task ids {owner!r} and {task_id!r} both map to trace file {name}"
+            )
+
+
+def _tally(outcomes: list[TaskOutcome]) -> list[AggregateRow]:
+    """The aggregate rows of one benchmark's ``outcomes``, which this sorts by
+    task id in place."""
+    outcomes.sort(key=lambda o: o.task_id)
     # looked up in this module, where perfbench's span tracer wraps it
     return aggregate(o.as_tuple() for o in outcomes)
 
@@ -410,18 +427,6 @@ def execute_run(
     return _run(task, config, backend, pricing, providers, fetcher, trace_dir, timeout_s)
 
 
-def _check_trace_names(tasks: Sequence[Task], digest: str) -> None:
-    """Refuse task ids that would write the same trace file."""
-    owners: dict[str, str] = {}
-    for task in tasks:
-        name = trace_filename(task.task_id, digest)
-        if name in owners:
-            raise DuplicateTaskIdError(
-                f"task ids {owners[name]!r} and {task.task_id!r} both map to trace file {name}"
-            )
-        owners[name] = task.task_id
-
-
 def run_benchmark(
     tasks: Sequence[Task],
     config: AgentConfig,
@@ -438,8 +443,8 @@ def run_benchmark(
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     validate_config(config, pricing)
-    if trace_dir is not None:
-        _check_trace_names(tasks, config_hash(config))
+    digest = config_hash(config)
+    _check_runs(((t.task_id, digest) for t in tasks), trace_dir)
 
     def one(task: Task) -> TaskOutcome:
         outcome, _ = execute_run(
@@ -466,7 +471,7 @@ def run_benchmark(
             "the log names each run's cause"
         )
     rows = _tally(outcomes)
-    report = BenchmarkReport(config_hash(config), config, tuple(rows), tuple(outcomes))
+    report = BenchmarkReport(digest, config, tuple(rows), tuple(outcomes))
     return outcomes, report
 
 
@@ -537,13 +542,17 @@ def replay_benchmark(
 ) -> tuple[list[TaskOutcome], list[AggregateRow]]:
     """Replay a set of traces and rebuild the aggregate rows.
 
-    With ``trace_dir`` set, every replay is re-recorded there.
+    With ``trace_dir`` set, every replay is re-recorded there. A trace's
+    task id is known only once it is read, so the set of replays is checked
+    after they have run.
     """
     if not trace_paths:
         raise EmptyBenchmarkError("no trace files to replay")
-    outcomes = []
+    outcomes, runs = [], []
     for path in trace_paths:
-        outcome, _ = replay_run(path, trace_dir=trace_dir)
+        outcome, record = replay_run(path, trace_dir=trace_dir)
         log.info("replayed %s: solved=%s", Path(path).name, outcome.solved)
         outcomes.append(outcome)
+        runs.append((outcome.task_id, config_hash(record.config)))
+    _check_runs(runs, trace_dir)
     return outcomes, _tally(outcomes)

@@ -760,21 +760,21 @@ class PageFetcher(abc.ABC):
 
 
 class HttpFetcher(PageFetcher):
-    """Live fetcher with a per-host politeness delay."""
+    """Live fetcher with a per-host politeness delay. The slots are kept per
+    process, so the delay also holds between fetchers, such as those of a
+    sweep's values or of two benchmarks run at once."""
 
     _HTML_TYPES = ("text/html", "application/xhtml", "text/plain")
-
-    def __init__(self) -> None:
-        self._next_slot: dict[str, float] = {}
-        self._lock = threading.Lock()
+    _next_slot: dict[str, float] = {}
+    _lock = threading.Lock()
 
     def _polite_wait(self, host: str) -> None:
         """Wait for the host's next free slot. Slots are reserved under the
         lock and waited for outside it, so workers keep the delay between them."""
-        with self._lock:
+        with HttpFetcher._lock:
             now = time.monotonic()
-            slot = max(now, self._next_slot.get(host, now))
-            self._next_slot[host] = slot + FETCH_DELAY_S
+            slot = max(now, HttpFetcher._next_slot.get(host, now))
+            HttpFetcher._next_slot[host] = slot + FETCH_DELAY_S
         if slot > now:
             time.sleep(slot - now)
 

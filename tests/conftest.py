@@ -39,6 +39,12 @@ def empty_page_cache():
     tools.PAGE_TEXTS.clear()
 
 
+@pytest.fixture(autouse=True)
+def free_fetch_slots():
+    """Each test starts with no host's fetch slot taken, as a new process does."""
+    tools.HttpFetcher._next_slot.clear()
+
+
 @pytest.fixture
 def pricing() -> PricingTable:
     # 1 micro-dollar per input token, 10 per output token

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from agentmeter import cli
 from agentmeter.cli import main
+from agentmeter.config import SourceSet
+from agentmeter.tools import FixtureSearchProvider
 
-from conftest import BENCH, FIXTURES, trace_bytes, trace_lines, write_trace_lines
+from conftest import BENCH, FIXTURES, bench_fetcher, trace_bytes, trace_lines, write_trace_lines
 
 AGENT_SECTION = "[agent]\nbackbone_id = gpt-4.1\n"
 PRICED = "[pricing.gpt-4.1]\ninput = 1.00\noutput = 10.00\n"
@@ -312,6 +315,32 @@ def test_sweep_checks_every_value_before_running(tmp_path, capsys):
     assert not traces.exists() and not results.exists()
 
 
+def test_live_sweep_searches_each_values_own_engines(tmp_path, monkeypatch, capsys):
+    # without --fixtures, each value's engines come from its own source_set;
+    # offline engines named as the live ones stand in for them
+    canned = json.loads((BENCH / "searches.json").read_text(encoding="utf-8"))
+    monkeypatch.setattr(cli, "live_providers", lambda source_set: [
+        FixtureSearchProvider(name, canned) for name in source_set.providers
+    ])
+    monkeypatch.setattr(cli, "HttpFetcher", bench_fetcher)
+    traces = tmp_path / "traces"
+    assert run_cli(
+        "sweep", "--config", str(BENCH / "config.ini"), "--script", str(BENCH / "script.jsonl"),
+        "--tasks", str(BENCH / "tasks.jsonl"), "--axis", "source_set", "--values", "simple,multi",
+        "--trace-dir", str(traces),
+    ) == 0
+    capsys.readouterr()
+    searched = set()
+    for path in traces.glob("*.trace"):
+        header, *events = trace_lines(path)
+        source_set = SourceSet(header["config"]["source_set"])
+        for event in events:
+            if event.get("tool") == "search":
+                assert event["args"]["providers"] == list(source_set.providers)
+                searched.add(source_set)
+    assert searched == set(SourceSet)
+
+
 # -- replay ------------------------------------------------------------------
 
 
@@ -389,6 +418,25 @@ def test_replay_counts_each_task_once(tmp_path, capsys):
         assert captured.err == "error: task_id 'gaia-e1' appears twice; " \
                                "a benchmark counts each task once\n"
         assert captured.out == ""
+
+
+def test_replay_refuses_task_ids_sharing_a_re_recorded_trace(tmp_path, capsys):
+    first = json.loads((BENCH / "tasks.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text("".join(json.dumps({**first, "task_id": i}) + "\n"
+                             for i in ("gaia/e1", "gaia_e1")), encoding="utf-8")
+    for task_id, traces in (("gaia/e1", "a"), ("gaia_e1", "b")):
+        assert run_cli("run", *bench_args(), "--tasks", str(tasks), "--task-id", task_id,
+                       "--trace-dir", str(tmp_path / traces)) == 0
+    capsys.readouterr()
+
+    code = run_cli("replay", str(tmp_path / "a"), str(tmp_path / "b"),
+                   "--trace-dir", str(tmp_path / "out"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: task ids 'gaia/e1' and 'gaia_e1' both map to ")
+    assert captured.err.count("\n") == 1
 
 
 def test_replay_without_traces_exits_two(tmp_path, capsys):

@@ -395,6 +395,18 @@ def test_run_benchmark_counts_each_task_once():
         run_benchmark([task, task], bench_config(), bench_backend(), bench_pricing(), **kwargs)
 
 
+@pytest.mark.parametrize("traced", [False, True])
+def test_run_benchmark_refuses_a_task_given_twice_before_any_call(tmp_path, traced):
+    task = load_tasks(BENCH / "tasks.jsonl")[0]
+    backend = bench_backend()
+    trace_dir = tmp_path / "traces" if traced else None
+    with pytest.raises(DuplicateTaskIdError, match="task_id 'gaia-e1' appears twice"):
+        run_benchmark([task, task], bench_config(), backend, bench_pricing(),
+                      providers=bench_providers(), fetcher=bench_fetcher(), trace_dir=trace_dir)
+    assert backend.calls == []
+    assert not (tmp_path / "traces").exists()
+
+
 def test_read_results_gives_the_benchmark_outcomes_and_rows(tmp_path):
     outcomes, report = run_bench()
     results = tmp_path / "results.json"

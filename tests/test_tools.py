@@ -159,6 +159,26 @@ def test_concurrent_fetches_from_one_host_keep_the_delay(monkeypatch):
     assert sorted(waits) == [tools.FETCH_DELAY_S * i for i in range(1, 8)]
 
 
+def test_two_fetchers_keep_the_delay_between_them(monkeypatch):
+    # a sweep builds a fetcher per value; the host's slots are the process's
+    import requests
+
+    class Page:
+        status_code = 200
+        headers = {"Content-Type": "text/html"}
+        text = "<p>x</p>"
+
+    waits = []
+    monkeypatch.setattr(requests, "get", lambda url, timeout, headers: Page())
+    monkeypatch.setattr(tools, "time", SimpleNamespace(monotonic=lambda: 100.0, sleep=waits.append))
+    first, second = tools.HttpFetcher(), tools.HttpFetcher()
+    first.fetch("http://x.com/a")
+    second.fetch("http://x.com/b")
+    second.fetch("http://y.com/")  # another host has a slot free
+    first.fetch("http://x.com/c")
+    assert waits == [tools.FETCH_DELAY_S, 2 * tools.FETCH_DELAY_S]
+
+
 def test_search_respects_per_query_limit_and_requires_queries():
     rows = [(f"T{i}", f"http://site.com/{i}", "s") for i in range(10)]
     out = search([provider("p", {"q": rows})], ["q"], per_query_limit=3)
