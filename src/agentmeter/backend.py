@@ -64,7 +64,6 @@ class ModelRequest:
     messages: tuple[Message, ...]
     purpose: Purpose
     temperature: float = 0.0
-    max_tokens: int | None = None
 
     def __post_init__(self) -> None:
         if not self.messages:
@@ -276,8 +275,6 @@ class OpenAIBackend(Backend):
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.temperature,
         }
-        if request.max_tokens is not None:
-            payload["max_tokens"] = request.max_tokens
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

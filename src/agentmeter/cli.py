@@ -57,6 +57,7 @@ from .tools import (
     HttpFetcher,
     live_providers,
 )
+from .trace import TRACE_SUFFIX
 
 
 def _seconds(text: str) -> float:
@@ -272,7 +273,7 @@ def _collect_traces(paths: list[str]) -> list[Path]:
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(sorted(p.glob("*.trace")))
+            files.extend(sorted(p.glob(f"*{TRACE_SUFFIX}")))
         else:
             files.append(p)
     return files

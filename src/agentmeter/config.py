@@ -152,6 +152,15 @@ def _pico_per_token(usd_per_million: float | str) -> int:
     return pico_total // TOKENS_PER_MILLION
 
 
+def _iso_date(text: str) -> date:
+    """The date of ``YYYY-MM-DD`` text, the one form every Python reads as
+    such; any other text, such as ``20250601``, raises ``ValueError``."""
+    value = date.fromisoformat(text)  # from 3.11 it also reads other ISO 8601 forms
+    if value.isoformat() != text:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return value
+
+
 class MissingPricingError(LookupError):
     """A model id has no pricing entry; silent zero prices are never assumed."""
 
@@ -201,8 +210,8 @@ class PricingTable:
                 model: ModelPricing(p["input_pico_per_token"], p["output_pico_per_token"])
                 for model, p in data["models"].items()
             }
-            eff = data.get("effective_date")
-            return cls(entries, date.fromisoformat(eff) if eff else None)
+            eff = typed_value(str | None, data.get("effective_date"))
+            return cls(entries, None if eff is None else _iso_date(eff))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"not a pricing snapshot ({type(exc).__name__}: {exc})") from None
 
@@ -406,7 +415,7 @@ def parse_config(text: str, source: str = "<string>") -> tuple[AgentConfig, Pric
     for section, values in sections.items():
         if section == "pricing":
             if values.get("effective_date"):
-                effective = _file_value(section, values, "effective_date", date.fromisoformat)
+                effective = _file_value(section, values, "effective_date", _iso_date)
         elif section.startswith("pricing."):
             prices = [_file_value(section, values, key, _pico_per_token) for key in ("input", "output")]
             entries[section[len("pricing.") :]] = ModelPricing(*prices)

@@ -53,6 +53,7 @@ from .tools import FixtureFetcher, PageFetcher, SearchProvider, ToolBox
 from .trace import (
     ReplayMismatchError,
     ReplaySource,
+    TraceData,
     TraceFormatError,
     TraceWriter,
     read_trace,
@@ -303,29 +304,20 @@ def read_results(path: str | Path) -> tuple[str, list[TaskOutcome], list[Aggrega
         if values["level"] not in (1, 2, 3):
             raise ResultsFileError(f"{where}level is missing or invalid: {values['level']!r}")
         outcomes.append(TaskOutcome(**values))
-    _check_runs(((o.task_id, head["config_hash"]) for o in outcomes), None, refused)
+    _check_runs((o.task_id for o in outcomes), refused)
     return head["config_hash"], outcomes, _tally(outcomes)
 
 
-def _check_runs(
-    runs: Iterable[tuple[str, str]], trace_dir: str | Path | None, where: str = ""
-) -> None:
-    """Refuse a benchmark's runs, each a task id and config hash, that count a
-    task twice or, with a ``trace_dir``, write two task ids to one trace file.
-    The ``DuplicateTaskIdError`` message starts with ``where``."""
+def _check_runs(task_ids: Iterable[str], where: str = "") -> None:
+    """Refuse a benchmark's runs, given by task id, that count a task twice.
+    The ids are taken one at a time, so a caller may act on each once it has
+    passed. The ``DuplicateTaskIdError`` message starts with ``where``."""
     seen: set[str] = set()
-    owners: dict[str, str] = {}
-    for task_id, digest in runs:
+    for task_id in task_ids:
         if task_id in seen:
             raise DuplicateTaskIdError(f"{where}task_id {task_id!r} appears twice; "
                                        "a benchmark counts each task once")
         seen.add(task_id)
-        name = trace_filename(task_id, digest)
-        owner = owners.setdefault(name, task_id)
-        if trace_dir is not None and owner != task_id:
-            raise DuplicateTaskIdError(
-                f"{where}task ids {owner!r} and {task_id!r} both map to trace file {name}"
-            )
 
 
 def _tally(outcomes: list[TaskOutcome]) -> list[AggregateRow]:
@@ -444,7 +436,7 @@ def run_benchmark(
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     validate_config(config, pricing)
     digest = config_hash(config)
-    _check_runs(((t.task_id, digest) for t in tasks), trace_dir)
+    _check_runs(t.task_id for t in tasks)
 
     def one(task: Task) -> TaskOutcome:
         outcome, _ = execute_run(
@@ -499,6 +491,13 @@ def sweep_configs(base: AgentConfig, axis: str, values: Sequence) -> list[AgentC
 # -- replay ------------------------------------------------------------------
 
 
+def _recording(path: str | Path) -> tuple[TraceData, Task, AgentConfig, PricingTable]:
+    """Trace ``path`` as ``read_trace`` checked it, and the task, config and
+    pricing its header records."""
+    data = read_trace(path)
+    return (data, *recorded_run(path, data.header))
+
+
 def replay_run(
     trace_path: str | Path,
     trace_dir: str | Path | None = None,
@@ -516,9 +515,19 @@ def replay_run(
     a replay that asks for another effect than the next recorded one, ends
     unlike it or leaves recorded effects unused raises ``ReplayMismatchError``.
     """
-    data = read_trace(trace_path)
-    task, config, pricing = recorded_run(trace_path, data.header)
-    recorded = recorded_outcome(trace_path, data.result, task)
+    return _replay(trace_path, trace_dir, *_recording(trace_path))
+
+
+def _replay(
+    path: str | Path,
+    trace_dir: str | Path | None,
+    data: TraceData,
+    task: Task,
+    config: AgentConfig,
+    pricing: PricingTable,
+) -> tuple[TaskOutcome, TaskRunRecord]:
+    """``replay_run`` of a trace that ``_recording`` has read."""
+    recorded = recorded_outcome(path, data.result, task)
     source = ReplaySource(data, recorded.terminated_by is TerminatedBy.TIMEOUT)
     # recorded_run checked that the header's config_hash is that of config
     digest = data.header["config_hash"]
@@ -532,7 +541,7 @@ def replay_run(
     if not source.exhausted():
         diverged.append("recorded effects are left over")
     if diverged:
-        raise ReplayMismatchError(f"{trace_path}: replay diverged: {'; '.join(diverged)}")
+        raise ReplayMismatchError(f"{path}: replay diverged: {'; '.join(diverged)}")
     return outcome, record
 
 
@@ -542,17 +551,21 @@ def replay_benchmark(
 ) -> tuple[list[TaskOutcome], list[AggregateRow]]:
     """Replay a set of traces and rebuild the aggregate rows.
 
-    With ``trace_dir`` set, every replay is re-recorded there. A trace's
-    task id is known only once it is read, so the set of replays is checked
-    after they have run.
+    With ``trace_dir`` set, every replay is re-recorded there. A trace whose
+    task id an earlier trace of the set holds is refused once its header is
+    read, so neither it nor a later trace is replayed.
     """
     if not trace_paths:
         raise EmptyBenchmarkError("no trace files to replay")
-    outcomes, runs = [], []
-    for path in trace_paths:
-        outcome, record = replay_run(path, trace_dir=trace_dir)
-        log.info("replayed %s: solved=%s", Path(path).name, outcome.solved)
-        outcomes.append(outcome)
-        runs.append((outcome.task_id, config_hash(record.config)))
-    _check_runs(runs, trace_dir)
+    outcomes = []
+
+    def task_ids():  # a trace is replayed once _check_runs has passed its task id
+        for path in trace_paths:
+            recording = _recording(path)
+            yield recording[1].task_id
+            outcome, _ = _replay(path, trace_dir, *recording)
+            log.info("replayed %s: solved=%s", Path(path).name, outcome.solved)
+            outcomes.append(outcome)
+
+    _check_runs(task_ids())
     return outcomes, _tally(outcomes)

@@ -61,7 +61,6 @@ class RunSession:
         model_id: str,
         messages: tuple[Message, ...],
         temperature: float = 0.0,
-        max_tokens: int | None = None,
     ) -> ModelResponse:
         self.check_deadline()
         request = ModelRequest(
@@ -69,7 +68,6 @@ class RunSession:
             messages=messages,
             purpose=purpose,
             temperature=temperature,
-            max_tokens=max_tokens,
         )
         try:
             response = self.backend.complete(request)

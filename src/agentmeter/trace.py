@@ -50,12 +50,18 @@ TRACE_SUFFIX = ".trace"
 # about four times as long as level 1 for files about a tenth smaller
 GZIP_LEVEL = 1
 
+_PLAIN_ID = re.compile(r"[a-z0-9._-]+")
 _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9._-]")
 
 
 def trace_filename(task_id: str, config_hash: str) -> str:
-    safe_task = _UNSAFE_FILENAME.sub("_", task_id)
-    return f"{safe_task}.{config_hash}{TRACE_SUFFIX}"
+    """``<task_id>.<config_hash>.trace`` for a task id of only ``[a-z0-9._-]``.
+    Any other id is sanitized and followed by ``~`` and a digest of the id, so
+    distinct ids give names that differ even where file names ignore case."""
+    name = _UNSAFE_FILENAME.sub("_", task_id)
+    if not _PLAIN_ID.fullmatch(task_id):
+        name += "~" + text_digest(task_id)[:16]
+    return f"{name}.{config_hash}{TRACE_SUFFIX}"
 
 
 def _dump_line(event: dict) -> bytes:

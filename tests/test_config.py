@@ -210,6 +210,22 @@ def test_parse_pricing_sections():
     assert table.lookup("m1").input_pico_per_token == 400_000
 
 
+@pytest.mark.parametrize("text", ["20250601", "2025-W23-7", "2025-6-1", "soon"])
+def test_parse_refuses_an_effective_date_not_yyyy_mm_dd(text):
+    message = rf"^\[pricing\] effective_date: Invalid isoformat string: '{text}'$"
+    with pytest.raises(InvalidConfigError, match=message):
+        parse_config(f"[pricing]\neffective_date = {text}\n")
+
+
+@pytest.mark.parametrize("value", [0, False, "", [], {}, "20250601", "2025-W23-7"])
+def test_pricing_snapshot_refuses_an_effective_date_not_null_or_yyyy_mm_dd(value):
+    snapshot = {**default_pricing().snapshot(), "effective_date": value}
+    with pytest.raises(ValueError):
+        PricingTable.from_snapshot(snapshot)
+    no_date = {**snapshot, "effective_date": None}
+    assert PricingTable.from_snapshot(no_date).effective_date is None
+
+
 def test_parse_rejects_unknown_agent_key():
     with pytest.raises(InvalidConfigError, match="AgentConfig has no field 'max_step'"):
         parse_config("[agent]\nmax_step = 3\n")

@@ -373,19 +373,19 @@ def test_run_benchmark_survives_an_error_outside_the_backend(tmp_path):
     assert report.rows[0].task_count == 3
 
 
-def test_run_benchmark_rejects_task_ids_sharing_a_trace_file(tmp_path):
+def test_run_benchmark_traces_task_ids_of_one_sanitized_form_apart(tmp_path):
     first = load_tasks(BENCH / "tasks.jsonl")[0]
-    tasks = [dataclasses.replace(first, task_id=i) for i in ("gaia/e1", "gaia_e1")]
-    args = (tasks, bench_config(), bench_backend(), bench_pricing())
-    kwargs = dict(providers=bench_providers(), fetcher=bench_fetcher())
-
-    with pytest.raises(DuplicateTaskIdError) as info:
-        run_benchmark(*args, trace_dir=tmp_path / "traces", **kwargs)
-    assert "'gaia/e1'" in str(info.value) and "'gaia_e1'" in str(info.value)
-    assert not (tmp_path / "traces").exists()
-
-    outcomes, _ = run_benchmark(*args, **kwargs)  # no traces, no collision
+    ids = ("gaia/e1", "gaia_e1")
+    tasks = [dataclasses.replace(first, task_id=i) for i in ids]
+    outcomes, _ = run_benchmark(tasks, bench_config(), bench_backend(), bench_pricing(),
+                                providers=bench_providers(), fetcher=bench_fetcher(),
+                                trace_dir=tmp_path / "traces")
     assert [o.solved for o in outcomes] == [True, True]
+    names = {trace_filename(i, config_hash(bench_config())): i for i in ids}
+    assert len(names) == 2
+    assert {p.name for p in (tmp_path / "traces").iterdir()} == set(names)
+    for name, task_id in names.items():
+        assert read_trace(tmp_path / "traces" / name).header["task_id"] == task_id
 
 
 def test_run_benchmark_counts_each_task_once():
@@ -539,6 +539,12 @@ HEADER_EDITS = [
      "header field pricing is invalid: per-token prices must be non-negative"),
     (("pricing", "models", "gpt-4.1", "input_pico_per_token"), 1.5,
      "header field pricing is invalid: not a pricing snapshot (TypeError: per-token prices"),
+    # an effective date is null or YYYY-MM-DD text, on every Python
+    (("pricing", "effective_date"), 0, "header field pricing is invalid: 0 is not a valid str"),
+    (("pricing", "effective_date"), "",
+     "header field pricing is invalid: Invalid isoformat string: ''"),
+    (("pricing", "effective_date"), "20250601",
+     "header field pricing is invalid: Invalid isoformat string: '20250601'"),
     # run_id and config_hash derive from the task and config; a replay writes them anew
     (("run_id",), "gaia-e2",
      "header field run_id is invalid: 'gaia-e2', but the header's task and config give 'gaia-e1'"),

@@ -1,9 +1,12 @@
 import gzip
 import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agentmeter.backend import (
     BackendError,
@@ -66,8 +69,28 @@ def write_sample(path):
 
 
 def test_trace_filename_sanitizes():
-    assert trace_filename("task/1:x", "deadbeef") == "task_1_x.deadbeef.trace"
+    digest = text_digest("task/1:X")[:16]
+    assert trace_filename("task/1:X", "deadbeef") == f"task_1_X~{digest}.deadbeef.trace"
     assert trace_filename("ok-id_2.a", "ff") == "ok-id_2.a.ff.trace"
+
+
+@st.composite
+def task_id_pairs(draw):
+    """Two task ids, the second often the first in another case or sanitized."""
+    ids = st.text(st.sampled_from("aAz0._-/:~ é"), max_size=6) | st.text()
+    a = draw(ids)
+    variants = [a.swapcase(), a.lower(), a.upper(), re.sub(r"[^A-Za-z0-9._-]", "_", a)]
+    return a, draw(st.sampled_from(variants) | ids)
+
+
+@given(task_id_pairs())
+def test_distinct_task_ids_give_trace_names_distinct_ignoring_case(pair):
+    a, b = pair
+    names = [trace_filename(task_id, "deadbeef") for task_id in pair]
+    assert (names[0].lower() == names[1].lower()) == (a == b)
+    for task_id, name in zip((a, b), names):
+        if re.fullmatch(r"[a-z0-9._-]+", task_id):  # a plain id keeps its name
+            assert name == f"{task_id}.deadbeef.trace"
 
 
 def test_round_trip(tmp_path):
