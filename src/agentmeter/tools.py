@@ -1,8 +1,10 @@
 """Web information tools: query expansion, multi-engine search, page reading.
 
 Search fans each expanded query out to every engine in the configured
-source set, then merges with URL deduplication in a fixed order, so the
-result list is deterministic for deterministic providers. Each distinct
+source set. The requests of one search run at once, on one bounded pool
+shared by the whole process, and their answers are merged in the calling
+thread with URL deduplication in a fixed order, so the result list is
+deterministic for deterministic providers. Each distinct
 page is reduced to static text once per process (a cache shared by every
 run and worker, bounded by size) and cut at the crawler limit; the three
 page strategies differ only in how much of that text a single
@@ -25,6 +27,7 @@ import threading
 import time
 import urllib.parse
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from html import unescape
@@ -60,7 +63,10 @@ USER_AGENT = "agentmeter/0.1 (research harness)"
 SEARCH_TIMEOUT_S = 15.0
 FETCH_TIMEOUT_S = 30.0
 FETCH_DELAY_S = 0.5  # between two live fetches from one host
-URL_KEYS_CACHED = 4096  # normalize_url results kept per process
+URL_KEYS_CACHED = 4096  # search merge keys kept per process
+# provider requests the process runs at once: the widest preset search, 5
+# queries on 5 engines (the default's is 10 on 2)
+SEARCH_REQUESTS_IN_FLIGHT = 25
 
 
 class ToolError(RuntimeError):
@@ -91,7 +97,6 @@ class SearchResult:
     rank: int  # 1-based position within its provider's response
 
 
-@lru_cache(maxsize=URL_KEYS_CACHED)
 def normalize_url(url: str) -> str:
     """Dedup key: lowercased scheme and host, fragment dropped."""
     parts = urllib.parse.urlsplit(url.strip())
@@ -103,6 +108,13 @@ def normalize_url(url: str) -> str:
 def _is_absolute_http(url: str) -> bool:
     parts = urllib.parse.urlsplit(url)
     return parts.scheme in ("http", "https") and bool(parts.netloc)
+
+
+@lru_cache(maxsize=URL_KEYS_CACHED)
+def _merge_key(url: str) -> str | None:
+    """The search merge's key for a row's URL: ``normalize_url(url)``, or
+    None for a URL that is not absolute http(s)."""
+    return normalize_url(url) if _is_absolute_http(url) else None
 
 
 class SearchProvider(abc.ABC):
@@ -238,6 +250,7 @@ class SerpGatewayProvider(SearchProvider):
     """
 
     _warned: set[str] = set()
+    _warned_lock = threading.Lock()  # a search's requests to one engine run at once
 
     def __init__(self, name: str):
         self.name = name
@@ -245,8 +258,10 @@ class SerpGatewayProvider(SearchProvider):
     def search(self, query: str, limit: int) -> list[SearchResult]:
         gateway = os.environ.get(SERP_GATEWAY_ENV)
         if not gateway:
-            if self.name not in SerpGatewayProvider._warned:
+            with SerpGatewayProvider._warned_lock:
+                first = self.name not in SerpGatewayProvider._warned
                 SerpGatewayProvider._warned.add(self.name)
+            if first:
                 log.warning(
                     "no SERP gateway configured (%s); %s returns no results",
                     SERP_GATEWAY_ENV,
@@ -280,6 +295,10 @@ def live_providers(source_set: SourceSet) -> list[SearchProvider]:
     return built
 
 
+# every search's provider requests, whichever run or worker makes it
+_SEARCH_POOL = ThreadPoolExecutor(SEARCH_REQUESTS_IN_FLIGHT, thread_name_prefix="agentmeter-search")
+
+
 def search(
     providers: Sequence[SearchProvider],
     queries: Sequence[str],
@@ -287,30 +306,33 @@ def search(
 ) -> list[SearchResult]:
     """Fan out, merge, dedup.
 
-    Order is (query position, provider position, provider rank); the
-    first occurrence of a normalized URL wins. Provider failures and
-    non-absolute URLs are dropped with a warning.
+    Every (query, provider) request is sent at once on the process's
+    search pool; the answers are merged here, in (query position, provider
+    position, provider rank) order, and the first occurrence of a
+    normalized URL wins. Provider failures and non-absolute URLs are
+    dropped with a warning, logged in that same order.
     """
     if not queries:
         raise ValueError("at least one query required")
+    pairs = [(query, provider) for query in queries for provider in providers]
+    answers = [_SEARCH_POOL.submit(p.search, q, per_query_limit) for q, p in pairs]
     merged: list[SearchResult] = []
     seen: set[str] = set()
-    for query in queries:
-        for provider in providers:
-            try:
-                rows = provider.search(query, per_query_limit)
-            except Exception as exc:
-                log.warning("provider %s failed for %r: %s", provider.name, query, exc)
+    for (query, provider), answer in zip(pairs, answers):
+        try:
+            rows = answer.result()
+        except Exception as exc:
+            log.warning("provider %s failed for %r: %s", provider.name, query, exc)
+            continue
+        for row in rows:
+            key = _merge_key(row.url)
+            if key is None:
+                log.warning("provider %s returned non-absolute url %r", provider.name, row.url)
                 continue
-            for row in rows:
-                if not _is_absolute_http(row.url):
-                    log.warning("provider %s returned non-absolute url %r", provider.name, row.url)
-                    continue
-                key = normalize_url(row.url)
-                if key in seen:
-                    continue
-                seen.add(key)
-                merged.append(row)
+            if key in seen:
+                continue
+            seen.add(key)
+            merged.append(row)
     return merged
 
 

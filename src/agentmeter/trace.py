@@ -52,16 +52,20 @@ GZIP_LEVEL = 1
 
 _PLAIN_ID = re.compile(r"[a-z0-9._-]+")
 _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9._-]")
+FILENAME_MAX_BYTES = 255  # the longest file name common file systems take
 
 
 def trace_filename(task_id: str, config_hash: str) -> str:
-    """``<task_id>.<config_hash>.trace`` for a task id of only ``[a-z0-9._-]``.
-    Any other id is sanitized and followed by ``~`` and a digest of the id, so
-    distinct ids give names that differ even where file names ignore case."""
-    name = _UNSAFE_FILENAME.sub("_", task_id)
-    if not _PLAIN_ID.fullmatch(task_id):
-        name += "~" + text_digest(task_id)[:16]
-    return f"{name}.{config_hash}{TRACE_SUFFIX}"
+    """``<task_id>.<config_hash>.trace`` for a task id of only ``[a-z0-9._-]``
+    whose name fits in ``FILENAME_MAX_BYTES``. Any other id is sanitized, cut
+    to what fits, and followed by ``~`` and a digest of the id, so distinct
+    ids give names that differ even where file names ignore case."""
+    name = _UNSAFE_FILENAME.sub("_", task_id)  # ASCII, so a byte a character
+    tail = f".{config_hash}{TRACE_SUFFIX}"
+    if _PLAIN_ID.fullmatch(task_id) and len(name) + len(tail) <= FILENAME_MAX_BYTES:
+        return name + tail
+    digest = "~" + text_digest(task_id)[:16]
+    return name[: FILENAME_MAX_BYTES - len(tail) - len(digest)] + digest + tail
 
 
 def _dump_line(event: dict) -> bytes:

@@ -457,6 +457,20 @@ def test_replay_re_records_task_ids_of_one_sanitized_form_apart(tmp_path, capsys
         assert (out / original.name).read_bytes() == original.read_bytes()
 
 
+def test_a_task_id_too_long_for_a_file_name_benches_and_replays(tmp_path, capsys):
+    first = json.loads((BENCH / "tasks.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(json.dumps({**first, "task_id": "e" * 300}) + "\n", encoding="utf-8")
+    traces, out = tmp_path / "traces", tmp_path / "out"
+    assert run_cli("bench", *bench_args(), "--tasks", str(tasks), "--trace-dir", str(traces)) == 0
+    assert run_cli("replay", str(traces), "--trace-dir", str(out)) == 0
+    capsys.readouterr()
+    (trace,) = traces.iterdir()
+    assert len(trace.name) == 255
+    assert trace.name.startswith("e" * 200)
+    assert (out / trace.name).read_bytes() == trace.read_bytes()
+
+
 def test_replay_without_traces_exits_two(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()

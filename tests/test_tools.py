@@ -22,6 +22,7 @@ from agentmeter.tools import (
     FixtureSearchProvider,
     PageView,
     SearchProvider,
+    SearchResult,
     TransportError,
     expand_queries,
     extract_static_text,
@@ -61,10 +62,12 @@ def test_normalize_url_cases():
 
 def test_the_memoized_url_key_is_the_uncached_one():
     urls = ["HTTPS://Example.ORG/Path?q=1#frag", "http://B.com/1#x", "http://b.com/1",
-            "  http://a.com/2  ", "\thttps://C.org/0#x\n", "/relative/3", "relative#x", ""]
+            "  http://a.com/2  ", "\thttps://C.org/0#x\n", "/relative/3", "relative#x", "",
+            "ftp://a.com/x", "http:///path", "http://", " HTTP://A.com/y"]
     for url in urls * 2:  # the second round is served from the cache
-        assert normalize_url(url) == normalize_url.__wrapped__(url)
-    assert normalize_url.cache_info().maxsize == tools.URL_KEYS_CACHED
+        absolute = tools._is_absolute_http(url)
+        assert tools._merge_key(url) == (normalize_url(url) if absolute else None)
+    assert tools._merge_key.cache_info().maxsize == tools.URL_KEYS_CACHED
 
 
 def test_search_merge_order_and_dedup():
@@ -86,6 +89,109 @@ def test_search_skips_failing_provider_and_bad_urls():
     ok = provider("ok", {"q": [("T", "http://x.com/", "s"), ("R", "/relative", "s")]})
     out = search([FailingProvider(), ok], ["q"])
     assert [r.url for r in out] == ["http://x.com/"]
+
+
+class BarrierProvider(SearchProvider):
+    """Answers only once every request of the search has arrived."""
+
+    def __init__(self, name, barrier):
+        self.name = name
+        self.barrier = barrier
+
+    def search(self, query, limit):
+        self.barrier.wait()
+        return [SearchResult(query, f"http://{self.name}.com/{query}", "", self.name, 1)]
+
+
+def test_a_search_has_all_its_requests_in_flight_at_once():
+    queries = [f"q{i}" for i in range(5)]
+    barrier = threading.Barrier(5 * 5, timeout=5)  # one after another, the first times out
+    engines = [BarrierProvider(f"e{j}", barrier) for j in range(5)]
+    assert len(queries) * len(engines) <= tools.SEARCH_REQUESTS_IN_FLIGHT
+    out = search(engines, queries)
+    assert [(r.title, r.provider) for r in out] == [(q, e.name) for q in queries for e in engines]
+
+
+class SleepyProvider(FixtureSearchProvider):
+    """A fixture engine whose every answer takes its own seeded time."""
+
+    def __init__(self, name, responses, rng, fails_on=()):
+        super().__init__(name, responses)
+        self.sleeps = {query: rng.uniform(0, 0.01) for query in responses}
+        self.fails_on = fails_on
+
+    def search(self, query, limit):
+        time.sleep(self.sleeps.get(query, 0))
+        if query in self.fails_on:
+            raise RuntimeError(f"{self.name} down")
+        return super().search(query, limit)
+
+
+def serial_search(providers, queries, limit):
+    """The merge one request at a time: rows and warnings in (query, provider) order."""
+    merged, seen, warnings = [], set(), []
+    for query in queries:
+        for engine in providers:
+            try:
+                rows = engine.search(query, limit)
+            except Exception as exc:
+                warnings.append(f"provider {engine.name} failed for {query!r}: {exc}")
+                continue
+            for row in rows:
+                if not tools._is_absolute_http(row.url):
+                    warnings.append(f"provider {engine.name} returned non-absolute url {row.url!r}")
+                elif normalize_url(row.url) not in seen:
+                    seen.add(normalize_url(row.url))
+                    merged.append(row)
+    return merged, warnings
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_concurrent_search_merges_as_a_serial_one(seed, caplog):
+    rng = random.Random(seed)
+    queries = [f"q{i}" for i in range(4)]
+    urls = [f"http://site{i}.com/p" for i in range(12)] + ["/relative", "HTTP://SITE3.com/p#x"]
+
+    def responses():
+        return {q: [(f"t{rng.randrange(99)}", rng.choice(urls), "s") for _ in range(5)]
+                for q in queries}
+
+    engines = [SleepyProvider(f"e{j}", responses(), rng) for j in range(4)]
+    engines.insert(2, SleepyProvider("flaky", responses(), rng, fails_on={"q1", "q3"}))
+    expected, warnings = serial_search(engines, queries, 3)
+    with caplog.at_level("WARNING", logger="agentmeter.tools"):
+        assert search(engines, queries, per_query_limit=3) == expected
+    assert [r.getMessage() for r in caplog.records] == warnings
+    assert "provider flaky failed for 'q1': flaky down" in warnings
+
+
+def test_a_gateway_less_engine_warns_once_under_concurrency(monkeypatch, caplog):
+    class SlowSet(set):
+        def __contains__(self, item):
+            found = super().__contains__(item)
+            time.sleep(0.01)  # widens the gap between the check and the add
+            return found
+
+    monkeypatch.delenv(tools.SERP_GATEWAY_ENV, raising=False)
+    monkeypatch.setattr(tools.SerpGatewayProvider, "_warned", SlowSet())
+    engine = tools.SerpGatewayProvider("bing")
+    start = threading.Barrier(10)
+    results = []
+
+    def run():
+        start.wait(timeout=10)
+        results.append(search([engine], ["q"]))
+
+    threads = [threading.Thread(target=run) for _ in range(10)]
+    with caplog.at_level("WARNING", logger="agentmeter.tools"):
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    assert results == [[]] * 10
+    assert [r.getMessage() for r in caplog.records] == [
+        f"no SERP gateway configured ({tools.SERP_GATEWAY_ENV}); bing returns no results"
+    ]
 
 
 class LiveResponse:

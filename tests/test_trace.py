@@ -74,6 +74,14 @@ def test_trace_filename_sanitizes():
     assert trace_filename("ok-id_2.a", "ff") == "ok-id_2.a.ff.trace"
 
 
+def test_a_trace_name_too_long_for_a_file_name_is_cut_before_its_digest():
+    for task_id in ("e" * 300, "E/" * 150, "x" * 241):
+        name = trace_filename(task_id, "deadbeef")
+        assert len(name) == 255
+        assert name.endswith(f"~{text_digest(task_id)[:16]}.deadbeef.trace")
+    assert trace_filename("x" * 240, "deadbeef") == "x" * 240 + ".deadbeef.trace"  # fits
+
+
 @st.composite
 def task_id_pairs(draw):
     """Two task ids, the second often the first in another case or sanitized."""
