@@ -99,7 +99,7 @@ class RunTimeoutError(RuntimeError):
 
 class Backend(abc.ABC):
     """Where every effect of a run comes from: chat completions, tool
-    effects and embeddings."""
+    results and embeddings, each the answer to a request the run records."""
 
     def start_run(self, run_id: str) -> None:
         """Reset any per-run state. Live backends have none."""
@@ -108,9 +108,9 @@ class Backend(abc.ABC):
     def complete(self, request: ModelRequest) -> ModelResponse:
         raise NotImplementedError
 
-    def run_tool(self, tool: str, args: dict, thunk: Callable[[], Any]) -> tuple[dict, Any]:
-        """The ``(args, result)`` of one tool effect; a live backend runs the thunk."""
-        return args, thunk()
+    def run_tool(self, tool: str, args: dict, thunk: Callable[[], Any]) -> Any:
+        """The result of one tool effect; a live backend runs the thunk."""
+        return thunk()
 
     def embed(self, text: str) -> np.ndarray:
         """A deterministic pseudo-embedding: the sha256 of ``agentmeter:text``

@@ -49,7 +49,7 @@ from .config import (
 )
 from .ledger import AggregateRow, EmptyBenchmarkError, aggregate
 from .session import RunSession
-from .tools import FixtureFetcher, PageFetcher, SearchProvider, ToolBox
+from .tools import FixtureFetcher, FixtureSearchProvider, PageFetcher, SearchProvider, ToolBox
 from .trace import (
     ReplayMismatchError,
     ReplaySource,
@@ -512,8 +512,9 @@ def replay_run(
     byte-identical to the original.
 
     A recording that ``read_trace`` or ``recorded_run`` refuses is refused;
-    a replay that asks for another effect than the next recorded one, ends
-    unlike it or leaves recorded effects unused raises ``ReplayMismatchError``.
+    a replay that asks for another effect than the next recorded one or
+    with other tool args, ends unlike it or leaves recorded effects unused
+    raises ``ReplayMismatchError``.
     """
     return _replay(trace_path, trace_dir, *_recording(trace_path))
 
@@ -529,9 +530,12 @@ def _replay(
     """``replay_run`` of a trace that ``_recording`` has read."""
     recorded = recorded_outcome(path, data.result, task)
     source = ReplaySource(data, recorded.terminated_by is TerminatedBy.TIMEOUT)
+    # engines of the recorded names, never called: a replay's searches ask with the recorded args
+    names = next((e["args"] for e in data.events if e.get("tool") == "search"), {}).get("providers")
+    inert = [FixtureSearchProvider(n, {}) for n in names] if type(names) is list else ()
     # recorded_run checked that the header's config_hash is that of config
     digest = data.header["config_hash"]
-    outcome, record = _run(task, config, source, pricing, trace_dir=trace_dir, digest=digest)
+    outcome, record = _run(task, config, source, pricing, inert, trace_dir=trace_dir, digest=digest)
     was, now = recorded.to_dict(with_task=False), outcome.to_dict(with_task=False)
     diverged = [
         f"{key} recorded {was[key]!r}, replayed {value!r}"

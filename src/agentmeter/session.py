@@ -88,12 +88,12 @@ class RunSession:
 
         ``args`` and the thunk's return value must be JSON-safe; they are
         written to the trace verbatim, and so is a ``ToolError`` message.
+        The trace holds the ``args`` given here whether the call succeeds
+        or fails, and a replay must ask with the recorded ones.
         """
         self.check_deadline()
         try:
-            # a recording returns its own args: the live ones may reference
-            # collaborators (provider names, paths) a replay does not have
-            args, result = self.backend.run_tool(tool, args, thunk)
+            result = self.backend.run_tool(tool, args, thunk)
         except ToolError as exc:
             if self.trace is not None:
                 self.trace.tool_call(tool, args, error=str(exc))

@@ -153,7 +153,7 @@ _EFFECTS = {
     "model_call": ("model call", "purpose", {"purpose": Purpose, "response": str, "model_id": str,
                    **_USAGE}, {"purpose": Purpose, "error": str}, BackendError),
     "tool_call": ("tool call", "tool", {"tool": str, "args": dict, "result": list | dict},
-                  {"tool": str, "error": str}, ToolError),
+                  {"tool": str, "args": dict, "error": str}, ToolError),
     "embed": ("embedding", "text_sha256", _EMBED, _EMBED, None),
 }
 _PAGE = {"text": str, "truncated": bool}
@@ -262,8 +262,10 @@ class ReplaySource(Backend):
     """A recorded trace served back as a run's backend.
 
     Each call takes the next recorded effect, which must match it in kind
-    and purpose, tool or text. Recorded failures are raised again, and a
-    run that ``timed_out`` times out again where its recording ends.
+    and purpose, tool or text, and a tool call in its args too. Recorded
+    failures are raised again, and a run that ``timed_out`` times out
+    again where its recording ends. A tool call gets only its recorded
+    result back; the thunk never runs.
     """
 
     def __init__(self, data: TraceData, timed_out: bool = False):
@@ -271,11 +273,14 @@ class ReplaySource(Backend):
         self._effects = deque(data.events)
         self._timed_out = timed_out
 
-    def _next(self, kind: str, value) -> dict:
+    def _next(self, kind: str, value, args: dict | None = None) -> dict:
         record = self._effects.popleft() if self._effects else {"type": None}
         recorded = record["type"]
         name, key, _, _, error = _EFFECTS[kind]
         if recorded == kind and record[key] == value:
+            if args is not None and record["args"] != args:
+                raise ReplayMismatchError(f"{self._path}: replay expected {name} {key}={value!r} "
+                                          f"with args {record['args']!r}, got args {args!r}")
             if "error" in record:
                 raise error(record["error"])
             return record
@@ -292,15 +297,8 @@ class ReplaySource(Backend):
         record = self._next("model_call", request.purpose)
         return ModelResponse(record["response"], record["usage"], record["model_id"])
 
-    def run_tool(self, tool: str, args: dict, thunk) -> tuple[dict, object]:
-        """The recorded ``(args, result)``; the thunk never runs.
-
-        The recorded args come back too because a replaying session lacks
-        the live collaborators (e.g. provider names) to rebuild them, and
-        a re-recorded trace must match the original byte for byte.
-        """
-        record = self._next("tool_call", tool)
-        return record["args"], record["result"]
+    def run_tool(self, tool: str, args: dict, thunk) -> object:
+        return self._next("tool_call", tool, args)["result"]
 
     def embed(self, text: str) -> np.ndarray:
         return np.asarray(self._next("embed", text_digest(text))["vector"], dtype=float)

@@ -42,7 +42,7 @@ from agentmeter.harness import (
 from agentmeter.ledger import Scope
 from agentmeter.money import PICO_PER_USD
 from agentmeter import tools
-from agentmeter.tools import FixtureFetcher, FixtureSearchProvider
+from agentmeter.tools import FixtureFetcher, FixtureSearchProvider, ToolError
 from agentmeter.trace import ReplayMismatchError, TraceFormatError, read_trace, trace_filename
 
 from conftest import (
@@ -640,6 +640,15 @@ def test_replay_refuses_recorded_effects_left_over(tmp_path):
         replay_run(trace)
 
 
+def test_a_replay_whose_search_asks_other_queries_is_refused(tmp_path, monkeypatch):
+    run_bench(trace_dir=tmp_path)
+    trace = next(tmp_path.glob("gaia-e1.*"))
+    expand = tools.expand_queries
+    monkeypatch.setattr(tools, "expand_queries", lambda *a: [q.upper() for q in expand(*a)])
+    with pytest.raises(ReplayMismatchError, match="tool call tool='search' with args"):
+        replay_run(trace)
+
+
 # one run that searches, opens a three-viewport page, scrolls down and answers;
 # each of its steps offers n candidates that differ in their reasoning
 GRID_URL = "https://example.org/bridge"
@@ -727,7 +736,7 @@ class FlakyBackend(ScriptedBackend):
         return super().complete(request)
 
 
-def failure_backend(actions, **kwargs):
+def failure_backend(actions, backend=FlakyBackend, **kwargs):
     entries = [
         ScriptEntry(Purpose.PLANNER, "1. Read.\n2. Answer.", times=0,
                     prompt_tokens=200, completion_tokens=40),
@@ -736,7 +745,7 @@ def failure_backend(actions, **kwargs):
     ]
     entries += [ScriptEntry(Purpose.ACTOR, f"ACTION: {a}", prompt_tokens=300, completion_tokens=30)
                 for a in actions]
-    return FlakyBackend(entries, **kwargs)
+    return backend(entries, **kwargs)
 
 
 FAILURE_SCENARIOS = {
@@ -811,6 +820,48 @@ def test_a_timeout_recorded_in_upper_case_replays_as_a_timeout(tmp_path):
     events[-1]["terminated_by"] = "TIMEOUT"
     write_trace_lines(trace, events)
     assert replay_run(trace)[0].terminated_by is TerminatedBy.TIMEOUT
+
+
+BRIDGE = Task(task_id="bridge", level=1, question="When did the bridge open?",
+              expected_answer="1931")
+MISSING_URL = "https://example.org/missing"
+BRIDGE_ACTIONS = [f"open_url(url={MISSING_URL})", f"open_url(url={GRID_URL})",
+                  "final_answer(answer=1931)"]
+
+
+def test_a_failed_tool_call_replays_only_with_its_recorded_args(tmp_path):
+    execute_run(BRIDGE, default_config(), failure_backend(BRIDGE_ACTIONS), bench_pricing(),
+                fetcher=FixtureFetcher({GRID_URL: GRID_PAGE}), trace_dir=tmp_path)
+    trace = next(tmp_path.glob("bridge.*"))
+    events = trace_lines(trace)
+    failed = next(e for e in events if e["type"] == "tool_call" and "error" in e)
+    failed["args"]["url"] = "https://example.org/elsewhere"
+    write_trace_lines(trace, events)
+    asked = r"tool='fetch_page' with args \{'url': '.*/elsewhere'\}, got args \{'url': '.*/missing'\}"
+    with pytest.raises(ReplayMismatchError, match=asked):
+        replay_run(trace)
+
+
+class PageServingBackend(FlakyBackend):
+    """Answers each page fetch itself, without running the fetch."""
+
+    def run_tool(self, tool, args, thunk):
+        if args["url"] != GRID_URL:
+            raise ToolError(f"no page at {args['url']}")
+        return {"text": "The bridge opened in 1931.", "truncated": False}
+
+
+def test_a_live_trace_holds_the_args_the_run_built(tmp_path):
+    # whatever the backend answers, the failed and the succeeding call record the run's args
+    backend = failure_backend(BRIDGE_ACTIONS, backend=PageServingBackend)
+    outcome, _ = execute_run(BRIDGE, default_config(), backend, bench_pricing(),
+                             trace_dir=tmp_path)
+    assert outcome.solved
+    trace = next(tmp_path.glob("bridge.*"))
+    calls = [(e["args"], "error" in e) for e in trace_lines(trace) if e["type"] == "tool_call"]
+    assert calls == [({"url": MISSING_URL}, True), ({"url": GRID_URL}, False)]
+    replay_run(trace, trace_dir=tmp_path / "replay")
+    assert (tmp_path / "replay" / trace.name).read_bytes() == trace.read_bytes()
 
 
 def test_empty_plans_are_asked_again_metered_and_replay_exactly(tmp_path):

@@ -556,9 +556,9 @@ class ResultKeepingBackend(ScriptedBackend):
         self.results = []
 
     def run_tool(self, tool, args, thunk):
-        args, result = super().run_tool(tool, args, thunk)
+        result = super().run_tool(tool, args, thunk)
         self.results.append(result)
-        return args, result
+        return result
 
 
 def random_providers(rng, queries):

@@ -206,6 +206,11 @@ BAD_LINES = {
         lambda lines: lines[1].update(error=None),
         "model call 1 field error is missing or invalid: None",
     ),
+    # a replay checks a failed call's args as it does a succeeding one's
+    "failed_tool_call_without_args": (
+        lambda lines: lines[2].update(error="no page", args=None),
+        "tool call 1 field args is missing or invalid: None",
+    ),
 }
 
 
@@ -229,7 +234,7 @@ def test_replay_serves_in_order(tmp_path):
     resp = source.complete(sample_request())
     assert resp.text == "out"
     assert resp.usage.prompt_tokens == 10
-    assert source.run_tool("search", {}, None) == ({"queries": ["a"]}, [ROW])
+    assert source.run_tool("search", {"queries": ["a"]}, None) == [ROW]
     vec = source.embed("hello")
     assert vec.tolist() == [0.6, 0.8]
     assert source.exhausted()
@@ -251,7 +256,7 @@ def test_replay_tool_mismatch(tmp_path):
 def test_replay_embed_text_mismatch(tmp_path):
     source = ReplaySource(read_trace(write_sample(tmp_path / "t.trace")))
     source.complete(sample_request())
-    source.run_tool("search", {}, None)
+    source.run_tool("search", {"queries": ["a"]}, None)
     with pytest.raises(ReplayMismatchError, match="embedding"):
         source.embed("different text")
 
@@ -259,7 +264,7 @@ def test_replay_embed_text_mismatch(tmp_path):
 def test_replay_exhaustion(tmp_path):
     source = ReplaySource(read_trace(write_sample(tmp_path / "t.trace")))
     source.complete(sample_request())
-    source.run_tool("search", {}, None)
+    source.run_tool("search", {"queries": ["a"]}, None)
     source.embed("hello")
     with pytest.raises(ReplayMismatchError, match="ran out"):
         source.complete(sample_request())
