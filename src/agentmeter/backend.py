@@ -13,14 +13,13 @@ import abc
 import hashlib
 import math
 import os
+import struct
 import threading
 import time
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, get_type_hints
-
-import numpy as np
 
 from .config import InputError, jsonl_objects, read_fields, typed_value
 
@@ -112,13 +111,15 @@ class Backend(abc.ABC):
         """The result of one tool effect; a live backend runs the thunk."""
         return thunk()
 
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, text: str) -> tuple[float, ...]:
         """A deterministic pseudo-embedding: the sha256 of ``agentmeter:text``
-        seeds a 16-component standard-normal draw, unit-normalized, so equal
-        texts map to equal unit vectors on every platform and run."""
+        read as 16 big-endian signed 16-bit components, unit-normalized. Each
+        step is exact or correctly rounded, so equal texts map to the same unit
+        vector, bit for bit, on every platform and Python version."""
         digest = hashlib.sha256(f"agentmeter:{text}".encode("utf-8")).digest()
-        vec = np.random.default_rng(int.from_bytes(digest[:8], "big")).standard_normal(16)
-        return vec / np.linalg.norm(vec)
+        components = struct.unpack(">16h", digest)
+        norm = math.sqrt(sum(c * c for c in components))
+        return tuple(c / norm for c in components)
 
 
 # -- scripted backend --------------------------------------------------------
@@ -143,6 +144,8 @@ class ScriptEntry:
     def __post_init__(self) -> None:
         if min(self.prompt_tokens or 0, self.completion_tokens or 0) < 0:
             raise ValueError("token counts must be non-negative")
+        if self.times < 0:
+            raise ValueError(f"times must be >= 0 (0 means unlimited), got {self.times}")
 
     def matches(self, request: ModelRequest) -> bool:
         if request.purpose is not self.purpose:

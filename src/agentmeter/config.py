@@ -102,6 +102,27 @@ class AgentConfig:
         return self.prm_backbone_id or self.backbone_id
 
 
+# the fields every config snapshot holds; a field added to AgentConfig later
+# is written only when its value differs from its default, so traces recorded
+# before it keep their config hash and replay
+SNAPSHOT_FIELDS = (
+    "backbone_id",
+    "max_steps",
+    "plan_interval",
+    "source_set",
+    "query_expansion_count",
+    "bon_n",
+    "memory_mode",
+    "page_strategy",
+    "prm_mode",
+    "prm_backbone_id",
+    "temperature",
+    "bon_temperature",
+    "retrieval_k",
+    "note_max_chars",
+)
+
+
 def default_config() -> AgentConfig:
     """Baseline configuration every component sweep varies one field of."""
     return AgentConfig()
@@ -294,10 +315,13 @@ SWEEPABLE_FIELDS = (
 
 
 def config_snapshot(cfg: AgentConfig) -> dict:
-    """JSON-safe field dump (enum fields by value)."""
+    """JSON-safe field dump (enum fields by value) of every field in
+    ``SNAPSHOT_FIELDS`` and of each other field not at its default."""
     out = {}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
+        if f.name not in SNAPSHOT_FIELDS and value == f.default:
+            continue
         out[f.name] = value.value if isinstance(value, Enum) else value
     return out
 

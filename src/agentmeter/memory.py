@@ -15,10 +15,10 @@ deterministic tiebreak, so rendering is reproducible for a fixed store.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
-
-import numpy as np
 
 from .backend import Message, Purpose
 from .config import MemoryMode
@@ -43,7 +43,7 @@ class ZeroVectorError(ValueError):
 class SummaryEntry:
     step_index: int
     summary_text: str
-    embedding: np.ndarray  # unit norm, dimension fixed per store
+    embedding: Sequence[float]  # unit norm, dimension fixed per store
 
 
 class VectorStore:
@@ -54,16 +54,7 @@ class VectorStore:
         self._entries: list[SummaryEntry] = []
 
     def add(self, entry: SummaryEntry) -> None:
-        vec = np.asarray(entry.embedding, dtype=float)
-        if self.dim is None:
-            self.dim = vec.shape[0]
-        elif vec.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"embedding dimension {vec.shape[0]} != store dimension {self.dim}"
-            )
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"embedding norm {norm} is not within {UNIT_NORM_TOL} of 1")
+        self.dim = unit_vector_dim(entry.embedding, self.dim)
         self._entries.append(entry)
 
     @property
@@ -92,35 +83,51 @@ class LongTermNote:
         return cls(text[:max_chars], max_chars)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+def vector_norm(v: Sequence[float]) -> float:
+    """The Euclidean norm, from an exactly rounded sum of squares."""
+    return math.sqrt(math.fsum(map(mul, v, v)))
+
+
+def unit_vector_dim(vector: Sequence[float], dim: int | None = None) -> int:
+    """The length of ``vector``, a unit vector of ``dim`` components (of any
+    number when ``dim`` is None); any other vector raises ``ValueError``."""
+    try:
+        norm = vector_norm(vector)
+    except OverflowError:  # an integer too large for a float
+        norm = math.inf
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # NaN included
+        raise ValueError(f"vector has norm {norm!r}, not 1 within {UNIT_NORM_TOL}")
+    if dim is not None and len(vector) != dim:
+        raise DimensionMismatchError(f"vector has {len(vector)} components, not {dim}")
+    return len(vector)
+
+
+def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
+    if len(a) != len(b):
+        raise DimensionMismatchError(f"dimensions {len(a)} and {len(b)} differ")
+    na = vector_norm(a)
+    nb = vector_norm(b)
     if na == 0.0 or nb == 0.0:
         raise ZeroVectorError("cosine similarity undefined for a zero vector")
-    value = float(np.dot(a, b) / (na * nb))
+    value = math.fsum(map(mul, a, b)) / (na * nb)
     return max(-1.0, min(1.0, value))
 
 
 def retrieve_top_k(
-    store: VectorStore, query_embedding: np.ndarray, k: int
+    store: VectorStore, query_embedding: Sequence[float], k: int
 ) -> list[SummaryEntry]:
     """Most similar entries first; equal similarity falls back to earlier steps."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(store) == 0:
         return []
-    query = np.asarray(query_embedding, dtype=float)
-    if store.dim is not None and query.shape[0] != store.dim:
+    if store.dim is not None and len(query_embedding) != store.dim:
         raise DimensionMismatchError(
-            f"query dimension {query.shape[0]} != store dimension {store.dim}"
+            f"query dimension {len(query_embedding)} != store dimension {store.dim}"
         )
     ranked = sorted(
         store.entries,
-        key=lambda e: (-cosine_similarity(e.embedding, query), e.step_index),
+        key=lambda e: (-cosine_similarity(e.embedding, query_embedding), e.step_index),
     )
     return ranked[:k]
 
@@ -182,7 +189,7 @@ def render_context(
     steps: Sequence["Step"],
     store: VectorStore | None = None,
     note: LongTermNote | None = None,
-    query_embedding: np.ndarray | None = None,
+    query_embedding: Sequence[float] | None = None,
     k: int = 1,
 ) -> list[str]:
     """Build the history portion of the actor context for the given mode."""

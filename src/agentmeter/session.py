@@ -10,9 +10,7 @@ and replayable (a recording stands in as the backend).
 from __future__ import annotations
 
 import time
-from typing import Any, Callable
-
-import numpy as np
+from typing import Any, Callable, Sequence
 
 from .backend import (
     Backend,
@@ -25,6 +23,7 @@ from .backend import (
 )
 from .config import PricingTable
 from .ledger import RunLedger
+from .memory import unit_vector_dim
 from .tools import ToolError
 from .trace import TraceWriter
 
@@ -43,6 +42,7 @@ class RunSession:
         self.ledger = RunLedger(pricing, run_id)
         self.trace = trace
         self.step_index = 0
+        self._embedding_dim: int | None = None  # the length of the run's first vector
         self._deadline = time.monotonic() + timeout_s if timeout_s else None
         backend.start_run(run_id)
 
@@ -102,8 +102,10 @@ class RunSession:
             self.trace.tool_call(tool, args, result)
         return result
 
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, text: str) -> Sequence[float]:
         vector = self.backend.embed(text)
+        # a vector that read_trace would refuse fails the run before it is recorded
+        self._embedding_dim = unit_vector_dim(vector, self._embedding_dim)
         if self.trace is not None:
             self.trace.embed(text, vector)
         return vector

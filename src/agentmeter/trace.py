@@ -28,9 +28,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import get_type_hints
-
-import numpy as np
+from typing import Sequence, get_type_hints
 
 from .backend import (
     Backend,
@@ -42,6 +40,7 @@ from .backend import (
     TokenUsage,
 )
 from .config import InputError, read_fields, typed_value
+from .memory import unit_vector_dim
 from .tools import SearchResult, ToolError
 
 TRACE_VERSION = 1
@@ -106,7 +105,7 @@ class TraceWriter:
         outcome = {"result": result} if error is None else {"error": error}
         self._events.append({"type": "tool_call", "tool": tool, "args": args, **outcome})
 
-    def embed(self, text: str, vector: np.ndarray) -> None:
+    def embed(self, text: str, vector: Sequence[float]) -> None:
         self._events.append(
             {
                 "type": "embed",
@@ -228,6 +227,7 @@ def read_trace(path: str | Path) -> TraceData:
     result = effects.pop()[1] if effects and effects[-1][1].get("type") == "result" else None
     counts = dict.fromkeys(_EFFECTS, 0)
     records = []
+    dim = None  # the length of the first vector
     for lineno, event in effects:
         kind = event.get("type")
         if kind not in _EFFECTS:
@@ -246,6 +246,10 @@ def read_trace(path: str | Path) -> TraceData:
             if not _NUMBERS.issuperset(map(type, vector)):
                 i, x = next((i, x) for i, x in enumerate(vector) if type(x) not in _NUMBERS)
                 raise _invalid(where, f"vector[{i}]", x)
+            try:  # what a run's session would not have recorded
+                dim = unit_vector_dim(vector, dim)
+            except ValueError as exc:
+                raise TraceFormatError(f"{where}{exc}") from None
         elif "error" not in record:
             try:
                 record["usage"] = TokenUsage(*map(record.pop, _USAGE))
@@ -300,8 +304,8 @@ class ReplaySource(Backend):
     def run_tool(self, tool: str, args: dict, thunk) -> object:
         return self._next("tool_call", tool, args)["result"]
 
-    def embed(self, text: str) -> np.ndarray:
-        return np.asarray(self._next("embed", text_digest(text))["vector"], dtype=float)
+    def embed(self, text: str) -> tuple[float, ...]:
+        return tuple(map(float, self._next("embed", text_digest(text))["vector"]))
 
     def exhausted(self) -> bool:
         return not self._effects

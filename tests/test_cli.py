@@ -1,9 +1,14 @@
 import gzip
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import agentmeter
 from agentmeter import cli
 from agentmeter.cli import main
 from agentmeter.config import SourceSet
@@ -26,6 +31,16 @@ def bench_args(*extra):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_the_program_imports_no_numpy():
+    # a fresh interpreter, since this one's tests import numpy themselves
+    path = [str(Path(agentmeter.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import sys, agentmeter, agentmeter.cli; print(sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert "'agentmeter.cli'" in loaded and "numpy" not in loaded
 
 
 # -- run ---------------------------------------------------------------------
@@ -402,6 +417,36 @@ def test_replay_reads_a_recorded_purpose_in_any_case(tmp_path, capsys):
     assert trace_lines(tmp_path / LEVEL9.name) == trace_lines(LEVEL9)
 
 
+# the fixture bench in extra_hybrid memory, recorded by an earlier build with
+# the config and script beside it: its vectors are served back as recorded,
+# however a live run would draw them
+EMBED = FIXTURES / "embed"
+
+
+def test_recorded_embeddings_replay_to_the_same_bytes(tmp_path, capsys):
+    recorded = sorted(EMBED.glob("*.trace"))
+    assert len(recorded) == 3
+    for trace in recorded:
+        assert any(e["type"] == "embed" for e in trace_lines(trace))
+    assert run_cli("replay", str(EMBED), "--trace-dir", str(tmp_path), "--format", "csv") == 0
+    assert "66.6667" in capsys.readouterr().out  # 2 of the 3 tasks solved, as recorded
+    for trace in recorded:
+        assert (tmp_path / trace.name).read_bytes() == trace.read_bytes()
+
+
+def test_a_recorded_vector_no_embedder_returns_is_refused_before_the_replay(tmp_path, capsys):
+    trace = next(EMBED.glob("gaia-e1.*"))
+    events = trace_lines(trace)
+    embed = next(e for e in events if e["type"] == "embed")
+    embed["vector"] = [2 * x for x in embed["vector"]]
+    write_trace_lines(tmp_path / trace.name, events)
+    assert run_cli("replay", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {tmp_path / trace.name}: embedding 1 field vector "
+                            "has norm 2.0, not 1 within 1e-06\n")
+    assert captured.out == ""
+
+
 def test_replay_counts_each_task_once(tmp_path, capsys):
     traces = tmp_path / "traces"
     assert run_cli(
@@ -649,6 +694,10 @@ OUTSIDE_INPUTS = {
     "script_times_text": (
         {"script.jsonl": '{"purpose": "actor", "response": "x", "times": "2"}\n'},
         (), "script.jsonl:1: field times is missing or invalid: '2'",
+    ),
+    "script_times_negative": (
+        {"script.jsonl": '{"purpose": "actor", "response": "x", "times": -3}\n'},
+        (), "script.jsonl:1: times must be >= 0 (0 means unlimited), got -3",
     ),
     "script_prompt_tokens_negative": (
         {"script.jsonl": '{"purpose": "actor", "response": "x", "prompt_tokens": -1}\n'},

@@ -30,6 +30,8 @@ from agentmeter.config import (
 from agentmeter.harness import sweep_configs
 from agentmeter.money import MoneyResolutionError
 
+from conftest import FIXTURES, trace_lines
+
 
 def test_default_config_values():
     cfg = default_config()
@@ -176,6 +178,24 @@ def test_hash_is_stable_and_sensitive():
     assert a == config_hash(default_config())
     assert len(a) == 8
     assert a != config_hash(efficient_config())
+
+
+def test_a_field_added_later_leaves_recorded_configs_their_hash():
+    later = dataclasses.make_dataclass(
+        "LaterConfig", [("max_cost_usd", float | None, dataclasses.field(default=None))],
+        bases=(AgentConfig,), frozen=True,
+    )
+    for cfg in (default_config(), efficient_config()):
+        at_default = later(**vars(cfg))
+        assert config_snapshot(at_default) == config_snapshot(cfg)
+        assert config_hash(at_default) == config_hash(cfg)
+        changed = dataclasses.replace(at_default, max_cost_usd=0.5)
+        assert config_snapshot(changed) == {**config_snapshot(cfg), "max_cost_usd": 0.5}
+        assert config_hash(changed) != config_hash(cfg)
+    # a trace recorded before the field existed names the hash its config still has
+    header = trace_lines(next((FIXTURES / "level9").iterdir()))[0]
+    recorded = later(**vars(config_from_snapshot(header["config"])))
+    assert config_hash(recorded) == header["config_hash"]
 
 
 def test_sweepable_fields():

@@ -73,6 +73,34 @@ def test_trace_captures_all_effects(tmp_path, pricing):
     assert kinds == ["model_call", "tool_call", "embed"]
 
 
+class FixedEmbedder(ScriptedBackend):
+    """The vector ``vectors`` gives a text, and the usual one for any other."""
+
+    def __init__(self, vectors):
+        super().__init__([])
+        self.vectors = vectors
+
+    def embed(self, text):
+        return self.vectors.get(text) or super().embed(text)
+
+
+@pytest.mark.parametrize("vector,message", [
+    ((0.0,) * 16, "has norm 0.0, not 1 within"),
+    ((1.0,) + (0.0,) * 16, "has 17 components, not 16"),
+])
+def test_a_vector_a_trace_would_refuse_fails_the_run_before_it_is_recorded(
+    tmp_path, pricing, vector, message
+):
+    writer = TraceWriter(tmp_path / "t.trace")
+    writer.header({"run_id": "r"})
+    session = make_session(FixedEmbedder({"bad": vector}), pricing, trace=writer)
+    session.embed("good")
+    with pytest.raises(ValueError, match=message):
+        session.embed("bad")
+    writer.close()
+    assert [e["type"] for e in read_trace(tmp_path / "t.trace").events] == ["embed"]
+
+
 def test_replay_session_needs_no_backend(tmp_path, pricing):
     writer = TraceWriter(tmp_path / "t.trace")
     writer.header({"run_id": "r"})

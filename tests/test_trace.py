@@ -202,6 +202,31 @@ BAD_LINES = {
         lambda lines: lines[3].update(vector="0.6,0.8"),
         "embedding 1 field vector is missing or invalid: '0.6,0.8'",
     ),
+    # vectors no Backend.embed returns: a replay would fail on them mid-run
+    "embedding_vector_not_unit": (
+        lambda lines: lines[3].update(vector=[1.2, 1.6]),
+        "embedding 1 field vector has norm 2.0, not 1 within 1e-06",
+    ),
+    "embedding_vector_zero": (
+        lambda lines: lines[3].update(vector=[0, 0.0]),
+        "embedding 1 field vector has norm 0.0, not 1 within 1e-06",
+    ),
+    "embedding_vector_empty": (
+        lambda lines: lines[3].update(vector=[]),
+        "embedding 1 field vector has norm 0.0, not 1 within 1e-06",
+    ),
+    "embedding_vector_nan": (
+        lambda lines: lines[3].update(vector=[float("nan"), 1.0]),
+        "embedding 1 field vector has norm nan, not 1 within 1e-06",
+    ),
+    "embedding_vector_integer_too_large_for_a_float": (
+        lambda lines: lines[3].update(vector=[10**400]),
+        "embedding 1 field vector has norm inf, not 1 within 1e-06",
+    ),
+    "embedding_vector_of_another_dimension": (
+        lambda lines: lines.insert(4, {**lines[3], "vector": [0.0, 0.6, 0.8]}),
+        "embedding 2 field vector has 3 components, not 2",
+    ),
     "failed_call_error_null": (
         lambda lines: lines[1].update(error=None),
         "model call 1 field error is missing or invalid: None",
@@ -236,7 +261,7 @@ def test_replay_serves_in_order(tmp_path):
     assert resp.usage.prompt_tokens == 10
     assert source.run_tool("search", {"queries": ["a"]}, None) == [ROW]
     vec = source.embed("hello")
-    assert vec.tolist() == [0.6, 0.8]
+    assert list(vec) == [0.6, 0.8]
     assert source.exhausted()
 
 
