@@ -17,6 +17,7 @@ from enum import Enum
 from .actions import Action, ActionName, UnparsableActionError, parse_action
 from .backend import Message, Purpose, TokenUsage
 from .config import AgentConfig, InputError
+from .ledger import RunLedger
 from .memory import RunMemory, full_block
 from .session import RunSession, RunTimeoutError
 from .tools import ToolBox
@@ -94,7 +95,7 @@ class TaskRunRecord:
     steps: tuple[Step, ...]
     final_answer: str
     terminated_by: TerminatedBy
-    ledger: object  # RunLedger; typed loosely to keep the record pickleable
+    ledger: RunLedger
 
 
 def should_replan(step_index: int, plan_interval: int) -> bool:

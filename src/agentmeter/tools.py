@@ -396,28 +396,9 @@ _START_TEXT = dict.fromkeys(_BLOCK_TAGS | {"br"}, "\n") | {
     tag: "\n" + "#" * level + " " for tag, level in _HEADING_LEVEL.items()
 }
 
-# Page text follows html.parser's tokenization, as CPython 3.11.7 does it
-# for a whole page fed at once and then closed, in one pass: _TOKEN matches
-# the common tokens, and every other "<" takes one step of a port of
-# HTMLParser.goahead and the parse_* methods it calls. No part of a _TOKEN
-# match but its text may hold a "<", so a failed match ends at the next one.
-_TOKEN = re.compile(
-    r"""
-    (?:
-        # a start tag whose attributes are space-separated and either bare
-        # names or names with a quoted value
-        <(?P<tag>[a-zA-Z][^\t\n\r\f\x20/>\x00<]*)
-        (?:[\t\n\r\f\x20]+[^\s/>=<]+(?:=(?:"[^"<]*"|'[^'<]*'))?)*
-        [\t\n\r\f\x20]*(?P<slash>/?)>
-      | </\s*(?P<endtag>[a-zA-Z][-.a-zA-Z0-9:_]*)\s*>
-      | (?P<markup><!--[^<]*?--\s*>|<![dD][oO][cC][tT][yY][pP][eE][^<>]*>)
-    )?
-    (?P<text>[^<]*)
-    """,
-    re.VERBOSE,
-)
-# what html.parser looks for to end a <script> or <style>. Like every
-# pattern here it is compiled at import: compiled on first use inside one
+# what html.parser looks for to end a <script> or <style>; _PageText.run
+# jumps there past the text, which is never shown. Like every pattern here
+# it is compiled at import: compiled on first use inside one
 # of run_benchmark's worker threads, it pinned that thread's malloc arena,
 # and live_fanout peak_rss_mb rose from 73.6 to 82.1 MB.
 _CDATA_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I) for tag in ("script", "style")}
@@ -449,7 +430,15 @@ _UNFINISHED_TAG_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ="
 
 class _PageText:
     """Collects one page's raw text in ``parts``; ``extract_static_text``
-    normalizes it."""
+    normalizes it.
+
+    The text follows html.parser's tokenization, as CPython 3.11.7 does it
+    for a whole page fed at once and then closed: ``run`` passes the text
+    before each "<" through ``unescape`` and, at the "<", takes one step of
+    a port of HTMLParser.goahead and the parse_* methods it calls. The port
+    gives the same text on every Python; ``PAGE_TEXTS`` runs it once per
+    distinct page per process.
+    """
 
     __slots__ = ("html", "parts", "_skip", "_links", "_cdata", "_searched", "_attrs_end")
 
@@ -472,33 +461,13 @@ class _PageText:
                     return  # html.parser never passes an unclosed script on
                 pos = self._parse_endtag(end.start())
                 continue
-            # a match is a token or nothing, then the text after it; an empty
-            # one is the end of the page or a "<" for the exact path
-            for m in _TOKEN.finditer(html, pos):
-                tag, slash, endtag, markup, text = m.groups()
-                if tag is not None:
-                    tag = tag.lower()
-                    if slash:
-                        self.startendtag(tag)
-                    else:
-                        attrs = self._attributes(m.start(), m.start("text"))[2] if tag == "a" else ()
-                        self.starttag(tag, attrs)
-                        if tag in _CDATA_END:
-                            self._cdata = tag
-                            pos = m.start("text")
-                            break
-                elif endtag is not None:
-                    self.endtag(endtag.lower())
-                elif markup is None and not text:
-                    pos = m.start()
-                    if pos == n:
-                        return
-                    pos = self._step(pos)
-                    break
-                if text:
-                    self.data(unescape(text) if "&" in text else text)
-            else:
+            lt = html.find("<", pos)
+            if lt < 0:
+                self.data(unescape(html[pos:]))
                 return
+            if pos < lt:
+                self.data(unescape(html[pos:lt]))
+            pos = self._step(lt)
 
     # -- handlers ---------------------------------------------------------
 
@@ -1018,7 +987,8 @@ class ToolBox:
 
         def thunk() -> dict:
             try:
-                text = Path(path).read_text(encoding="utf-8", errors="replace")
+                with open(path, encoding="utf-8", errors="replace") as f:
+                    text = f.read(ATTACHMENT_MAX_CHARS + 1)
             except OSError as exc:
                 raise ToolError(str(exc)) from exc
             truncated = len(text) > ATTACHMENT_MAX_CHARS

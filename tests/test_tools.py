@@ -15,6 +15,7 @@ from agentmeter.backend import Purpose, ScriptEntry, ScriptedBackend
 from agentmeter import tools
 from agentmeter.config import PageStrategy, default_config
 from agentmeter.tools import (
+    ATTACHMENT_MAX_CHARS,
     CRAWLER_MAX_CHARS,
     VIEWPORT_CHARS,
     BrowserState,
@@ -409,16 +410,26 @@ def test_extraction_matches_pinned_html_parser_on_fixture_pages(name):
     assert page_text(html) == (full[:CRAWLER_MAX_CHARS], len(full) > CRAWLER_MAX_CHARS)
 
 
-@pytest.mark.parametrize("unit", ["<!--a>", "<a"])
+_UNCLOSED_UNITS = ["<!--a>", "<a"]
+_TAG_DENSE_UNITS = ["<p class='x'>w</p>", "<a href='u'>w</a>", "<td>1</td>", "<br/>x"]
+
+
+@pytest.mark.parametrize("unit", _UNCLOSED_UNITS + _TAG_DENSE_UNITS)
 def test_unclosed_markup_extracts_in_linear_time(unit):
     small = unit * (4096 // len(unit))
-    # the reference searches to the end of the page for every unit, so only a small page
-    assert extract_static_text(small) == reference_extract(small) == small
+    # the reference searches to the end of the page for every unclosed unit,
+    # so only a small page
+    small_text = extract_static_text(small)
+    assert small_text == reference_extract(small)
     html = unit * (256 * 1024 // len(unit))
     start = time.perf_counter()
     text, truncated = page_text(html)
     elapsed = time.perf_counter() - start
-    assert (text, truncated) == (html[:CRAWLER_MAX_CHARS], True)
+    assert text.startswith(small_text)
+    if unit in _UNCLOSED_UNITS:
+        # html.parser passes unclosed markup on as text
+        assert small_text == small
+        assert (text, truncated) == (html[:CRAWLER_MAX_CHARS], True)
     assert elapsed < 2.0
 
 
@@ -773,6 +784,20 @@ def test_toolbox_read_attachment(tmp_path, pricing):
     missing = box.dispatch(Action(ActionName.READ_ATTACHMENT, {"name": "other.txt"}))
     assert "No attachment named 'other.txt'" in missing
     assert "notes.txt" in missing
+
+
+def test_toolbox_read_attachment_truncates_past_the_limit(tmp_path, pricing):
+    at_limit = tmp_path / "at_limit.txt"
+    at_limit.write_text("a" * ATTACHMENT_MAX_CHARS, encoding="utf-8")
+    over = tmp_path / "over.txt"
+    over.write_text("b" * ATTACHMENT_MAX_CHARS + "c", encoding="utf-8")
+    attachments = {"at_limit.txt": str(at_limit), "over.txt": str(over)}
+    _, box = toolbox_for(pricing, {"attachments": attachments})
+
+    kept = box.dispatch(Action(ActionName.READ_ATTACHMENT, {"name": "at_limit.txt"}))
+    assert kept == "[attachment at_limit.txt]\n" + "a" * ATTACHMENT_MAX_CHARS
+    cut = box.dispatch(Action(ActionName.READ_ATTACHMENT, {"name": "over.txt"}))
+    assert cut == "[attachment over.txt]\n" + "b" * ATTACHMENT_MAX_CHARS + "\n[attachment truncated]"
 
 
 def test_toolbox_rejects_non_tool_actions(pricing):
