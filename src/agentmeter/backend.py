@@ -18,8 +18,9 @@ import threading
 import time
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
+from operator import mul
 from pathlib import Path
-from typing import Any, Callable, get_type_hints
+from typing import Any, Callable, Sequence, get_type_hints
 
 from .config import InputError, jsonl_objects, read_fields, typed_value
 
@@ -120,6 +121,29 @@ class Backend(abc.ABC):
         components = struct.unpack(">16h", digest)
         norm = math.sqrt(sum(c * c for c in components))
         return tuple(c / norm for c in components)
+
+
+# the norm of every vector a run embeds or a trace records is 1 within this
+UNIT_NORM_TOL = 1e-6
+
+
+def vector_norm(v: Sequence[float]) -> float:
+    """The Euclidean norm, from an exactly rounded sum of squares."""
+    return math.sqrt(math.fsum(map(mul, v, v)))
+
+
+def unit_vector_dim(vector: Sequence[float], dim: int | None = None) -> int:
+    """The length of ``vector``, a unit vector of ``dim`` components (of any
+    number when ``dim`` is None); any other vector raises ``ValueError``."""
+    try:
+        norm = vector_norm(vector)
+    except OverflowError:  # an integer too large for a float
+        norm = math.inf
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # NaN included
+        raise ValueError(f"vector has norm {norm!r}, not 1 within {UNIT_NORM_TOL}")
+    if dim is not None and len(vector) != dim:
+        raise ValueError(f"vector has {len(vector)} components, not {dim}")
+    return len(vector)
 
 
 # -- scripted backend --------------------------------------------------------

@@ -182,13 +182,20 @@ def _select_task(tasks: list[Task], task_id: str | None) -> Task:
     raise TaskFileError(f"no task with id {task_id!r}")
 
 
+def _write_file(text: str, out: str) -> None:
+    # the directory is made as --trace-dir is, so a finished run is not lost to it
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def _write_json(payload: dict, out: str) -> None:
-    Path(out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_file(json.dumps(payload, indent=2) + "\n", out)
 
 
 def _write_out(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_file(text, out)
     else:
         sys.stdout.write(text)
 

@@ -79,6 +79,9 @@ class Task:
     def __post_init__(self) -> None:
         if self.level not in (1, 2, 3):
             raise ValueError(f"level must be 1, 2, or 3, got {self.level!r}")
+        # a run that ends without an answer answers "", which grades as equal
+        if not normalize_answer(self.expected_answer):
+            raise ValueError(f"expected answer {self.expected_answer!r} is empty once normalized")
 
 
 class TaskFileError(InputError, ValueError):

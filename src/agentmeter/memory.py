@@ -9,7 +9,7 @@ The memory mode decides what the actor sees of its own past each step:
 - extra_fixed: full steps plus a bounded, LLM-maintained note
 - extra_hybrid: full steps plus summaries plus the note
 
-Summaries are embedded and retrieved by cosine similarity with a
+Summaries are embedded and ranked by the dot product of unit vectors, with a
 deterministic tiebreak, so rendering is reproducible for a fixed store.
 """
 
@@ -28,33 +28,20 @@ if TYPE_CHECKING:
     from .agent import Step
     from .session import RunSession
 
-UNIT_NORM_TOL = 1e-6
-
-
-class DimensionMismatchError(ValueError):
-    pass
-
-
-class ZeroVectorError(ValueError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class SummaryEntry:
     step_index: int
     summary_text: str
-    embedding: Sequence[float]  # unit norm, dimension fixed per store
+    embedding: Sequence[float]  # a unit vector, as RunSession.embed returns
 
 
 class VectorStore:
-    """Ordered collection of embedded step summaries, one dimension throughout."""
+    """Ordered collection of embedded step summaries."""
 
     def __init__(self) -> None:
-        self.dim: int | None = None  # set by the first entry
         self._entries: list[SummaryEntry] = []
 
     def add(self, entry: SummaryEntry) -> None:
-        self.dim = unit_vector_dim(entry.embedding, self.dim)
         self._entries.append(entry)
 
     @property
@@ -83,51 +70,17 @@ class LongTermNote:
         return cls(text[:max_chars], max_chars)
 
 
-def vector_norm(v: Sequence[float]) -> float:
-    """The Euclidean norm, from an exactly rounded sum of squares."""
-    return math.sqrt(math.fsum(map(mul, v, v)))
-
-
-def unit_vector_dim(vector: Sequence[float], dim: int | None = None) -> int:
-    """The length of ``vector``, a unit vector of ``dim`` components (of any
-    number when ``dim`` is None); any other vector raises ``ValueError``."""
-    try:
-        norm = vector_norm(vector)
-    except OverflowError:  # an integer too large for a float
-        norm = math.inf
-    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # NaN included
-        raise ValueError(f"vector has norm {norm!r}, not 1 within {UNIT_NORM_TOL}")
-    if dim is not None and len(vector) != dim:
-        raise DimensionMismatchError(f"vector has {len(vector)} components, not {dim}")
-    return len(vector)
-
-
-def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    if len(a) != len(b):
-        raise DimensionMismatchError(f"dimensions {len(a)} and {len(b)} differ")
-    na = vector_norm(a)
-    nb = vector_norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine similarity undefined for a zero vector")
-    value = math.fsum(map(mul, a, b)) / (na * nb)
-    return max(-1.0, min(1.0, value))
-
-
 def retrieve_top_k(
     store: VectorStore, query_embedding: Sequence[float], k: int
 ) -> list[SummaryEntry]:
-    """Most similar entries first; equal similarity falls back to earlier steps."""
+    """Most similar entries first; equal similarity falls back to earlier steps.
+    ``RunSession.embed`` gives a run unit vectors of one length, so a dot product
+    is a cosine."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(store) == 0:
-        return []
-    if store.dim is not None and len(query_embedding) != store.dim:
-        raise DimensionMismatchError(
-            f"query dimension {len(query_embedding)} != store dimension {store.dim}"
-        )
     ranked = sorted(
         store.entries,
-        key=lambda e: (-cosine_similarity(e.embedding, query_embedding), e.step_index),
+        key=lambda e: (-math.fsum(map(mul, e.embedding, query_embedding)), e.step_index),
     )
     return ranked[:k]
 
@@ -195,7 +148,7 @@ def render_context(
     """Build the history portion of the actor context for the given mode."""
     layout = _LAYOUT[mode]
     blocks = [layout.step_block(s) for s in steps] if layout.step_block else []
-    if layout.summaries and store is not None and len(store) and query_embedding is not None:
+    if layout.summaries and query_embedding is not None:
         blocks.extend(summary_block(e) for e in retrieve_top_k(store, query_embedding, k))
     if layout.note and note is not None and note.text:
         blocks.append(note_block(note))

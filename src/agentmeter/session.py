@@ -20,10 +20,10 @@ from .backend import (
     ModelResponse,
     Purpose,
     RunTimeoutError,
+    unit_vector_dim,
 )
 from .config import PricingTable
 from .ledger import RunLedger
-from .memory import unit_vector_dim
 from .tools import ToolError
 from .trace import TraceWriter
 

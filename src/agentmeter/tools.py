@@ -229,11 +229,12 @@ class DuckDuckGoProvider(SearchProvider):
         for i, m in enumerate(self._RESULT.finditer(resp.text)):
             if i >= limit:
                 break
-            url = m.group("url")
+            # both are scraped from HTML, so their character references are undone
+            url = unescape(m.group("url"))
             # ddg wraps targets in a redirect with the real url in uddg=
             redirect = urllib.parse.urlsplit(url)
             target = urllib.parse.parse_qs(redirect.query).get("uddg", [url])[0]
-            title = self._TAGS.sub("", m.group("title")).strip()
+            title = unescape(self._TAGS.sub("", m.group("title"))).strip()
             results.append(
                 SearchResult(title=title, url=target, snippet="", provider=self.name, rank=i + 1)
             )

@@ -38,9 +38,9 @@ from .backend import (
     Purpose,
     RunTimeoutError,
     TokenUsage,
+    unit_vector_dim,
 )
 from .config import InputError, read_fields, typed_value
-from .memory import unit_vector_dim
 from .tools import SearchResult, ToolError
 
 TRACE_VERSION = 1

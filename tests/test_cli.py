@@ -97,11 +97,11 @@ def test_bench_prints_table(capsys):
 
 
 def test_bench_out_feeds_report(tmp_path, capsys):
-    results = tmp_path / "results.json"
-    run_cli(
+    results = tmp_path / "new" / "dir" / "results.json"  # --out makes its directory
+    assert run_cli(
         "bench", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
         "--out", str(results),
-    )
+    ) == 0
     bench_out = capsys.readouterr().out
 
     assert run_cli("report", "--results", str(results)) == 0
@@ -145,7 +145,7 @@ def test_report_scope_and_format(tmp_path, capsys):
     assert lines[0].startswith("scope,")
     assert len(lines) == 2 and lines[1].startswith("l1,")
 
-    target = tmp_path / "plot.svg"
+    target = tmp_path / "plots" / "plot.svg"
     assert run_cli("report", "--results", str(results), "--format", "svg",
                    "--out", str(target)) == 0
     assert target.read_text(encoding="utf-8").startswith("<svg")
@@ -547,6 +547,18 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "memory_mode: 'bogus' is not a valid MemoryMode" in capsys.readouterr().err
+
+
+def test_task_whose_answer_normalizes_to_empty_exits_two(tmp_path, capsys):
+    # a run that ends in error answers "", which would grade as solved against "."
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(json.dumps({"task_id": "t", "Level": 1, "Question": "q",
+                                 "Final answer": "."}) + "\n", encoding="utf-8")
+    code = run_cli("run", *bench_args(), "--tasks", str(tasks))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {tasks}:1: expected answer '.' is empty once normalized\n"
+    assert captured.out == ""
 
 
 def test_run_with_unpriced_backbone_exits_two(tmp_path, capsys):

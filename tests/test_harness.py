@@ -117,6 +117,10 @@ def test_load_tasks_error_lines_are_cited(tmp_path):
     with pytest.raises(TaskFileError, match="level"):
         load_tasks(p)
 
+    p = write_tasks(tmp_path, [task_line(), task_line("t2", answer=".")])
+    with pytest.raises(TaskFileError, match=r"tasks\.jsonl:2: expected answer '\.' is empty once normalized$"):
+        load_tasks(p)
+
     # a Level is an int that is no bool, or a decimal-integer string
     for level in (True, 2.7, 2.0, "2.7", "two", "", None, [2]):
         p = write_tasks(tmp_path, [task_line(level=level)])
@@ -153,6 +157,10 @@ def test_task_validation():
         Task(task_id="t", level=0, question="q", expected_answer="a", attachments=())
     with pytest.raises(ValueError):
         Task(task_id="t", level=4, question="q", expected_answer="a", attachments=())
+    # a failed run answers "", which would grade as solved against these
+    for empty in ("", " . ", "'\"\"'"):
+        with pytest.raises(ValueError, match="is empty once normalized"):
+            Task(task_id="t", level=1, question="q", expected_answer=empty)
 
 
 # -- grading -----------------------------------------------------------------
@@ -341,7 +349,7 @@ def test_run_benchmark_survives_an_empty_plan(tmp_path):
 
 
 class DanubeBreaksEmbeddings(ScriptedBackend):
-    """A faulty embedding service: norm 2 for any text that mentions the Danube."""
+    """A faulty embedding service: no unit vector for any text that mentions the Danube."""
 
     def embed(self, text):
         vector = super().embed(text)
@@ -349,7 +357,8 @@ class DanubeBreaksEmbeddings(ScriptedBackend):
 
 
 def test_run_benchmark_survives_an_error_outside_the_backend(tmp_path):
-    # summaries of e3's steps get a norm-2 embedding, which the vector store refuses
+    # summaries of e3's steps get an embedding that is no unit vector (2 * a tuple
+    # repeats it: 32 components of norm sqrt(2)), which RunSession.embed refuses
     script = tmp_path / "script.jsonl"
     script.write_text(
         (BENCH / "script.jsonl").read_text(encoding="utf-8")
@@ -521,6 +530,8 @@ HEADER_EDITS = [
     (("task", "question"), DELETE, "header field task.question is missing or invalid: None"),
     (("task", "level"), 7, "header field task is invalid: level must be 1, 2, or 3, got 7"),
     (("task", "level"), True, "header field task.level is missing or invalid: True"),
+    (("task", "expected_answer"), ".",
+     "header field task is invalid: expected answer '.' is empty once normalized"),
     (("task", "attachment_names"), 5, "header field task.attachment_names is missing"),
     (("task", "attachment_names"), [5], "header field task.attachment_names is missing"),
     (("task_id",), DELETE, "header field task_id is missing"),

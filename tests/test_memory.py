@@ -8,13 +8,10 @@ from agentmeter.agent import Step
 from agentmeter.backend import Purpose, ScriptEntry, ScriptedBackend, TokenUsage
 from agentmeter.config import MemoryMode
 from agentmeter.memory import (
-    DimensionMismatchError,
     LongTermNote,
     RunMemory,
     SummaryEntry,
     VectorStore,
-    ZeroVectorError,
-    cosine_similarity,
     full_block,
     render_context,
     retrieve_top_k,
@@ -45,32 +42,6 @@ def step(i=0, model_output="I reason about REASONING_SENTINEL here", observation
     )
 
 
-# -- vector store ------------------------------------------------------------
-
-
-def test_store_fixes_dimension_on_first_add():
-    store = VectorStore()
-    store.add(entry(0, [1, 0]))
-    assert store.dim == 2
-    with pytest.raises(DimensionMismatchError):
-        store.add(entry(1, [1, 0, 0]))
-
-
-def test_store_rejects_non_unit_vectors():
-    store = VectorStore()
-    bad = SummaryEntry(step_index=0, summary_text="s", embedding=np.array([2.0, 0.0]))
-    with pytest.raises(ValueError, match="norm"):
-        store.add(bad)
-
-
-def test_cosine_clamps_and_validates():
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
-    with pytest.raises(ZeroVectorError):
-        cosine_similarity(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-    with pytest.raises(DimensionMismatchError):
-        cosine_similarity(np.array([1.0]), np.array([1.0, 0.0]))
-
-
 # -- retrieval ---------------------------------------------------------------
 
 
@@ -99,8 +70,6 @@ def test_retrieve_edge_cases():
     assert len(retrieve_top_k(store, unit([1, 0]), k=10)) == 1
     with pytest.raises(ValueError):
         retrieve_top_k(store, unit([1, 0]), k=0)
-    with pytest.raises(DimensionMismatchError):
-        retrieve_top_k(store, unit([1, 0, 0]), k=1)
 
 
 @settings(max_examples=50)

@@ -231,6 +231,33 @@ def test_a_malformed_live_row_fails_its_engine_and_search_goes_on(monkeypatch, c
     ]
 
 
+def test_duckduckgo_unescapes_scraped_titles_and_urls(monkeypatch):
+    import requests
+
+    page = (
+        '<a rel="nofollow" class="result__a" href="https://example.com/a?x=1&amp;y=2">'
+        "Tom &amp; Jerry &#x27;s <b>show</b></a>\n"
+        '<a rel="nofollow" class="result__a" '
+        'href="//duckduckgo.com/l/?uddg=https%3A%2F%2Fexample.org%2Fb%3Fp%3D1%26q%3D2&amp;rut=abc">'
+        "&lt;b&gt; is bold</a>\n"
+        '<a rel="nofollow" class="result__a" href="https://example.net/">third</a>'
+    )
+    seen = []
+
+    def get(url, params, timeout, headers=None):
+        seen.append((url, params))
+        return SimpleNamespace(text=page, raise_for_status=lambda: None)
+
+    monkeypatch.setattr(requests, "get", get)
+    out = tools.DuckDuckGoProvider().search("tom", limit=2)
+    assert seen == [("https://html.duckduckgo.com/html/", {"q": "tom"})]
+    assert [(r.rank, r.title, r.url) for r in out] == [
+        (1, "Tom & Jerry 's show", "https://example.com/a?x=1&y=2"),
+        # a redirect's target comes from uddg=; an escaped tag in a title is text
+        (2, "<b> is bold", "https://example.org/b?p=1&q=2"),
+    ]
+
+
 def test_concurrent_fetches_from_one_host_keep_the_delay(monkeypatch):
     import requests
 
