@@ -68,7 +68,6 @@ class Step:
 class AgentState:
     """Everything the loop mutates while a run is in flight."""
 
-    task_id: str
     question: str
     config: AgentConfig
     session: RunSession
@@ -89,8 +88,6 @@ class AgentState:
 
 @dataclass(frozen=True)
 class TaskRunRecord:
-    task_id: str
-    config: AgentConfig
     plans: tuple[Plan, ...]
     steps: tuple[Step, ...]
     final_answer: str
@@ -240,7 +237,6 @@ def run_task(
     toolbox: ToolBox,
 ) -> TaskRunRecord:
     state = AgentState(
-        task_id=task_id,
         question=question,
         config=config,
         session=session,
@@ -284,8 +280,6 @@ def run_task(
         terminated_by = TerminatedBy.ERROR
 
     return TaskRunRecord(
-        task_id=task_id,
-        config=config,
         plans=tuple(state.plans),
         steps=tuple(state.steps),
         final_answer=final_answer,

@@ -53,10 +53,6 @@ class TokenUsage:
         if self.prompt_tokens < 0 or self.completion_tokens < 0:
             raise ValueError("token counts must be non-negative")
 
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
-
 
 @dataclass(frozen=True)
 class ModelRequest:
@@ -274,6 +270,7 @@ API_BASE_ENV = "AGENTMETER_API_BASE"
 API_KEY_ENV = "AGENTMETER_API_KEY"
 DEFAULT_API_BASE = "https://api.openai.com/v1"
 COMPLETION_TIMEOUT_S = 120.0
+COMPLETION_RETRIES = 3
 
 
 class OpenAIBackend(Backend):
@@ -284,15 +281,9 @@ class OpenAIBackend(Backend):
     and ``AGENTMETER_API_BASE`` for non-default gateways.
     """
 
-    def __init__(
-        self,
-        base_url: str | None = None,
-        api_key: str | None = None,
-        max_retries: int = 3,
-    ):
+    def __init__(self, base_url: str | None = None, api_key: str | None = None):
         self.base_url = (base_url or os.environ.get(API_BASE_ENV, DEFAULT_API_BASE)).rstrip("/")
         self.api_key = api_key or os.environ.get(API_KEY_ENV) or os.environ.get("OPENAI_API_KEY")
-        self.max_retries = max_retries
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         import requests
@@ -308,7 +299,7 @@ class OpenAIBackend(Backend):
 
         last_error: Exception | None = None
         started = time.monotonic()
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(COMPLETION_RETRIES + 1):
             if attempt:
                 time.sleep(min(2**attempt, 30))
             try:
@@ -332,7 +323,7 @@ class OpenAIBackend(Backend):
             except ValueError:  # requests' JSONDecodeError is one
                 raise BackendError(f"completion body is not JSON: {resp.text[:200]!r}") from None
             return self._parse(request, body, latency_ms)
-        raise BackendError(f"model call failed after {self.max_retries + 1} attempts") from last_error
+        raise BackendError(f"model call failed after {COMPLETION_RETRIES + 1} attempts") from last_error
 
     def _parse(self, request: ModelRequest, body: dict, latency_ms: int = 0) -> ModelResponse:
         try:

@@ -279,7 +279,8 @@ _POSITIVE_FIELDS = (
 )
 
 
-def config_issues(cfg: AgentConfig, pricing: PricingTable) -> list[str]:
+def validate_config(cfg: AgentConfig, pricing: PricingTable) -> AgentConfig:
+    """Return the config unchanged if every invariant holds, else raise."""
     issues = []
     for name in _POSITIVE_FIELDS:
         value = getattr(cfg, name)
@@ -292,12 +293,6 @@ def config_issues(cfg: AgentConfig, pricing: PricingTable) -> list[str]:
     for model in (cfg.backbone_id, cfg.prm_backbone_id):
         if model is not None and model not in pricing:
             issues.append(f"no pricing entry for {model!r}")
-    return issues
-
-
-def validate_config(cfg: AgentConfig, pricing: PricingTable) -> AgentConfig:
-    """Return the config unchanged if every invariant holds, else raise."""
-    issues = config_issues(cfg, pricing)
     if issues:
         raise InvalidConfigError("; ".join(issues))
     return cfg
@@ -417,14 +412,17 @@ def config_hash(cfg: AgentConfig) -> str:
 # -- config file I/O ---------------------------------------------------------
 #
 # UTF-8 key/value document. Section [agent] holds the experiment fields;
-# one [pricing.<model-id>] section per model with input/output prices in
-# USD per 1M tokens. Environment variables never override these values;
-# they carry API credentials only.
+# [pricing] may hold the prices' effective_date; one [pricing.<model-id>]
+# section per model holds input/output prices in USD per 1M tokens. Any
+# other section or key is refused. Environment variables never override
+# these values; they carry API credentials only.
 
 
 def parse_config(text: str, source: str = "<string>") -> tuple[AgentConfig, PricingTable]:
     """Read a config document; what is not valid raises ``InvalidConfigError``."""
-    parser = configparser.ConfigParser()
+    # no default section, whose keys configparser would copy into every
+    # section: [DEFAULT] is refused as an unknown section
+    parser = configparser.ConfigParser(default_section="")
     parser.optionxform = str  # keep model ids and keys case-sensitive
     try:
         parser.read_string(text, source=source)
@@ -438,12 +436,28 @@ def parse_config(text: str, source: str = "<string>") -> tuple[AgentConfig, Pric
     effective: date | None = None
     for section, values in sections.items():
         if section == "pricing":
+            _known_keys(section, values, ("effective_date",))
             if values.get("effective_date"):
                 effective = _file_value(section, values, "effective_date", _iso_date)
         elif section.startswith("pricing."):
+            model = section[len("pricing.") :]
+            if not model.strip():
+                raise InvalidConfigError(f"[{section}]: no model id")
+            _known_keys(section, values, ("input", "output"))
             prices = [_file_value(section, values, key, _pico_per_token) for key in ("input", "output")]
-            entries[section[len("pricing.") :]] = ModelPricing(*prices)
+            entries[model] = ModelPricing(*prices)
+        elif section != "agent":
+            raise InvalidConfigError(
+                f"[{section}]: not a known section ([agent], [pricing] or [pricing.<model-id>])"
+            )
     return cfg, PricingTable(entries, effective)
+
+
+def _known_keys(section: str, values: dict, known: tuple[str, ...]) -> None:
+    """Raise ``InvalidConfigError`` naming the first key of ``values`` not in ``known``."""
+    for key in values:
+        if key not in known:
+            raise InvalidConfigError(f"[{section}] {key}: not a known key ({', '.join(known)})")
 
 
 def _file_value(section: str, values: dict, key: str, convert):

@@ -27,7 +27,6 @@ from .money import PICO_PER_USD
 
 @dataclass(frozen=True)
 class LedgerEntry:
-    run_id: str
     step_index: int
     purpose: Purpose
     model_id: str
@@ -41,10 +40,6 @@ class LedgerEntry:
     @property
     def cost_pico(self) -> int:
         return self.input_cost_pico + self.output_cost_pico
-
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
 
 
 @dataclass(frozen=True)
@@ -64,11 +59,10 @@ def call_cost_pico(usage: TokenUsage, pricing: ModelPricing) -> tuple[int, int]:
 
 
 class RunLedger:
-    """Append-only per-run cost record, written by that run's loop only."""
+    """Append-only cost record of one run, written by that run's loop only."""
 
-    def __init__(self, pricing: PricingTable, run_id: str = ""):
+    def __init__(self, pricing: PricingTable):
         self._pricing = pricing
-        self.run_id = run_id
         self._entries: list[LedgerEntry] = []
 
     def record(
@@ -82,7 +76,6 @@ class RunLedger:
         pricing = self._pricing.lookup(model_id)
         input_cost, output_cost = call_cost_pico(usage, pricing)
         entry = LedgerEntry(
-            run_id=self.run_id,
             step_index=step_index,
             purpose=purpose,
             model_id=model_id,
@@ -96,21 +89,9 @@ class RunLedger:
         self._entries.append(entry)
         return entry
 
-    def record_failure(
-        self, purpose: Purpose, model_id: str, error: str, step_index: int = 0
-    ) -> LedgerEntry:
-        """Zero-usage entry marking a call that failed after retries."""
-        return self.record(
-            purpose, model_id, TokenUsage(0, 0), step_index=step_index, error=error
-        )
-
     @property
     def entries(self) -> tuple[LedgerEntry, ...]:
         return tuple(self._entries)
-
-    @property
-    def call_count(self) -> int:
-        return len(self._entries)
 
     @property
     def total_cost_pico(self) -> int:
@@ -123,10 +104,6 @@ class RunLedger:
     @property
     def completion_tokens(self) -> int:
         return sum(e.completion_tokens for e in self._entries)
-
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
 
     @property
     def any_estimated(self) -> bool:

@@ -137,24 +137,6 @@ _LAYOUT = {
 }
 
 
-def render_context(
-    mode: MemoryMode,
-    steps: Sequence["Step"],
-    store: VectorStore | None = None,
-    note: LongTermNote | None = None,
-    query_embedding: Sequence[float] | None = None,
-    k: int = 1,
-) -> list[str]:
-    """Build the history portion of the actor context for the given mode."""
-    layout = _LAYOUT[mode]
-    blocks = [layout.step_block(s) for s in steps] if layout.step_block else []
-    if layout.summaries and query_embedding is not None:
-        blocks.extend(summary_block(e) for e in retrieve_top_k(store, query_embedding, k))
-    if layout.note and note is not None and note.text:
-        blocks.append(note_block(note))
-    return blocks
-
-
 # -- model-backed maintenance ------------------------------------------------
 
 
@@ -204,7 +186,6 @@ class RunMemory:
         retrieval_k: int,
         note_max_chars: int,
     ):
-        self.mode = mode
         self.layout = _LAYOUT[mode]
         self.session = session
         self.model_id = model_id
@@ -223,14 +204,14 @@ class RunMemory:
             self.note = update_long_term_note(self.note, step, self.session, self.model_id)
 
     def context_blocks(self, steps: Sequence["Step"], query_text: str) -> list[str]:
-        query_embedding = None
-        if self.layout.summaries and len(self.store):
+        """The history portion of the actor context for the memory mode."""
+        layout = self.layout
+        blocks = [layout.step_block(s) for s in steps] if layout.step_block else []
+        if layout.summaries and len(self.store):
             query_embedding = self.session.embed(query_text)
-        return render_context(
-            self.mode,
-            steps,
-            store=self.store,
-            note=self.note,
-            query_embedding=query_embedding,
-            k=self.retrieval_k,
-        )
+            blocks.extend(
+                summary_block(e) for e in retrieve_top_k(self.store, query_embedding, self.retrieval_k)
+            )
+        if layout.note and self.note.text:
+            blocks.append(note_block(self.note))
+        return blocks

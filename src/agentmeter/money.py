@@ -10,7 +10,6 @@ from __future__ import annotations
 from decimal import Decimal, InvalidOperation
 
 PICO_PER_USD = 10**12
-PICO_PER_MICRO_USD = 10**6
 TOKENS_PER_MILLION = 10**6
 
 
@@ -28,6 +27,8 @@ def usd_to_pico(amount: str | int | float | Decimal) -> int:
         dec = Decimal(str(amount))
     except InvalidOperation as exc:
         raise MoneyResolutionError(f"not a money amount: {amount!r}") from exc
+    if not dec.is_finite():
+        raise MoneyResolutionError(f"{amount!r} is not a finite amount")
     scaled = dec * PICO_PER_USD
     if scaled != scaled.to_integral_value():
         raise MoneyResolutionError(f"{amount!r} is finer than 1e-12 USD")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from html import escape
 from typing import Iterable, Sequence
 
 from .ledger import (
@@ -170,7 +171,7 @@ def render_svg(
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<text x="{_SVG_W / 2:.2f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>',
     ]
     axis = 'stroke="#444" stroke-width="1"'
     parts.append(
@@ -214,7 +215,7 @@ def render_svg(
         label = labels[i] if labels is not None else _SCOPE_LABEL[r.scope]
         parts.append(
             f'<text x="{cx + 8:.2f}" y="{cy + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
+            f'font-size="11">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -20,6 +20,7 @@ from .backend import (
     ModelResponse,
     Purpose,
     RunTimeoutError,
+    TokenUsage,
     unit_vector_dim,
 )
 from .config import PricingTable
@@ -39,7 +40,7 @@ class RunSession:
     ):
         self.run_id = run_id
         self.backend = backend
-        self.ledger = RunLedger(pricing, run_id)
+        self.ledger = RunLedger(pricing)
         self.trace = trace
         self.step_index = 0
         self._embedding_dim: int | None = None  # the length of the run's first vector
@@ -73,7 +74,7 @@ class RunSession:
             response = self.backend.complete(request)
         except BackendError as exc:
             # failed calls still occupy a ledger slot, with an error mark
-            self.ledger.record_failure(purpose, model_id, str(exc), self.step_index)
+            self.ledger.record(purpose, model_id, TokenUsage(0, 0), self.step_index, str(exc))
             if self.trace is not None:
                 self.trace.model_call(request, error=str(exc))
             raise

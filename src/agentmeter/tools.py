@@ -307,15 +307,16 @@ def search(
 ) -> list[SearchResult]:
     """Fan out, merge, dedup.
 
-    Every (query, provider) request is sent at once on the process's
-    search pool; the answers are merged here, in (query position, provider
+    Every (distinct query, provider) request is sent at once on the
+    process's search pool; a repeated query is asked only at its first
+    position. The answers are merged here, in (query position, provider
     position, provider rank) order, and the first occurrence of a
     normalized URL wins. Provider failures and non-absolute URLs are
     dropped with a warning, logged in that same order.
     """
     if not queries:
         raise ValueError("at least one query required")
-    pairs = [(query, provider) for query in queries for provider in providers]
+    pairs = [(query, provider) for query in dict.fromkeys(queries) for provider in providers]
     answers = [_SEARCH_POOL.submit(p.search, q, per_query_limit) for q, p in pairs]
     merged: list[SearchResult] = []
     seen: set[str] = set()
@@ -692,7 +693,8 @@ class PageTextCache:
             if value is not None:
                 self._texts.move_to_end(html)
                 return value
-        value = _page_text(html)
+        text = extract_static_text(html)
+        value = text[:CRAWLER_MAX_CHARS], len(text) > CRAWLER_MAX_CHARS
         with self._lock:
             if html not in self._texts:  # another thread may have put it in meanwhile
                 self._texts[html] = value
@@ -712,11 +714,6 @@ def _entry_bytes(html: str, value: tuple[str, bool]) -> int:
 
 
 PAGE_TEXTS = PageTextCache(PAGE_CACHE_MAX_BYTES)
-
-
-def _page_text(html: str) -> tuple[str, bool]:
-    text = extract_static_text(html)
-    return text[:CRAWLER_MAX_CHARS], len(text) > CRAWLER_MAX_CHARS
 
 
 def page_text(html: str) -> tuple[str, bool]:

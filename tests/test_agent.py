@@ -68,7 +68,7 @@ def test_immediate_final_answer(pricing):
     assert len(record.steps) == 1
     assert record.steps[0].observation == ""  # terminal actions execute nothing
     assert len(record.plans) == 1
-    assert session.ledger.call_count == 2  # one plan, one act
+    assert len(session.ledger.entries) == 2  # one plan, one act
 
 
 def test_plan_cadence_follows_interval(pricing):
@@ -109,7 +109,7 @@ def test_budget_exhaustion_triggers_forced_answer(pricing):
     assert record.final_answer == "best guess: 1962"
     assert len(record.steps) == 2
     # 2 plans + 2 acts + 1 forced answer
-    assert session.ledger.call_count == 5
+    assert len(session.ledger.entries) == 5
 
 
 def test_forced_answer_tolerates_directive_reply(pricing):
@@ -130,7 +130,7 @@ def test_backend_failure_ends_run_as_error(pricing):
     assert record.final_answer == ""
     assert record.steps == ()
     # the plan call still costs money; the failed call holds a zero-cost slot
-    assert session.ledger.call_count == 2
+    assert len(session.ledger.entries) == 2
     assert session.ledger.total_cost_pico == 600 * 10**6
     (failed,) = session.ledger.entries_for(Purpose.ACTOR)
     assert failed.error is not None and failed.cost_pico == 0
@@ -177,7 +177,6 @@ def test_actor_system_message_comes_first(pricing):
 def test_retrieval_query_prefers_plan_and_last_observation(pricing):
     session = make_session(ScriptedBackend([]), pricing)
     state = AgentState(
-        task_id="t",
         question=QUESTION,
         config=default_config(),
         session=session,

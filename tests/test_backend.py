@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agentmeter.backend import (
+    COMPLETION_RETRIES,
     BackendError,
     Message,
     ModelRequest,
@@ -272,12 +273,13 @@ def test_openai_retries_transient_then_succeeds():
 
 
 def test_openai_gives_up_after_retries():
-    backend = OpenAIBackend(api_key="k", max_retries=2)
-    with mock.patch("requests.post", return_value=_http(500)), mock.patch(
+    backend = OpenAIBackend(api_key="k")
+    with mock.patch("requests.post", return_value=_http(500)) as post, mock.patch(
         "agentmeter.backend.time.sleep"
     ):
-        with pytest.raises(BackendError):
+        with pytest.raises(BackendError, match=f"after {COMPLETION_RETRIES + 1} attempts"):
             backend.complete(req())
+    assert post.call_count == COMPLETION_RETRIES + 1
 
 
 def test_openai_client_error_fails_fast():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -165,6 +166,20 @@ def test_report_scope_without_rows_exits_two(tmp_path, capsys):
     assert run_cli("report", "--results", str(results), "--scope", "l3") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "l3" in err
+
+
+def test_report_svg_escapes_the_config_hash(tmp_path, capsys):
+    results = tmp_path / "results.json"
+    assert run_cli("bench", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
+                   "--out", str(results)) == 0
+    payload = json.loads(results.read_text(encoding="utf-8"))
+    payload["config_hash"] = "a<b&c"
+    results.write_text(json.dumps(payload), encoding="utf-8")
+    target = tmp_path / "plot.svg"
+    assert run_cli("report", "--results", str(results), "--format", "svg",
+                   "--out", str(target)) == 0
+    title = ElementTree.parse(target).getroot().find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "config a<b&c"
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "svg"])
@@ -663,6 +678,34 @@ OUTSIDE_INPUTS = {
     "price_negative": (
         {"config.ini": AGENT_SECTION + "[pricing.gpt-4.1]\ninput = 1.00\noutput = -1\n"},
         (), "[pricing.gpt-4.1] output: '-1' is negative",
+    ),
+    "price_infinite": (
+        {"config.ini": AGENT_SECTION + "[pricing.gpt-4.1]\ninput = inf\noutput = 1.00\n"},
+        (), "[pricing.gpt-4.1] input: 'inf' is not a finite amount",
+    ),
+    "price_nan": (
+        {"config.ini": AGENT_SECTION + "[pricing.gpt-4.1]\ninput = nan\noutput = 1.00\n"},
+        (), "[pricing.gpt-4.1] input: 'nan' is not a finite amount",
+    ),
+    "price_key_unknown": (
+        {"config.ini": AGENT_SECTION + PRICED + "cached_input = 0.50\n"},
+        (), "[pricing.gpt-4.1] cached_input: not a known key (input, output)",
+    ),
+    "pricing_key_unknown": (
+        {"config.ini": AGENT_SECTION + "[pricing]\neffective = 2025-06-01\n" + PRICED},
+        (), "[pricing] effective: not a known key (effective_date)",
+    ),
+    "pricing_model_id_empty": (
+        {"config.ini": AGENT_SECTION + PRICED + "[pricing.]\ninput = 1.00\noutput = 1.00\n"},
+        (), "[pricing.]: no model id",
+    ),
+    "section_unknown": (
+        {"config.ini": "[agnet]\nmax_steps = 3\n" + PRICED},
+        (), "[agnet]: not a known section ([agent], [pricing] or [pricing.<model-id>])",
+    ),
+    "section_default": (
+        {"config.ini": "[DEFAULT]\nmax_steps = 3\n" + AGENT_SECTION + PRICED},
+        (), "[DEFAULT]: not a known section",
     ),
     "effective_date_not_a_date": (
         {"config.ini": AGENT_SECTION + "[pricing]\neffective_date = soon\n" + PRICED},

@@ -18,7 +18,6 @@ from agentmeter.config import (
     coerce_field,
     config_from_snapshot,
     config_hash,
-    config_issues,
     config_snapshot,
     default_config,
     default_pricing,
@@ -136,27 +135,25 @@ def test_validate_flags_bad_ranges(pricing):
     bad = dataclasses.replace(
         default_config(), max_steps=0, retrieval_k=-2, temperature=math.nan, bon_temperature=math.inf
     )
-    issues = config_issues(bad, pricing)
-    assert issues == [
-        "max_steps must be >= 1, got 0",
-        "retrieval_k must be >= 1, got -2",
-        "temperature must be a finite number >= 0, got nan",
-        "bon_temperature must be a finite number >= 0, got inf",
-    ]
-    with pytest.raises(InvalidConfigError, match="^max_steps must be >= 1, got 0; retrieval_k"):
+    with pytest.raises(InvalidConfigError) as exc:
         validate_config(bad, pricing)
+    assert str(exc.value) == (
+        "max_steps must be >= 1, got 0; "
+        "retrieval_k must be >= 1, got -2; "
+        "temperature must be a finite number >= 0, got nan; "
+        "bon_temperature must be a finite number >= 0, got inf"
+    )
 
 
 def test_validate_flags_missing_pricing():
-    cfg = default_config()
-    issues = config_issues(cfg, PricingTable({}))
-    assert issues == ["no pricing entry for 'gpt-4.1'"]
+    with pytest.raises(InvalidConfigError, match="^no pricing entry for 'gpt-4.1'$"):
+        validate_config(default_config(), PricingTable({}))
 
 
 def test_validate_checks_judge_model_pricing(pricing):
     cfg = dataclasses.replace(default_config(), prm_backbone_id="other-model")
-    issues = config_issues(cfg, pricing)
-    assert issues == ["no pricing entry for 'other-model'"]
+    with pytest.raises(InvalidConfigError, match="^no pricing entry for 'other-model'$"):
+        validate_config(cfg, pricing)
 
 
 # -- snapshot / hash ---------------------------------------------------------

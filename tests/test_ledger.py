@@ -17,7 +17,9 @@ from agentmeter.ledger import (
     comparison_metrics_values,
     cost_of_pass,
 )
-from agentmeter.money import PICO_PER_MICRO_USD, PICO_PER_USD
+from agentmeter.money import PICO_PER_USD
+
+MICRO = 10**6  # pico-dollars per micro-dollar
 
 
 def table():
@@ -28,29 +30,28 @@ def table():
 def test_call_cost_is_exact_integer_math():
     paid = table().lookup("gpt-4.1")
     cost_in, cost_out = call_cost_pico(TokenUsage(1000, 100), paid)
-    assert cost_in == 1000 * PICO_PER_MICRO_USD
-    assert cost_out == 1000 * PICO_PER_MICRO_USD
+    assert cost_in == 1000 * MICRO
+    assert cost_out == 1000 * MICRO
 
 
 def test_record_and_totals(pricing):
-    ledger = RunLedger(pricing, run_id="r1")
+    ledger = RunLedger(pricing)
     ledger.record(Purpose.ACTOR, "gpt-4.1", TokenUsage(100, 10), step_index=0)
     ledger.record(Purpose.PLANNER, "gpt-4.1", TokenUsage(50, 5), step_index=1)
-    assert ledger.call_count == 2
+    assert len(ledger.entries) == 2
     assert ledger.prompt_tokens == 150
     assert ledger.completion_tokens == 15
-    assert ledger.total_tokens == 165
     # 100 + 100 + 50 + 50 = 300 micro-dollars
-    assert ledger.total_cost_pico == 300 * PICO_PER_MICRO_USD
-    assert ledger.entries[0].run_id == "r1"
+    assert ledger.total_cost_pico == 300 * MICRO
     assert ledger.entries[1].step_index == 1
 
 
 def test_record_failure_costs_nothing(pricing):
     ledger = RunLedger(pricing)
-    entry = ledger.record_failure(Purpose.ACTOR, "gpt-4.1", "boom", step_index=3)
+    # how a session records a call that failed after retries
+    entry = ledger.record(Purpose.ACTOR, "gpt-4.1", TokenUsage(0, 0), 3, "boom")
     assert entry.cost_pico == 0
-    assert entry.total_tokens == 0
+    assert (entry.prompt_tokens, entry.completion_tokens) == (0, 0)
     assert entry.error == "boom"
     assert ledger.total_cost_pico == 0
 
@@ -122,7 +123,7 @@ def test_row_exact_fractions():
         scope=Scope.ALL,
         task_count=3,
         solved_count=2,
-        total_cost_pico=9140 * PICO_PER_MICRO_USD,
+        total_cost_pico=9140 * MICRO,
         total_tokens=600,
     )
     assert row.mean_cost_exact == Fraction(9140, 3 * 10**6)

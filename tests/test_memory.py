@@ -13,7 +13,6 @@ from agentmeter.memory import (
     SummaryEntry,
     VectorStore,
     full_block,
-    render_context,
     retrieve_top_k,
     simple_block,
     summarize_step,
@@ -118,45 +117,40 @@ def test_simple_block_hides_model_output():
     assert "REASONING_SENTINEL" in full_block(s)
 
 
-def test_render_context_simple_vs_no_extra():
+def rendering_memory(mode, pricing, query=(1, 0)):
+    """A RunMemory that makes no model call and whose retrieval query embeds to ``query``."""
+    session = make_session(ScriptedBackend([]), pricing)
+    session.embed = lambda text: unit(query)
+    return run_memory(mode, session, k=1)
+
+
+def test_context_blocks_simple_vs_no_extra(pricing):
     steps = [step(0), step(1)]
-    simple = render_context(MemoryMode.SIMPLE, steps)
-    full = render_context(MemoryMode.NO_EXTRA, steps)
+    simple = rendering_memory(MemoryMode.SIMPLE, pricing).context_blocks(steps, "q")
+    full = rendering_memory(MemoryMode.NO_EXTRA, pricing).context_blocks(steps, "q")
     assert len(simple) == len(full) == 2
     assert all("Model output" not in b for b in simple)
     assert all("Model output" in b for b in full)
 
 
-def test_summarized_mode_replaces_history():
-    store = VectorStore()
-    store.add(entry(0, [1, 0], text="did a thing"))
-    blocks = render_context(
-        MemoryMode.SUMMARIZED, [step(0)], store=store, query_embedding=unit([1, 0]), k=1
-    )
-    assert blocks == ["Summary of step 0:\ndid a thing"]
+def test_summarized_mode_replaces_history(pricing):
+    mem = rendering_memory(MemoryMode.SUMMARIZED, pricing)
+    mem.store.add(entry(0, [1, 0], text="did a thing"))
+    assert mem.context_blocks([step(0)], "q") == ["Summary of step 0:\ndid a thing"]
 
 
-def test_extra_modes_append_summaries_and_note():
-    store = VectorStore()
-    store.add(entry(0, [1, 0], text="past step"))
-    note = LongTermNote("remember the date", max_chars=100)
-    blocks = render_context(
-        MemoryMode.EXTRA_HYBRID,
-        [step(1)],
-        store=store,
-        note=note,
-        query_embedding=unit([1, 0]),
-        k=1,
-    )
+def test_extra_modes_append_summaries_and_note(pricing):
+    mem = rendering_memory(MemoryMode.EXTRA_HYBRID, pricing)
+    mem.store.add(entry(0, [1, 0], text="past step"))
+    mem.note = LongTermNote("remember the date", max_chars=100)
+    blocks = mem.context_blocks([step(1)], "q")
     assert any(b.startswith("Step 1:") for b in blocks)
     assert any("past step" in b for b in blocks)
     assert blocks[-1] == "Long-term memory:\nremember the date"
 
 
-def test_empty_note_is_omitted():
-    blocks = render_context(
-        MemoryMode.EXTRA_FIXED, [step(0)], note=LongTermNote("", max_chars=10)
-    )
+def test_empty_note_is_omitted(pricing):
+    blocks = rendering_memory(MemoryMode.EXTRA_FIXED, pricing).context_blocks([step(0)], "q")
     assert not any("Long-term" in b for b in blocks)
 
 
@@ -208,7 +202,7 @@ def test_cheap_modes_never_touch_model_or_embedder(mode, pricing):
     mem.observe_step(step(0))
     blocks = mem.context_blocks([step(0)], "query")
     assert blocks
-    assert session.ledger.call_count == 0
+    assert len(session.ledger.entries) == 0
     assert len(mem.store) == 0
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given
@@ -125,6 +126,13 @@ def test_svg_validation():
         render_svg(SAMPLE, labels=["just one"])
     labeled = render_svg(SAMPLE, labels=["a", "b", "c"])
     assert ">a</text>" in labeled
+
+
+def test_svg_escapes_title_and_labels():
+    svg = render_svg(SAMPLE, labels=["a<b", "c&d", "e>f"], title="x & <y>")
+    texts = [t.text for t in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "x & <y>"
+    assert texts[-3:] == ["a<b", "c&d", "e>f"]
 
 
 def test_render_report_dispatch():

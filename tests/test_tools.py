@@ -586,6 +586,45 @@ def test_toolbox_search_renders_results(tmp_path, pricing):
     assert event["args"]["queries"] == ["acme history"]
 
 
+class CountingProvider(FixtureSearchProvider):
+    """A fixture engine that keeps each query it is asked."""
+
+    def __init__(self, name, responses):
+        super().__init__(name, responses)
+        self.asked = []
+        self._lock = threading.Lock()
+
+    def search(self, query, limit):
+        with self._lock:
+            self.asked.append(query)
+        return super().search(query, limit)
+
+
+def test_a_search_asks_each_engine_once_per_distinct_query(tmp_path, pricing):
+    from agentmeter.trace import TraceWriter, read_trace
+
+    from conftest import make_toolbox
+
+    # one expansion, padded with the question to four queries
+    cfg = dataclasses.replace(default_config(), query_expansion_count=4)
+    writer = TraceWriter(tmp_path / "t.trace")
+    writer.header({"run_id": "r"})
+    session = make_session(ScriptedBackend(search_script()), pricing, trace=writer)
+    rows = {"acme history": [("Acme", "http://acme.com/", "s")],
+            "acme": [("Acme", "http://acme.com/", "s"), ("Roadrunner", "http://rr.com/", "s")]}
+    engines = [CountingProvider("one", rows), CountingProvider("two", rows)]
+    out = make_toolbox(session, config=cfg, providers=engines).dispatch(
+        Action(ActionName.SEARCH, {"query": "acme"})
+    )
+    writer.close()
+    for engine in engines:
+        assert sorted(engine.asked) == ["acme", "acme history"]
+    assert "Search results (2):" in out
+    # the trace keeps the padded list, so recordings and replays are unchanged
+    event = [e for e in read_trace(tmp_path / "t.trace").events if e["type"] == "tool_call"][0]
+    assert event["args"]["queries"] == ["acme history", "acme", "acme", "acme"]
+
+
 class ResultKeepingBackend(ScriptedBackend):
     """A scripted backend that keeps what each tool thunk returned."""
 

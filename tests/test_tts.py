@@ -141,7 +141,7 @@ def test_sample_candidates_makes_n_calls_at_given_temperature(pricing):
     assert [c.index for c in out] == [0, 1, 2]
     assert all(c.action and c.action.name is ActionName.FINAL_ANSWER for c in out)
     assert [req.temperature for req in backend.calls] == [0.7, 0.7, 0.7]
-    assert session.ledger.call_count == 3
+    assert len(session.ledger.entries) == 3
 
 
 def test_sample_candidates_keeps_unparsable_output(pricing):
@@ -180,7 +180,7 @@ def test_judge_score_parses_verdict(pricing):
     )
     verdict = judge_score(candidate(0), "", 1, session, "gpt-4.1")
     assert verdict == PrmVerdict(analysis="solid step", score=8)
-    assert session.ledger.call_count == 1
+    assert len(session.ledger.entries) == 1
 
 
 def test_judge_score_reasks_once_then_succeeds(pricing):
@@ -189,7 +189,7 @@ def test_judge_score_reasks_once_then_succeeds(pricing):
     )
     verdict = judge_score(candidate(0), "", 1, session, "gpt-4.1")
     assert verdict.score == 5  # integral float is accepted
-    assert session.ledger.call_count == 2
+    assert len(session.ledger.entries) == 2
 
 
 @pytest.mark.parametrize("bad", [
@@ -200,7 +200,7 @@ def test_judge_score_falls_back_to_zero_after_two_bad(pricing, bad):
     session = make_session(ScriptedBackend([prm(bad, times=2)]), pricing)
     verdict = judge_score(candidate(0), "", 1, session, "gpt-4.1")
     assert verdict.score == 0
-    assert session.ledger.call_count == 2  # exactly one re-ask
+    assert len(session.ledger.entries) == 2  # exactly one re-ask
 
 
 def test_verdict_bounds():
@@ -222,20 +222,20 @@ def test_judge_list_returns_index(pricing):
 def test_judge_list_rejects_out_of_range_then_falls_back(pricing):
     session = make_session(ScriptedBackend([prm('{"index": 5}', times=2)]), pricing)
     assert judge_list([candidate(0), candidate(1)], "", session, "gpt-4.1") == 0
-    assert session.ledger.call_count == 2
+    assert len(session.ledger.entries) == 2
 
 
 @pytest.mark.parametrize("bad", ['{"index": true}', '{"index": "1"}', '{"index": 0.5}'])
 def test_judge_list_falls_back_to_zero_after_two_bad(pricing, bad):
     session = make_session(ScriptedBackend([prm(bad, times=2)]), pricing)
     assert judge_list([candidate(0), candidate(1)], "", session, "gpt-4.1") == 0
-    assert session.ledger.call_count == 2  # exactly one re-ask
+    assert len(session.ledger.entries) == 2  # exactly one re-ask
 
 
 def test_judge_list_accepts_integral_float(pricing):
     session = make_session(ScriptedBackend([prm('{"index": 1.0}')]), pricing)
     assert judge_list([candidate(0), candidate(1)], "", session, "gpt-4.1") == 1
-    assert session.ledger.call_count == 1
+    assert len(session.ledger.entries) == 1
 
 
 def test_judge_list_needs_two_candidates(pricing):
@@ -263,7 +263,7 @@ def test_choose_scores_a_failed_candidate_zero_without_a_judge_call(pricing):
                        error="actor call failed")
     picked = choose([failed, candidate(1)], "", 1, PrmMode.SCORE, session, "gpt-4.1")
     assert picked.index == 1
-    assert session.ledger.call_count == 1  # the failed candidate was not judged
+    assert len(session.ledger.entries) == 1  # the failed candidate was not judged
 
 
 def test_select_best_argmax_with_low_index_ties():
