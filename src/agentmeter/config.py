@@ -437,7 +437,7 @@ def parse_config(text: str, source: str = "<string>") -> tuple[AgentConfig, Pric
     for section, values in sections.items():
         if section == "pricing":
             _known_keys(section, values, ("effective_date",))
-            if values.get("effective_date"):
+            if "effective_date" in values:
                 effective = _file_value(section, values, "effective_date", _iso_date)
         elif section.startswith("pricing."):
             model = section[len("pricing.") :]

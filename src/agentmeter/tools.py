@@ -170,6 +170,23 @@ def _search_row(row) -> tuple[str, str, str]:
 _ROW_TYPES = {"title": str, "url": str, "snippet": str}
 
 
+def _http_get(url: str, timeout_s: float, params: dict | None = None):
+    """The response to a GET of ``url`` sent with ``USER_AGENT``: every live
+    engine and page request goes through here. A failed request or a status
+    other than 200 raises ``TransportError``."""
+    import requests
+
+    try:
+        resp = requests.get(
+            url, params=params, timeout=timeout_s, headers={"User-Agent": USER_AGENT}
+        )
+    except requests.RequestException as exc:
+        raise TransportError(str(exc)) from exc
+    if resp.status_code != 200:
+        raise TransportError(f"HTTP {resp.status_code} for {url}")
+    return resp
+
+
 def _live_row(row: dict, provider: str, rank: int, optional=()) -> SearchResult:
     values = read_fields(row, _ROW_TYPES, ToolError, f"row {rank} field ", optional)
     title, snippet = values.get("title", ""), values.get("snippet", "")
@@ -182,21 +199,8 @@ class WikipediaProvider(SearchProvider):
     name = "wikipedia"
 
     def search(self, query: str, limit: int) -> list[SearchResult]:
-        import requests
-
-        resp = requests.get(
-            WIKIPEDIA_API,
-            params={
-                "action": "opensearch",
-                "search": query,
-                "limit": str(limit),
-                "format": "json",
-            },
-            timeout=SEARCH_TIMEOUT_S,
-            headers={"User-Agent": USER_AGENT},
-        )
-        resp.raise_for_status()
-        body = resp.json()
+        params = {"action": "opensearch", "search": query, "limit": str(limit), "format": "json"}
+        body = _http_get(WIKIPEDIA_API, SEARCH_TIMEOUT_S, params).json()
         titles, descriptions, urls = body[1], body[2], body[3]
         return [
             _live_row({"title": t, "url": u, "snippet": d}, self.name, i)
@@ -216,17 +220,9 @@ class DuckDuckGoProvider(SearchProvider):
     _TAGS = re.compile(r"<[^>]+>")
 
     def search(self, query: str, limit: int) -> list[SearchResult]:
-        import requests
-
-        resp = requests.get(
-            "https://html.duckduckgo.com/html/",
-            params={"q": query},
-            timeout=SEARCH_TIMEOUT_S,
-            headers={"User-Agent": USER_AGENT},
-        )
-        resp.raise_for_status()
+        page = _http_get("https://html.duckduckgo.com/html/", SEARCH_TIMEOUT_S, {"q": query}).text
         results = []
-        for i, m in enumerate(self._RESULT.finditer(resp.text)):
+        for i, m in enumerate(self._RESULT.finditer(page)):
             if i >= limit:
                 break
             # both are scraped from HTML, so their character references are undone
@@ -269,17 +265,10 @@ class SerpGatewayProvider(SearchProvider):
                     self.name,
                 )
             return []
-        import requests
-
-        resp = requests.get(
-            gateway,
-            params={"provider": self.name, "q": query, "limit": str(limit)},
-            timeout=SEARCH_TIMEOUT_S,
-        )
-        resp.raise_for_status()
+        params = {"provider": self.name, "q": query, "limit": str(limit)}
         return [
             _live_row(row, self.name, i, optional=("title", "snippet"))
-            for i, row in enumerate(resp.json(), 1)
+            for i, row in enumerate(_http_get(gateway, SEARCH_TIMEOUT_S, params).json(), 1)
         ]
 
 
@@ -768,22 +757,19 @@ class HttpFetcher(PageFetcher):
             time.sleep(slot - now)
 
     def fetch(self, url: str) -> str:
-        import requests
-
         if not _is_absolute_http(url):
             raise TransportError(f"not an http(s) url: {url!r}")
         self._polite_wait(urllib.parse.urlsplit(url).netloc)
-        try:
-            resp = requests.get(
-                url, timeout=FETCH_TIMEOUT_S, headers={"User-Agent": USER_AGENT}
-            )
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
-        if resp.status_code != 200:
-            raise TransportError(f"HTTP {resp.status_code} for {url}")
+        resp = _http_get(url, FETCH_TIMEOUT_S)
         content_type = resp.headers.get("Content-Type", "").lower()
         if content_type and not content_type.startswith(self._HTML_TYPES):
             raise NonHtmlError(f"unsupported content type {content_type!r}")
+        # requests reads a text/* body that names no charset as ISO-8859-1
+        if "charset" not in content_type:
+            try:
+                return resp.content.decode("utf-8")
+            except UnicodeDecodeError:
+                pass
         return resp.text
 
 

@@ -21,7 +21,9 @@ import gzip
 import hashlib
 import io
 import json
+import os
 import re
+import threading
 import zlib
 from collections import deque
 from dataclasses import dataclass
@@ -123,13 +125,23 @@ class TraceWriter:
         self._closed = True
         self.path.parent.mkdir(parents=True, exist_ok=True)
         data = b"".join(map(_dump_line, self._events))
-        with open(self.path, "wb") as f:
+        # written under a name that is not a trace's, then renamed onto the
+        # path, so a trace file is whole or absent even if the writer dies
+        part = self.path.with_name(f".{os.getpid()}-{threading.get_ident()}.part")
+        try:
             # mtime=0 keeps the gzip container byte-stable across runs; GzipFile
             # rather than gzip.compress, whose header varies with the Python version
-            with gzip.GzipFile(
+            with open(part, "wb") as f, gzip.GzipFile(
                 filename="", mode="wb", fileobj=f, compresslevel=GZIP_LEVEL, mtime=0
             ) as gz:
                 gz.write(data)
+            # a rename over an existing file makes ext4 start writing the new
+            # one out at once, a fifth of a close's time; so the old goes first
+            self.path.unlink(missing_ok=True)
+            os.replace(part, self.path)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
 
 
 @dataclass(frozen=True)

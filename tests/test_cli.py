@@ -711,6 +711,11 @@ OUTSIDE_INPUTS = {
         {"config.ini": AGENT_SECTION + "[pricing]\neffective_date = soon\n" + PRICED},
         (), "[pricing] effective_date: Invalid isoformat string: 'soon'",
     ),
+    # a blank date is refused, not read as no date
+    "effective_date_blank": (
+        {"config.ini": AGENT_SECTION + "[pricing]\neffective_date =\n" + PRICED},
+        (), "[pricing] effective_date: Invalid isoformat string: ''",
+    ),
     # a form Python 3.11 reads and 3.10 does not: refused on both
     "effective_date_basic_form": (
         {"config.ini": AGENT_SECTION + "[pricing]\neffective_date = 20250601\n" + PRICED},

@@ -196,6 +196,8 @@ def test_a_gateway_less_engine_warns_once_under_concurrency(monkeypatch, caplog)
 
 
 class LiveResponse:
+    status_code = 200
+
     def __init__(self, body):
         self._body = body
 
@@ -246,7 +248,7 @@ def test_duckduckgo_unescapes_scraped_titles_and_urls(monkeypatch):
 
     def get(url, params, timeout, headers=None):
         seen.append((url, params))
-        return SimpleNamespace(text=page, raise_for_status=lambda: None)
+        return SimpleNamespace(status_code=200, text=page, raise_for_status=lambda: None)
 
     monkeypatch.setattr(requests, "get", get)
     out = tools.DuckDuckGoProvider().search("tom", limit=2)
@@ -265,9 +267,10 @@ def test_concurrent_fetches_from_one_host_keep_the_delay(monkeypatch):
         status_code = 200
         headers = {"Content-Type": "text/html"}
         text = "<p>x</p>"
+        content = b"<p>x</p>"
 
     gets, waits = [], []
-    monkeypatch.setattr(requests, "get", lambda url, timeout, headers: gets.append(url) or Page())
+    monkeypatch.setattr(requests, "get", lambda url, params, timeout, headers: gets.append(url) or Page())
     # a clock that stands still: each wait is the whole gap its fetch keeps
     clock = SimpleNamespace(monotonic=lambda: 100.0, sleep=waits.append)
     monkeypatch.setattr(tools, "time", clock)
@@ -301,9 +304,10 @@ def test_two_fetchers_keep_the_delay_between_them(monkeypatch):
         status_code = 200
         headers = {"Content-Type": "text/html"}
         text = "<p>x</p>"
+        content = b"<p>x</p>"
 
     waits = []
-    monkeypatch.setattr(requests, "get", lambda url, timeout, headers: Page())
+    monkeypatch.setattr(requests, "get", lambda url, params, timeout, headers: Page())
     monkeypatch.setattr(tools, "time", SimpleNamespace(monotonic=lambda: 100.0, sleep=waits.append))
     first, second = tools.HttpFetcher(), tools.HttpFetcher()
     first.fetch("http://x.com/a")
@@ -311,6 +315,94 @@ def test_two_fetchers_keep_the_delay_between_them(monkeypatch):
     second.fetch("http://y.com/")  # another host has a slot free
     first.fetch("http://x.com/c")
     assert waits == [tools.FETCH_DELAY_S, 2 * tools.FETCH_DELAY_S]
+
+
+def http_response(status: int, body: bytes, content_type: str):
+    """A ``requests.Response`` whose encoding is set as the HTTP adapter sets it."""
+    import requests
+
+    resp = requests.Response()
+    resp.status_code = status
+    resp.headers["Content-Type"] = content_type
+    resp._content = body
+    resp.encoding = requests.utils.get_encoding_from_headers(resp.headers)
+    return resp
+
+
+# every live adapter: how it is built, the URL it requests, a body it reads
+LIVE_ADAPTERS = {
+    "wikipedia": (tools.WikipediaProvider, tools.WIKIPEDIA_API, b'["q", [], [], []]'),
+    "duckduckgo": (tools.DuckDuckGoProvider, "https://html.duckduckgo.com/html/", b"<p></p>"),
+    "gateway": (lambda: tools.SerpGatewayProvider("bing"), "http://gateway.test/", b"[]"),
+    "fetcher": (tools.HttpFetcher, "http://x.com/p", b"<p>x</p>"),
+}
+
+
+def live_request(adapter: str, monkeypatch, status: int):
+    """Run the adapter once against a stub ``requests.get`` answering
+    ``status``; the search's results or the fetched page, and the requests sent."""
+    import requests
+
+    build, url, body = LIVE_ADAPTERS[adapter]
+    sent = []
+
+    def get(target, params=None, timeout=None, headers=None):
+        sent.append((target, headers))
+        return http_response(status, body, "text/html")
+
+    monkeypatch.setattr(requests, "get", get)
+    monkeypatch.setenv(tools.SERP_GATEWAY_ENV, "http://gateway.test/")
+    live = build()
+    if isinstance(live, tools.HttpFetcher):
+        return live.fetch(url), sent
+    return search([live], ["q"]), sent
+
+
+@pytest.mark.parametrize("adapter", LIVE_ADAPTERS)
+def test_every_live_request_sends_the_user_agent(adapter, monkeypatch, caplog):
+    with caplog.at_level("WARNING", logger="agentmeter.tools"):
+        out, sent = live_request(adapter, monkeypatch, 200)
+    assert sent == [(LIVE_ADAPTERS[adapter][1], {"User-Agent": tools.USER_AGENT})]
+    assert out == ("<p>x</p>" if adapter == "fetcher" else [])
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("adapter", LIVE_ADAPTERS)
+def test_a_status_other_than_200_fails_every_live_request(adapter, monkeypatch, caplog):
+    url = LIVE_ADAPTERS[adapter][1]
+    if adapter == "fetcher":
+        with pytest.raises(TransportError) as err:
+            live_request(adapter, monkeypatch, 503)
+        assert str(err.value) == f"HTTP 503 for {url}"
+        return
+    with caplog.at_level("WARNING", logger="agentmeter.tools"):
+        out, _ = live_request(adapter, monkeypatch, 503)
+    name = LIVE_ADAPTERS[adapter][0]().name
+    assert out == []
+    assert [r.getMessage() for r in caplog.records] == [
+        f"provider {name} failed for 'q': HTTP 503 for {url}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "content_type, body, text",
+    [
+        # no charset named: a UTF-8 body is read as UTF-8 ...
+        ("text/html", "<p>café</p>".encode(), "<p>café</p>"),
+        ("text/plain", "<p>café</p>".encode(), "<p>café</p>"),
+        # ... and any other as requests reads it, ISO-8859-1
+        ("text/html", "<p>café</p>".encode("latin-1"), "<p>café</p>"),
+        # a named charset is the one used
+        ("text/html; charset=ISO-8859-1", "<p>café</p>".encode(), "<p>cafÃ©</p>"),
+        ("text/html; charset=utf-8", "<p>café</p>".encode(), "<p>café</p>"),
+    ],
+)
+def test_a_fetched_page_without_a_charset_reads_as_utf8(content_type, body, text, monkeypatch):
+    import requests
+
+    resp = http_response(200, body, content_type)
+    monkeypatch.setattr(requests, "get", lambda url, **kwargs: resp)
+    assert tools.HttpFetcher().fetch("http://x.com/p") == text
 
 
 def test_search_respects_per_query_limit_and_requires_queries():

@@ -130,6 +130,22 @@ def test_latency_is_not_recorded(tmp_path):
     assert line["type"] == "model_call" and "latency" not in json.dumps(line)
 
 
+def test_a_trace_whose_write_fails_leaves_no_file(tmp_path, monkeypatch):
+    # a trace is written under another name and renamed onto its path, so a
+    # write cut short leaves neither a partial trace nor the file it was in
+    write_sample(tmp_path / "good.trace")
+
+    def fail(self, data):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(gzip.GzipFile, "write", fail)
+    w = TraceWriter(tmp_path / "cut.trace")
+    w.header({"run_id": "r"})
+    with pytest.raises(OSError, match="no space left"):
+        w.close()
+    assert [p.name for p in tmp_path.iterdir()] == ["good.trace"]
+
+
 def test_close_is_idempotent(tmp_path):
     w = TraceWriter(tmp_path / "t.trace")
     w.header({"run_id": "r"})
