@@ -51,6 +51,7 @@ from .ledger import AggregateRow, EmptyBenchmarkError, aggregate
 from .session import RunSession
 from .tools import FixtureFetcher, FixtureSearchProvider, PageFetcher, SearchProvider, ToolBox
 from .trace import (
+    TRACE_VERSION,
     ReplayMismatchError,
     ReplaySource,
     TraceData,
@@ -366,11 +367,13 @@ def _run(
     trace_dir: str | Path | None = None,
     timeout_s: float | None = None,
     digest: str | None = None,
+    version: int = TRACE_VERSION,
 ) -> tuple[TaskOutcome, TaskRunRecord]:
     """The one run path of live runs and replays: trace, session, loop, grade.
 
     ``backend`` is where every external effect comes from: live
-    collaborators, or for a replay the ReplaySource. A config that
+    collaborators, or for a replay the ReplaySource. The trace is written
+    in trace format ``version``, a replay's in that of its recording. A config that
     ``validate_config`` refuses raises ``InvalidConfigError`` before any
     call is made or any trace is opened.
     """
@@ -378,7 +381,8 @@ def _run(
     writer = None
     if trace_dir is not None:
         header = run_header(task, config, pricing, digest)
-        writer = TraceWriter(Path(trace_dir) / trace_filename(task.task_id, header["config_hash"]))
+        path = Path(trace_dir) / trace_filename(task.task_id, header["config_hash"])
+        writer = TraceWriter(path, version)
         writer.header(header)
     session = RunSession(task.task_id, backend, pricing, writer, timeout_s)
     toolbox = ToolBox(
@@ -538,7 +542,8 @@ def _replay(
     inert = [FixtureSearchProvider(n, {}) for n in names] if type(names) is list else ()
     # recorded_run checked that the header's config_hash is that of config
     digest = data.header["config_hash"]
-    outcome, record = _run(task, config, source, pricing, inert, trace_dir=trace_dir, digest=digest)
+    outcome, record = _run(task, config, source, pricing, inert, trace_dir=trace_dir, digest=digest,
+                           version=data.header["version"])
     was, now = recorded.to_dict(with_task=False), outcome.to_dict(with_task=False)
     diverged = [
         f"{key} recorded {was[key]!r}, replayed {value!r}"

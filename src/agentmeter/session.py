@@ -104,9 +104,14 @@ class RunSession:
         return result
 
     def embed(self, text: str) -> Sequence[float]:
-        vector = self.backend.embed(text)
-        # a vector that read_trace would refuse fails the run before it is recorded
-        self._embedding_dim = unit_vector_dim(vector, self._embedding_dim)
+        try:
+            vector = self.backend.embed(text)
+            # a vector that read_trace would refuse fails the run, recorded as a failure
+            self._embedding_dim = unit_vector_dim(vector, self._embedding_dim)
+        except ValueError as exc:  # a replay raises a recorded failure again as one
+            if self.trace is not None:
+                self.trace.embed(text, error=str(exc))
+            raise
         if self.trace is not None:
             self.trace.embed(text, vector)
         return vector

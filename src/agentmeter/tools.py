@@ -187,6 +187,17 @@ def _http_get(url: str, timeout_s: float, params: dict | None = None):
     return resp
 
 
+def _http_text(resp) -> str:
+    """The body of a live response as text: UTF-8 when valid and the response
+    names no charset, since requests reads such a text/* body as ISO-8859-1."""
+    if "charset" not in resp.headers.get("Content-Type", "").lower():
+        try:
+            return resp.content.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+    return resp.text
+
+
 def _live_row(row: dict, provider: str, rank: int, optional=()) -> SearchResult:
     values = read_fields(row, _ROW_TYPES, ToolError, f"row {rank} field ", optional)
     title, snippet = values.get("title", ""), values.get("snippet", "")
@@ -220,7 +231,8 @@ class DuckDuckGoProvider(SearchProvider):
     _TAGS = re.compile(r"<[^>]+>")
 
     def search(self, query: str, limit: int) -> list[SearchResult]:
-        page = _http_get("https://html.duckduckgo.com/html/", SEARCH_TIMEOUT_S, {"q": query}).text
+        resp = _http_get("https://html.duckduckgo.com/html/", SEARCH_TIMEOUT_S, {"q": query})
+        page = _http_text(resp)
         results = []
         for i, m in enumerate(self._RESULT.finditer(page)):
             if i >= limit:
@@ -764,13 +776,7 @@ class HttpFetcher(PageFetcher):
         content_type = resp.headers.get("Content-Type", "").lower()
         if content_type and not content_type.startswith(self._HTML_TYPES):
             raise NonHtmlError(f"unsupported content type {content_type!r}")
-        # requests reads a text/* body that names no charset as ISO-8859-1
-        if "charset" not in content_type:
-            try:
-                return resp.content.decode("utf-8")
-            except UnicodeDecodeError:
-                pass
-        return resp.text
+        return _http_text(resp)
 
 
 class FixtureFetcher(PageFetcher):

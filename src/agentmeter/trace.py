@@ -8,6 +8,11 @@ compact separators, gzip mtime pinned to zero) so identical runs produce
 byte-identical files. A recorded trace contains everything needed to
 re-run the task offline and reproduce the run event for event.
 
+Version 2 writes a page that the trace already holds as ``{"same_as": n}``,
+a reference to tool call n, and has a line for a failed embedding.
+Version 1 traces still read, and a replay re-records a trace in the
+version it was read in.
+
 Each trace is compressed once, when it closes, at gzip level 1: the
 fastest level, which costs a few percent of file size. Traces written
 by earlier versions at level 9 hold the same lines, so they replay to
@@ -45,7 +50,7 @@ from .backend import (
 from .config import InputError, read_fields, typed_value
 from .tools import SearchResult, ToolError
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 TRACE_SUFFIX = ".trace"
 # compression is most of the cost of writing a trace; levels 6 and 9 take
 # about four times as long as level 1 for files about a tenth smaller
@@ -80,14 +85,18 @@ def text_digest(text: str) -> str:
 class TraceWriter:
     """Accumulates events and writes one deterministic trace file on close."""
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, version: int = TRACE_VERSION):
         self.path = Path(path)
+        self._version = version
         self._events: list[dict] = []
+        self._tool_calls = 0
+        # v2: the number of the tool call that first returned each page
+        self._pages: dict[tuple[str, bool], int] | None = {} if version >= 2 else None
         self._closed = False
 
     def header(self, fields: dict) -> None:
         """The first line: ``fields`` with the line type and trace version."""
-        self._events.append({"type": "header", "version": TRACE_VERSION, **fields})
+        self._events.append({"type": "header", "version": self._version, **fields})
 
     def model_call(
         self, request: ModelRequest, response: ModelResponse | None = None, error: str | None = None
@@ -104,17 +113,22 @@ class TraceWriter:
         self._events.append(event)
 
     def tool_call(self, tool: str, args: dict, result=None, error: str | None = None) -> None:
-        outcome = {"result": result} if error is None else {"error": error}
+        self._tool_calls += 1
+        if error is not None:
+            outcome = {"error": error}
+        elif tool == "fetch_page" and self._pages is not None:
+            # a live page text is the str PAGE_TEXTS holds, so its hash is computed once
+            first = self._pages.setdefault((result["text"], result["truncated"]), self._tool_calls)
+            outcome = {"result": result if first == self._tool_calls else {"same_as": first}}
+        else:
+            outcome = {"result": result}
         self._events.append({"type": "tool_call", "tool": tool, "args": args, **outcome})
 
-    def embed(self, text: str, vector: Sequence[float]) -> None:
-        self._events.append(
-            {
-                "type": "embed",
-                "text_sha256": text_digest(text),
-                "vector": [float(x) for x in vector],
-            }
-        )
+    def embed(
+        self, text: str, vector: Sequence[float] | None = None, error: str | None = None
+    ) -> None:
+        outcome = {"vector": [float(x) for x in vector]} if error is None else {"error": error}
+        self._events.append({"type": "embed", "text_sha256": text_digest(text), **outcome})
 
     def result(self, payload: dict) -> None:
         self._events.append({"type": "result", **payload})
@@ -160,16 +174,23 @@ _USAGE = get_type_hints(TokenUsage)  # a model call's token counts
 _EMBED = {"text_sha256": str, "vector": list}
 # each effect line kind: name in errors, field a replay matches, fields,
 # fields if it failed, and the error a replay raises again for a failure
-_EFFECTS = {
+_EFFECTS_V1 = {
     "model_call": ("model call", "purpose", {"purpose": Purpose, "response": str, "model_id": str,
                    **_USAGE}, {"purpose": Purpose, "error": str}, BackendError),
     "tool_call": ("tool call", "tool", {"tool": str, "args": dict, "result": list | dict},
                   {"tool": str, "args": dict, "error": str}, ToolError),
     "embed": ("embedding", "text_sha256", _EMBED, _EMBED, None),
 }
+# v2 records an embedding the session refused, and a replay refuses it again
+_EFFECTS = {**_EFFECTS_V1, "embed": ("embedding", "text_sha256", _EMBED,
+                                     {"text_sha256": str, "error": str}, ValueError)}
 _PAGE = {"text": str, "truncated": bool}
-# what each tool returns: a page, or a list of search result rows
-_RESULTS = {"fetch_page": dict, "read_attachment": dict, "search": list}
+_SAME_AS = {"same_as": int}  # the number of the tool call that returned the page
+# what each tool returns: a page, or a list of search result rows; in v2 a
+# fetched page may also be a reference to an earlier fetch_page call's page
+_RESULTS_V1 = {"fetch_page": (_PAGE,), "read_attachment": (_PAGE,), "search": list}
+_RESULTS = {**_RESULTS_V1, "fetch_page": (_PAGE, _SAME_AS)}
+_TABLES = {1: (_EFFECTS_V1, _RESULTS_V1), 2: (_EFFECTS, _RESULTS)}  # by trace version
 _ROW = get_type_hints(SearchResult)
 _row_values, _ROW_TYPES = itemgetter(*_ROW), list(_ROW.values())
 _NUMBERS = {float, int}  # what typed_value reads as a float
@@ -180,19 +201,27 @@ def _invalid(where: str, name: str, value) -> TraceFormatError:
     return TraceFormatError(f"{where}{name} is missing or invalid: {value!r}")
 
 
-def _check_tool_call(record: dict, where: str) -> None:
-    """Refuse a tool call of a tool not in ``_RESULTS``, or whose result is
-    not what that tool returns."""
+def _check_tool_call(record: dict, where: str, results: dict, earlier: list[dict]) -> None:
+    """Refuse a tool call of a tool not in ``results``, or whose result is
+    not what that tool returns. A reference to a page is replaced by that
+    page, which must be the result of one of the ``earlier`` tool calls."""
     tool = record["tool"]
-    if tool not in _RESULTS:
+    if tool not in results:
         raise _invalid(where, "tool", tool)
     if "error" in record:
         return
-    result = record["result"]
-    if type(result) is not _RESULTS[tool]:
+    result, shapes = record["result"], results[tool]
+    if type(result) is not (list if shapes is list else dict):
         raise _invalid(where, "result", result)
-    if type(result) is dict:
-        read_fields(result, _PAGE, TraceFormatError, f"{where}result.")
+    if shapes is not list:
+        if "same_as" in result and _SAME_AS in shapes:
+            n = read_fields(result, _SAME_AS, TraceFormatError, f"{where}result.")["same_as"]
+            first = earlier[n - 1] if 0 < n <= len(earlier) else {"tool": None}
+            if first["tool"] != "fetch_page" or "error" in first:
+                raise _invalid(where, "result.same_as", n)
+            record["result"] = first["result"]
+        else:
+            read_fields(result, _PAGE, TraceFormatError, f"{where}result.")
         return
     try:  # exact types, as typed_value's fast path: a replay reads thousands of rows
         types = list(map(type, chain.from_iterable(map(_row_values, result))))
@@ -233,26 +262,31 @@ def read_trace(path: str | Path) -> TraceData:
         version = typed_value(int, first.get("version"))
     except ValueError as exc:
         raise TraceFormatError(f"{path}: trace version: {exc}") from None
-    if version != TRACE_VERSION:
+    if version not in _TABLES:
         raise TraceFormatError(f"{path}: unsupported trace version {version!r}")
+    kinds, results = _TABLES[version]
     effects = lines[1:]
     result = effects.pop()[1] if effects and effects[-1][1].get("type") == "result" else None
-    counts = dict.fromkeys(_EFFECTS, 0)
+    counts = dict.fromkeys(kinds, 0)
     records = []
+    tool_calls = []
     dim = None  # the length of the first vector
     for lineno, event in effects:
         kind = event.get("type")
-        if kind not in _EFFECTS:
+        if kind not in kinds:
             raise TraceFormatError(f"{path}: line {lineno} has type {kind!r}; after the header "
                                    "come effect lines, then one result line")
-        name, _, fields, failed, _ = _EFFECTS[kind]
+        name, _, fields, failed, _ = kinds[kind]
         n = counts[kind] = counts[kind] + 1
         where = f"{path}: {name} {n} field "
         record = read_fields(event, failed if "error" in event else fields, TraceFormatError, where)
         record["type"] = kind
         records.append(record)
         if kind == "tool_call":
-            _check_tool_call(record, where)
+            _check_tool_call(record, where, results, tool_calls)
+            tool_calls.append(record)
+        elif "error" in record:  # a failure holds no outcome to check
+            pass
         elif kind == "embed":
             vector = record["vector"]
             if not _NUMBERS.issuperset(map(type, vector)):
@@ -262,7 +296,7 @@ def read_trace(path: str | Path) -> TraceData:
                 dim = unit_vector_dim(vector, dim)
             except ValueError as exc:
                 raise TraceFormatError(f"{where}{exc}") from None
-        elif "error" not in record:
+        else:
             try:
                 record["usage"] = TokenUsage(*map(record.pop, _USAGE))
             except ValueError:

@@ -236,9 +236,9 @@ def test_report_rejects_sweep_results(tmp_path, capsys):
 # sha256 of each fixture-bench trace, decompressed: a change that alters what
 # a run records changes this table, whatever the Python version or worker count
 FIXTURE_TRACE_SHA256 = {
-    "gaia-e1.2010141e.trace": "75caf6a89b715acd6c6206b63f86e4d398ed37aee5595d76c4b7cfaaf008939a",
-    "gaia-e2.2010141e.trace": "5838b9861b57eb441c79933e3d5229c134cb873d7d1ca2d2190e10cf5babcb74",
-    "gaia-e3.2010141e.trace": "bf7b0fe713e897b607c53622a20e6df3f7becd26a59c24541c2b8104cfe2829d",
+    "gaia-e1.2010141e.trace": "0abd44880cdb7f602d8b7e2786986810a44a243682863d0848bcc5b1278f8600",
+    "gaia-e2.2010141e.trace": "8c14baa2ebb4d503726f8bbadf81c7edb3a2f77c3da79347180be1720ac7c5ae",
+    "gaia-e3.2010141e.trace": "7c04b78184f07f0d687ddf0608a358383a2d51816e53927566f2cf239bc69aa6",
 }
 
 
@@ -622,6 +622,31 @@ def level9_with_embedding_of(vector):
         1, {"type": "embed", "text_sha256": "0" * 64, "vector": vector}
     ))
 
+
+def level9_v2_with_page(same_as, edit=lambda events: None) -> dict:
+    """The level-9 fixture trace as version 2, edited by ``edit``, with the
+    result of its page line (its second tool call) a reference to tool call
+    ``same_as``."""
+    def both(events):
+        events[0]["version"] = 2
+        edit(events)
+        page = next(e for e in events if e["type"] == "tool_call" and e["tool"] == "fetch_page"
+                    and "error" not in e)
+        page["result"] = {"same_as": same_as}
+    return level9_edited(both)
+
+
+def page_opened_again(events):
+    page = next(e for e in events if e.get("tool") == "fetch_page")
+    events.insert(events.index(page) + 1, dict(page))
+
+
+def failed_page_first(events):
+    page = next(e for e in events if e.get("tool") == "fetch_page")
+    events.insert(events.index(page), {"type": "tool_call", "tool": "fetch_page",
+                                       "args": {"url": "https://example.org/gone"}, "error": "gone"})
+
+
 OUTCOME = {"task_id": "t", "level": 1, "final_answer": "a", "terminated_by": "final_answer",
            "steps": 1, "plan_count": 1, "solved": True, "cost_pico": 5, "prompt_tokens": 7,
            "completion_tokens": 3, "total_tokens": 10}
@@ -820,6 +845,32 @@ OUTSIDE_INPUTS = {
     ),
     "trace_version_float": (
         level9_with("header", "version", 1.0), (), "trace version: 1.0 is not a valid int",
+    ),
+    "trace_version_2_float": (
+        level9_with("header", "version", 2.0), (), "trace version: 2.0 is not a valid int",
+    ),
+    # a page given by reference to tool call n must name an earlier page opened
+    "trace_page_same_as_a_later_call": (
+        level9_v2_with_page(3, page_opened_again),
+        (), "tool call 2 field result.same_as is missing or invalid: 3",
+    ),
+    "trace_page_same_as_a_search": (
+        level9_v2_with_page(1), (), "tool call 2 field result.same_as is missing or invalid: 1",
+    ),
+    "trace_page_same_as_a_failed_call": (
+        level9_v2_with_page(2, failed_page_first),
+        (), "tool call 3 field result.same_as is missing or invalid: 2",
+    ),
+    "trace_page_same_as_true": (
+        level9_v2_with_page(True), (), "tool call 2 field result.same_as is missing or invalid: True",
+    ),
+    "trace_page_same_as_text": (
+        level9_v2_with_page("1"), (), "tool call 2 field result.same_as is missing or invalid: '1'",
+    ),
+    # version 1 has no references: a page there holds its text
+    "trace_v1_page_same_as": (
+        level9_with("tool_call", "result", {"same_as": 1}, index=1),
+        (), "tool call 2 field result.text is missing or invalid: None",
     ),
     "trace_prompt_tokens_float": (
         level9_with("model_call", "prompt_tokens", 200.0),

@@ -356,9 +356,10 @@ class DanubeBreaksEmbeddings(ScriptedBackend):
         return 2 * vector if "Danube" in text else vector
 
 
-def test_run_benchmark_survives_an_error_outside_the_backend(tmp_path):
-    # summaries of e3's steps get an embedding that is no unit vector (2 * a tuple
-    # repeats it: 32 components of norm sqrt(2)), which RunSession.embed refuses
+def run_with_broken_embeddings(tmp_path):
+    """The fixture bench in summarized memory, with summaries of e3's steps
+    given an embedding that is no unit vector (2 * a tuple repeats it: 32
+    components of norm sqrt(2)), which RunSession.embed refuses; traced."""
     script = tmp_path / "script.jsonl"
     script.write_text(
         (BENCH / "script.jsonl").read_text(encoding="utf-8")
@@ -373,13 +374,27 @@ def test_run_benchmark_survives_an_error_outside_the_backend(tmp_path):
         bench_pricing(), providers=bench_providers(),
         fetcher=bench_fetcher(), trace_dir=tmp_path / "traces",
     )
+    return outcomes, report, tmp_path / "traces" / trace_filename("gaia-e3", config_hash(config))
+
+
+def test_run_benchmark_survives_an_error_outside_the_backend(tmp_path):
+    outcomes, report, e3 = run_with_broken_embeddings(tmp_path)
     assert [o.terminated_by for o in outcomes] == [
         TerminatedBy.FINAL_ANSWER, TerminatedBy.FINAL_ANSWER, TerminatedBy.ERROR
     ]
-    trace = read_trace(tmp_path / "traces" / trace_filename("gaia-e3", config_hash(config)))
+    trace = read_trace(e3)
     assert trace.result["terminated_by"] == "error"
     assert trace.result["cost_pico"] == outcomes[2].cost_pico > 0
     assert report.rows[0].task_count == 3
+
+
+def test_a_run_ended_by_a_refused_embedding_replays_exactly(tmp_path):
+    outcomes, _, e3 = run_with_broken_embeddings(tmp_path)
+    failed = read_trace(e3).events[-1]
+    assert failed["type"] == "embed" and failed["error"].startswith("vector has norm 1.414")
+    replayed, _ = replay_run(e3, trace_dir=tmp_path / "replay")
+    assert replayed == outcomes[2] and replayed.terminated_by is TerminatedBy.ERROR
+    assert (tmp_path / "replay" / e3.name).read_bytes() == e3.read_bytes()
 
 
 def test_run_benchmark_traces_task_ids_of_one_sanitized_form_apart(tmp_path):
@@ -873,6 +888,32 @@ def test_a_live_trace_holds_the_args_the_run_built(tmp_path):
     assert calls == [({"url": MISSING_URL}, True), ({"url": GRID_URL}, False)]
     replay_run(trace, trace_dir=tmp_path / "replay")
     assert (tmp_path / "replay" / trace.name).read_bytes() == trace.read_bytes()
+
+
+MIRROR_URL = "https://mirror.example.org/bridge"  # another URL of the same page
+
+
+def test_a_repeated_page_is_recorded_once_and_replays_exactly(tmp_path):
+    # the page is opened, opened again under another URL, then opened once more
+    actions = [f"open_url(url={GRID_URL})", f"open_url(url={MIRROR_URL})",
+               f"open_url(url={GRID_URL})", "final_answer(answer=1931)"]
+    pages = FixtureFetcher({GRID_URL: GRID_PAGE, MIRROR_URL: GRID_PAGE})
+    live, live_record = execute_run(BRIDGE, default_config(), failure_backend(actions),
+                                    bench_pricing(), fetcher=pages, trace_dir=tmp_path / "live")
+    assert live.solved
+    trace = next((tmp_path / "live").glob("bridge.*"))
+    lines = trace_lines(trace)
+    assert lines[0]["version"] == 2
+    calls = [(e["args"]["url"], e["result"]) for e in lines if e["type"] == "tool_call"]
+    page = calls[0][1]
+    assert set(page) == {"text", "truncated"} and "opened in 1931" in page["text"]
+    assert calls == [(GRID_URL, page), (MIRROR_URL, {"same_as": 1}), (GRID_URL, {"same_as": 1})]
+    assert [e["result"] for e in read_trace(trace).events if e["type"] == "tool_call"] == [page] * 3
+
+    replayed, record = replay_run(trace, trace_dir=tmp_path / "replay")
+    assert (tmp_path / "replay" / trace.name).read_bytes() == trace.read_bytes()
+    assert replayed == live
+    assert record.ledger.entries == live_record.ledger.entries
 
 
 def test_empty_plans_are_asked_again_metered_and_replay_exactly(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from agentmeter.backend import BackendError, Message, Purpose, ScriptEntry, ScriptedBackend
 from agentmeter.session import RunSession, RunTimeoutError
-from agentmeter.trace import ReplaySource, TraceWriter, read_trace
+from agentmeter.trace import ReplaySource, TraceWriter, read_trace, text_digest
 
 from conftest import make_session
 
@@ -98,7 +98,14 @@ def test_a_vector_a_trace_would_refuse_fails_the_run_before_it_is_recorded(
     with pytest.raises(ValueError, match=message):
         session.embed("bad")
     writer.close()
-    assert [e["type"] for e in read_trace(tmp_path / "t.trace").events] == ["embed"]
+    # the vector is not recorded; the failure is, and a replay raises it again
+    good, bad = read_trace(tmp_path / "t.trace").events
+    assert bad == {"type": "embed", "text_sha256": text_digest("bad"), "error": bad["error"]}
+    assert message in bad["error"]
+    replay = make_session(ReplaySource(read_trace(tmp_path / "t.trace")), pricing)
+    assert list(replay.embed("good")) == good["vector"]
+    with pytest.raises(ValueError, match=message):
+        replay.embed("bad")
 
 
 def test_replay_session_needs_no_backend(tmp_path, pricing):

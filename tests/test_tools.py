@@ -248,7 +248,7 @@ def test_duckduckgo_unescapes_scraped_titles_and_urls(monkeypatch):
 
     def get(url, params, timeout, headers=None):
         seen.append((url, params))
-        return SimpleNamespace(status_code=200, text=page, raise_for_status=lambda: None)
+        return http_response(200, page.encode(), "text/html")
 
     monkeypatch.setattr(requests, "get", get)
     out = tools.DuckDuckGoProvider().search("tom", limit=2)
@@ -403,6 +403,19 @@ def test_a_fetched_page_without_a_charset_reads_as_utf8(content_type, body, text
     resp = http_response(200, body, content_type)
     monkeypatch.setattr(requests, "get", lambda url, **kwargs: resp)
     assert tools.HttpFetcher().fetch("http://x.com/p") == text
+
+
+@pytest.mark.parametrize(
+    "content_type, title",
+    [("text/html", "café"), ("text/html; charset=ISO-8859-1", "cafÃ©")],
+)
+def test_a_duckduckgo_page_without_a_charset_reads_as_utf8(content_type, title, monkeypatch):
+    import requests
+
+    body = '<a class="result__a" href="https://example.com/">café</a>'.encode()
+    resp = http_response(200, body, content_type)
+    monkeypatch.setattr(requests, "get", lambda url, **kwargs: resp)
+    assert [r.title for r in tools.DuckDuckGoProvider().search("q", limit=1)] == [title]
 
 
 def test_search_respects_per_query_limit_and_requires_queries():

@@ -170,6 +170,40 @@ def test_read_rejects_unknown_version(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("version", [0, 3])
+def test_read_accepts_versions_1_and_2_only(tmp_path, version):
+    path = tmp_path / "bad.trace"
+    path.write_bytes(gzip.compress(b'{"type":"header","version":%d}\n' % version))
+    with pytest.raises(TraceFormatError, match=f"unsupported trace version {version}$"):
+        read_trace(path)
+
+
+def write_pages(path, version):
+    """A trace of one page's text opened under several URLs, and read as an attachment."""
+    w = TraceWriter(path, version)
+    w.header({"run_id": "r"})
+    w.tool_call("fetch_page", {"url": "a"}, {"text": "p", "truncated": False})
+    w.tool_call("read_attachment", {"name": "n"}, {"text": "p", "truncated": False})
+    w.tool_call("fetch_page", {"url": "b"}, error="gone")
+    w.tool_call("fetch_page", {"url": "c"}, {"text": "p", "truncated": True})
+    w.tool_call("fetch_page", {"url": "d"}, {"text": "p", "truncated": False})
+    w.tool_call("fetch_page", {"url": "c"}, {"text": "p", "truncated": True})
+    w.close()
+    return path
+
+
+def test_v2_records_a_repeated_page_as_a_reference_to_its_first_copy(tmp_path):
+    page, cut = {"text": "p", "truncated": False}, {"text": "p", "truncated": True}
+    v1, v2 = write_pages(tmp_path / "v1.trace", 1), write_pages(tmp_path / "v2.trace", 2)
+    assert [line.get("result") for line in trace_lines(v1)[1:]] == [page, page, None, cut, page, cut]
+    assert [line.get("result") for line in trace_lines(v2)[1:]] == [
+        page, page, None, cut, {"same_as": 1}, {"same_as": 4},
+    ]
+    assert [trace_lines(path)[0]["version"] for path in (v1, v2)] == [1, 2]
+    # the reader gives the page each reference names, so a replay serves the same
+    assert read_trace(v2).events == read_trace(v1).events
+
+
 def gzip_at(level, data):
     """``data`` gzipped through TraceWriter's container at ``level``."""
     buf = io.BytesIO()
@@ -246,6 +280,16 @@ BAD_LINES = {
     "failed_call_error_null": (
         lambda lines: lines[1].update(error=None),
         "model call 1 field error is missing or invalid: None",
+    ),
+    "failed_embedding_error_null": (
+        lambda lines: lines[3].update(vector=None, error=None),
+        "embedding 1 field error is missing or invalid: None",
+    ),
+    # version 1 has no failed embedding line: a vector is required
+    "failed_embedding_in_v1": (
+        lambda lines: lines[3].update(vector=None, error="vector has norm 2.0")
+        or lines[0].update(version=1),
+        "embedding 1 field vector is missing or invalid: None",
     ),
     # a replay checks a failed call's args as it does a succeeding one's
     "failed_tool_call_without_args": (
