@@ -450,6 +450,10 @@ def parse_config(text: str, source: str = "<string>") -> tuple[AgentConfig, Pric
             raise InvalidConfigError(
                 f"[{section}]: not a known section ([agent], [pricing] or [pricing.<model-id>])"
             )
+    # [pricing] dates this file's prices; with none, a run would be priced by
+    # the built-in table and its date
+    if "pricing" in sections and not entries:
+        raise InvalidConfigError("[pricing]: no [pricing.<model-id>] section")
     return cfg, PricingTable(entries, effective)
 
 

@@ -190,6 +190,15 @@ class TaskOutcome:
     prompt_tokens: int
     completion_tokens: int
 
+    def __post_init__(self) -> None:
+        # one rule for every outcome, run or read back: a level of 1, 2 or 3 and
+        # no negative count, refused in read_fields' wording
+        for name in ("level", "steps", "plan_count", "cost_pico", "prompt_tokens",
+                     "completion_tokens"):
+            value = getattr(self, name)
+            if value not in (1, 2, 3) if name == "level" else value < 0:
+                raise ValueError(f"{name} is missing or invalid: {value!r}")
+
     @property
     def total_tokens(self) -> int:
         return self.prompt_tokens + self.completion_tokens
@@ -276,8 +285,12 @@ def recorded_outcome(path: str | Path, line: dict | None, task: Task) -> TaskOut
     raises ``TraceFormatError``."""
     if line is None:
         raise TraceFormatError(f"{path}: no result line; the recording is incomplete")
-    values = read_fields(line, _RESULT_TYPES, TraceFormatError, f"{path}: result field ")
-    return TaskOutcome(task.task_id, task.level, **values)
+    where = f"{path}: result field "
+    values = read_fields(line, _RESULT_TYPES, TraceFormatError, where)
+    try:
+        return TaskOutcome(task.task_id, task.level, **values)
+    except ValueError as exc:
+        raise TraceFormatError(f"{where}{exc}") from None
 
 
 class ResultsFileError(InputError, ValueError):
@@ -305,9 +318,10 @@ def read_results(path: str | Path) -> tuple[str, list[TaskOutcome], list[Aggrega
             raise ResultsFileError(f"{refused}outcome {n} is not a JSON object")
         where = f"{refused}outcome {n} field "
         values = read_fields(entry, _OUTCOME_TYPES, ResultsFileError, where)
-        if values["level"] not in (1, 2, 3):
-            raise ResultsFileError(f"{where}level is missing or invalid: {values['level']!r}")
-        outcomes.append(TaskOutcome(**values))
+        try:
+            outcomes.append(TaskOutcome(**values))
+        except ValueError as exc:
+            raise ResultsFileError(f"{where}{exc}") from None
     _check_runs((o.task_id for o in outcomes), refused)
     return head["config_hash"], outcomes, _tally(outcomes)
 

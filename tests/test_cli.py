@@ -38,10 +38,13 @@ def test_the_program_imports_no_numpy():
     # a fresh interpreter, since this one's tests import numpy themselves
     path = [str(Path(agentmeter.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    code = "import sys, agentmeter, agentmeter.cli; print(sorted(sys.modules))"
+    # nor the interpreter's html.parser: page text comes from the program's own tokenizer
+    code = ("import sys, agentmeter, agentmeter.cli, agentmeter.tools; "
+            "agentmeter.tools.page_text('<p>x</p>'); print(sorted(sys.modules))")
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True).stdout
-    assert "'agentmeter.cli'" in loaded and "numpy" not in loaded
+    assert "'agentmeter.cli'" in loaded and "'agentmeter.tools'" in loaded
+    assert "numpy" not in loaded and "'html.parser'" not in loaded
 
 
 # -- run ---------------------------------------------------------------------
@@ -657,9 +660,16 @@ def results_with(*outcomes):
 
 
 NOT_RESULTS = "results.json is not a results file written by bench --out: "
+NOT_A_NAME = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+# the args of the level-9 fixture's first search, as its replayed run asks for them
+SEARCHED = {"queries": next(e for e in trace_lines(LEVEL9) if e.get("tool") == "search")
+            ["args"]["queries"], "providers": ["fixture"]}
+TMP = "<tmp>"  # in a message, the directory a row's files are written in
 
-# (files written in place of the fixture bench's, extra arguments, what the error says);
-# a results.json runs report, a file under traces/ replay, anything else bench
+# (files written in place of the fixture bench's, extra arguments, what the one
+# error line ends with); a results.json runs report, a file under traces/
+# replay, anything else bench. tests/installed_refusals.py sends each row
+# through the installed script as well
 OUTSIDE_INPUTS = {
     "workers_0": ({}, ("--workers", "0"), "workers must be >= 1, got 0"),
     "level_not_a_number": (
@@ -720,6 +730,11 @@ OUTSIDE_INPUTS = {
         {"config.ini": AGENT_SECTION + "[pricing]\neffective = 2025-06-01\n" + PRICED},
         (), "[pricing] effective: not a known key (effective_date)",
     ),
+    # a date with no prices of its own, which would price the run by the built-in table
+    "pricing_without_models": (
+        {"config.ini": AGENT_SECTION + "[pricing]\neffective_date = 2024-01-01\n"},
+        (), "[pricing]: no [pricing.<model-id>] section",
+    ),
     "pricing_model_id_empty": (
         {"config.ini": AGENT_SECTION + PRICED + "[pricing.]\ninput = 1.00\noutput = 1.00\n"},
         (), "[pricing.]: no model id",
@@ -730,7 +745,7 @@ OUTSIDE_INPUTS = {
     ),
     "section_default": (
         {"config.ini": "[DEFAULT]\nmax_steps = 3\n" + AGENT_SECTION + PRICED},
-        (), "[DEFAULT]: not a known section",
+        (), "[DEFAULT]: not a known section ([agent], [pricing] or [pricing.<model-id>])",
     ),
     "effective_date_not_a_date": (
         {"config.ini": AGENT_SECTION + "[pricing]\neffective_date = soon\n" + PRICED},
@@ -747,7 +762,8 @@ OUTSIDE_INPUTS = {
         (), "[pricing] effective_date: Invalid isoformat string: '20250601'",
     ),
     "no_section_header": (
-        {"config.ini": "max_steps = 3\n" + PRICED}, (), "File contains no section headers.",
+        {"config.ini": "max_steps = 3\n" + PRICED},
+        (), f"File contains no section headers. file: '{TMP}/config.ini', line: 1 'max_steps = 3\\n'",
     ),
     "agent_key_unknown": (
         {"config.ini": "[agent]\nmax_step = 3\n" + PRICED},
@@ -757,20 +773,29 @@ OUTSIDE_INPUTS = {
         {"config.ini": AGENT_SECTION + "temperature = nan\n" + PRICED},
         (), "temperature must be a finite number >= 0, got nan",
     ),
-    "tasks_not_utf8": ({"tasks.jsonl": b"\xff\n"}, (), "tasks.jsonl:1: not UTF-8"),
-    "config_not_utf8": (
-        {"config.ini": AGENT_SECTION.encode() + b"; \xe9\n"}, (), "config.ini:3: not UTF-8",
+    "tasks_not_utf8": (
+        {"tasks.jsonl": b"\xff\n"}, (), "tasks.jsonl:1: not UTF-8 (invalid start byte)",
     ),
-    "tasks_is_a_directory": ({"tasks.jsonl": DIRECTORY}, (), "Is a directory"),
-    "config_is_a_directory": ({"config.ini": DIRECTORY}, (), "Is a directory"),
+    "config_not_utf8": (
+        {"config.ini": AGENT_SECTION.encode() + b"; \xe9\n"},
+        (), "config.ini:3: not UTF-8 (invalid continuation byte)",
+    ),
+    "tasks_is_a_directory": (
+        {"tasks.jsonl": DIRECTORY}, (), f"[Errno 21] Is a directory: '{TMP}/tasks.jsonl'",
+    ),
+    "config_is_a_directory": (
+        {"config.ini": DIRECTORY}, (), f"[Errno 21] Is a directory: '{TMP}/config.ini'",
+    ),
     "pricing_is_a_directory": (
-        {"pricing.ini": DIRECTORY}, ("--pricing", "pricing.ini"), "Is a directory",
+        {"pricing.ini": DIRECTORY}, ("--pricing", "pricing.ini"),
+        f"[Errno 21] Is a directory: '{TMP}/pricing.ini'",
     ),
     "script_line_not_json": (
-        {"script.jsonl": "{oops\n"}, (), "script.jsonl:1: invalid JSON: Expecting",
+        {"script.jsonl": "{oops\n"}, (), "script.jsonl:1: invalid JSON: " + NOT_A_NAME,
     ),
     "script_line_is_a_list": (
-        {"script.jsonl": '["actor", "x"]\n'}, (), "script.jsonl:1: a script entry must be a JSON",
+        {"script.jsonl": '["actor", "x"]\n'},
+        (), "script.jsonl:1: a script entry must be a JSON object",
     ),
     "script_purpose_unknown": (
         {"script.jsonl": '{"purpose": "critic", "response": "x"}\n'},
@@ -794,10 +819,10 @@ OUTSIDE_INPUTS = {
     ),
     "script_not_utf8": (
         {"script.jsonl": b'{"purpose": "actor", "response": "\xff"}\n'},
-        (), "script.jsonl:1: not UTF-8",
+        (), "script.jsonl:1: not UTF-8 (invalid start byte)",
     ),
     "searches_not_json": (
-        {"fixtures/searches.json": "{oops"}, (), "searches.json: invalid JSON: Expecting",
+        {"fixtures/searches.json": "{oops"}, (), "searches.json: invalid JSON: " + NOT_A_NAME,
     ),
     "search_row_two_fields": (
         {"fixtures/searches.json": '{"q": [["title", "https://example.org/"]]}'},
@@ -806,7 +831,7 @@ OUTSIDE_INPUTS = {
     ),
     "page_not_utf8": (
         {"fixtures/pages/https%3A%2F%2Fexample.org%2F": b"<p>\xff</p>"},
-        (), "https%3A%2F%2Fexample.org%2F:1: not UTF-8",
+        (), "https%3A%2F%2Fexample.org%2F:1: not UTF-8 (invalid start byte)",
     ),
     "results_count_true": (
         results_with({**OUTCOME, "solved": 1}),
@@ -815,6 +840,10 @@ OUTSIDE_INPUTS = {
     "results_count_fraction": (
         results_with({**OUTCOME, "cost_pico": 12.9}),
         (), NOT_RESULTS + "outcome 1 field cost_pico is missing or invalid: 12.9",
+    ),
+    "results_cost_negative": (
+        results_with({**OUTCOME, "cost_pico": -5_000_000_000_000}),
+        (), NOT_RESULTS + "outcome 1 field cost_pico is missing or invalid: -5000000000000",
     ),
     "results_level_4": (
         results_with({**OUTCOME, "level": 4}),
@@ -835,11 +864,19 @@ OUTSIDE_INPUTS = {
     "results_a_list": (
         {"results.json": json.dumps([OUTCOME])}, (), NOT_RESULTS + "it is not a JSON object",
     ),
-    "results_not_json": ({"results.json": "{oops"}, (), NOT_RESULTS + "invalid JSON: Expecting"),
+    "results_not_json": ({"results.json": "{oops"}, (), NOT_RESULTS + "invalid JSON: " + NOT_A_NAME),
     "results_not_utf8": (
-        {"results.json": b'{"config_hash": "\xff"}'}, (), "results.json:1: not UTF-8",
+        {"results.json": b'{"config_hash": "\xff"}'},
+        (), "results.json:1: not UTF-8 (invalid start byte)",
     ),
-    "results_is_a_directory": ({"results.json": DIRECTORY}, (), "Is a directory"),
+    "results_is_a_directory": (
+        {"results.json": DIRECTORY}, (), f"[Errno 21] Is a directory: '{TMP}/results.json'",
+    ),
+    "trace_cut_to_300_bytes": (
+        {f"traces/{LEVEL9.name}": LEVEL9.read_bytes()[:300]},
+        (), "not a complete gzip trace "
+            "(Compressed file ended before the end-of-stream marker was reached)",
+    ),
     "trace_version_true": (
         level9_with("header", "version", True), (), "trace version: True is not a valid int",
     ),
@@ -853,6 +890,9 @@ OUTSIDE_INPUTS = {
     "trace_page_same_as_a_later_call": (
         level9_v2_with_page(3, page_opened_again),
         (), "tool call 2 field result.same_as is missing or invalid: 3",
+    ),
+    "trace_page_same_as_99": (
+        level9_v2_with_page(99), (), "tool call 2 field result.same_as is missing or invalid: 99",
     ),
     "trace_page_same_as_a_search": (
         level9_v2_with_page(1), (), "tool call 2 field result.same_as is missing or invalid: 1",
@@ -897,7 +937,8 @@ OUTSIDE_INPUTS = {
         (), "model call 1 field response is missing or invalid: ['1. Look it up.']",
     ),
     "trace_line_type_unknown": (
-        level9_with("model_call", "type", "note"), (), "line 2 has type 'note'; after the header",
+        level9_with("model_call", "type", "note"),
+        (), "line 2 has type 'note'; after the header come effect lines, then one result line",
     ),
     "trace_tool_args_text": (
         level9_with("tool_call", "args", "q"),
@@ -920,6 +961,9 @@ OUTSIDE_INPUTS = {
         level9_edited(level9_row_without_url),
         (), "tool call 1 field result[0].url is missing or invalid: None",
     ),
+    "trace_result_steps_negative": (
+        level9_with("result", "steps", -1), (), "result field steps is missing or invalid: -1",
+    ),
     "trace_tool_unknown": (
         level9_with("tool_call", "tool", "browse"),
         (), "tool call 1 field tool is missing or invalid: 'browse'",
@@ -932,16 +976,23 @@ OUTSIDE_INPUTS = {
         level9_with("model_call", "purpose", "memory"),
         (), "replay expected model call purpose='memory', got model call purpose='planner'",
     ),
+    # valid args, but not the ones the replayed run asks with
+    "trace_search_queries_edited": (
+        level9_with("tool_call", "args", {"providers": ["fixture"], "queries": ["acme"]}),
+        (), "replay expected tool call tool='search' with args "
+            f"{{'providers': ['fixture'], 'queries': ['acme']}}, got args {SEARCHED!r}",
+    ),
 }
 
 
-@pytest.mark.parametrize("case", list(OUTSIDE_INPUTS))
-def test_bad_outside_input_exits_two_with_error(tmp_path, capsys, case):
-    files, extra, message = OUTSIDE_INPUTS[case]
+def refusal_argv(case: str, root: Path) -> list[str]:
+    """Write the files of row ``case`` of ``OUTSIDE_INPUTS`` under ``root``;
+    return the arguments that run the row."""
+    files, extra, _ = OUTSIDE_INPUTS[case]
     paths = {"tasks.jsonl": BENCH / "tasks.jsonl", "config.ini": BENCH / "config.ini",
              "script.jsonl": BENCH / "script.jsonl", "fixtures": BENCH}
     for name, content in files.items():
-        path = tmp_path / name
+        path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
         if content is DIRECTORY:
             path.mkdir()
@@ -950,23 +1001,34 @@ def test_bad_outside_input_exits_two_with_error(tmp_path, capsys, case):
         else:
             path.write_text(content, encoding="utf-8")
         top = name.split("/")[0]  # a file under fixtures/ makes that the fixture directory
-        paths[top] = tmp_path / top
+        paths[top] = root / top
     if "results.json" in files:
-        argv = ["report", "--results", str(paths["results.json"])]
-    elif "traces" in paths:
-        argv = ["replay", str(paths["traces"])]
-    else:
-        argv = ["bench", "--config", str(paths["config.ini"]), "--script",
-                str(paths["script.jsonl"]), "--fixtures", str(paths["fixtures"]),
-                "--tasks", str(paths["tasks.jsonl"]), *(str(paths.get(a, a)) for a in extra)]
-    code = run_cli(*argv)
+        return ["report", "--results", str(paths["results.json"])]
+    if "traces" in paths:
+        return ["replay", str(paths["traces"])]
+    return ["bench", "--config", str(paths["config.ini"]), "--script",
+            str(paths["script.jsonl"]), "--fixtures", str(paths["fixtures"]),
+            "--tasks", str(paths["tasks.jsonl"]), *(str(paths.get(a, a)) for a in extra)]
+
+
+def check_refusal(case: str, root: Path, code: int, out: str, err: str) -> None:
+    """Assert that row ``case``, its files under ``root``, exited 2 and wrote
+    nothing but one ``error:`` line ending in the row's message."""
+    files, _, message = OUTSIDE_INPUTS[case]
+    message = message.replace(TMP, str(root))
+    assert code == 2 and out == "", f"exit code {code}, stdout {out!r}"
+    assert err.startswith("error: ") and err.endswith(message + "\n") and err.count("\n") == 1, \
+        f"stderr {err!r} is not one error: line ending in {message!r}"
+    if any(name.startswith("traces/") for name in files):  # a trace's error names it first
+        trace = root / "traces" / LEVEL9.name
+        assert err.startswith(f"error: {trace}: "), f"stderr {err!r} does not name {trace} first"
+
+
+@pytest.mark.parametrize("case", list(OUTSIDE_INPUTS))
+def test_bad_outside_input_exits_two_with_error(tmp_path, capsys, case):
+    code = run_cli(*refusal_argv(case, tmp_path))
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error: ") and message in captured.err
-    if "traces" in paths:  # a trace's error names it first
-        assert captured.err.startswith(f"error: {paths['traces'] / LEVEL9.name}: ")
-    assert len(captured.err.splitlines()) == 1
-    assert captured.out == ""
+    check_refusal(case, tmp_path, code, captured.out, captured.err)
 
 
 @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
