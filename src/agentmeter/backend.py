@@ -22,7 +22,7 @@ from operator import mul
 from pathlib import Path
 from typing import Any, Callable, Sequence, get_type_hints
 
-from .config import InputError, jsonl_objects, read_fields, typed_value
+from .config import InputError, jsonl_objects, read_fields, refused, typed_value
 
 BYTES_PER_TOKEN_ESTIMATE = 4
 
@@ -227,10 +227,7 @@ class ScriptedBackend(Backend):
         for lineno, raw in jsonl_objects(path, ScriptFileError, "a script entry"):
             values = read_fields(raw, _ENTRY_TYPES, ScriptFileError, f"{path}:{lineno}: field ",
                                  optional=_ENTRY_DEFAULTS)
-            try:
-                entries.append(ScriptEntry(**values))
-            except ValueError as exc:
-                raise ScriptFileError(f"{path}:{lineno}: {exc}") from None
+            entries.append(refused(ScriptFileError, f"{path}:{lineno}: ", ScriptEntry, **values))
         return cls(entries)
 
     def start_run(self, run_id: str) -> None:
@@ -320,7 +317,7 @@ class OpenAIBackend(Backend):
             latency_ms = int((time.monotonic() - started) * 1000)
             try:
                 body = resp.json()
-            except ValueError:  # requests' JSONDecodeError is one
+            except (ValueError, RecursionError):  # not JSON, or nested too deep
                 raise BackendError(f"completion body is not JSON: {resp.text[:200]!r}") from None
             return self._parse(request, body, latency_ms)
         raise BackendError(f"model call failed after {COMPLETION_RETRIES + 1} attempts") from last_error

@@ -377,6 +377,24 @@ def read_fields(raw: dict, kinds: dict, error, where: str, optional=(), text: bo
     return values
 
 
+def refused(error, where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ``ValueError`` or ``RecursionError``
+    it raises turned into ``error(where + reason)``: the one path by which a
+    reader refuses a value it cannot use, in its own error. ``where`` names
+    the file, line or field, such as ``"tasks.jsonl:3: "``."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, RecursionError) as exc:  # RecursionError: a value nested too deep
+        raise error(f"{where}{exc}") from None
+
+
+def json_value(text: str | bytes, error, where: str):
+    """The value of JSON ``text``: the one decoder of the files the program
+    reads. Text that is not JSON, nests past the recursion limit or holds an
+    integer past int's digit limit raises ``error(where + reason)``."""
+    return refused(error, where, json.loads, text)
+
+
 _FIELD_TYPES = get_type_hints(AgentConfig)
 
 
@@ -388,10 +406,7 @@ def coerce_field(name: str, value):
         kind = _FIELD_TYPES[name]
     except KeyError:
         raise UnknownFieldError(f"AgentConfig has no field {name!r}") from None
-    try:
-        return typed_value(kind, value, text=True)
-    except ValueError as exc:
-        raise InvalidConfigError(f"{name}: {exc}") from None
+    return refused(InvalidConfigError, f"{name}: ", typed_value, kind, value, text=True)
 
 
 def config_from_snapshot(data: dict) -> AgentConfig:
@@ -467,12 +482,9 @@ def _known_keys(section: str, values: dict, known: tuple[str, ...]) -> None:
 def _file_value(section: str, values: dict, key: str, convert):
     """``convert`` of the value of ``key``; a missing or bad value raises
     ``InvalidConfigError`` naming the section and key."""
-    try:
-        if key not in values:
-            raise ValueError("missing")
-        return convert(values[key])
-    except ValueError as exc:  # MoneyResolutionError among them
-        raise InvalidConfigError(f"[{section}] {key}: {exc}") from None
+    if key not in values:
+        raise InvalidConfigError(f"[{section}] {key}: missing")
+    return refused(InvalidConfigError, f"[{section}] {key}: ", convert, values[key])
 
 
 def load_config(path: str | Path) -> tuple[AgentConfig, PricingTable]:
@@ -500,10 +512,7 @@ def jsonl_objects(path: str | Path, error, noun: str):
         line = line.strip()
         if not line:
             continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise error(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        raw = json_value(line, error, f"{path}:{lineno}: invalid JSON: ")
         if not isinstance(raw, dict):
             raise error(f"{path}:{lineno}: {noun} must be a JSON object")
         yield lineno, raw

@@ -20,7 +20,6 @@ as an unordered list.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -42,9 +41,11 @@ from .config import (
     config_from_snapshot,
     config_hash,
     config_snapshot,
+    json_value,
     jsonl_objects,
     read_fields,
     read_text,
+    refused,
     validate_config,
 )
 from .ledger import AggregateRow, EmptyBenchmarkError, aggregate
@@ -113,18 +114,12 @@ def load_tasks(path: str | Path) -> list[Task]:
         seen.add(task_id)
         file_name = (values.get("file_name") or "").strip()
         attachments = (str(base / file_name),) if file_name else ()
-        try:
-            tasks.append(
-                Task(
-                    task_id=task_id,
-                    level=values["Level"],
-                    question=str(values["Question"]),
-                    expected_answer=str(values["Final answer"]),
-                    attachments=attachments,
-                )
-            )
-        except ValueError as exc:
-            raise TaskFileError(f"{path}:{lineno}: {exc}") from exc
+        tasks.append(refused(TaskFileError, f"{path}:{lineno}: ", Task, task_id=task_id,
+                             level=values["Level"], question=str(values["Question"]),
+                             expected_answer=str(values["Final answer"]),
+                             attachments=attachments))
+    if not tasks:
+        raise TaskFileError(f"{path}: it holds no tasks")
     return tasks
 
 
@@ -227,16 +222,6 @@ _OUTCOME_TYPES = get_type_hints(TaskOutcome)
 _RESULT_TYPES = {k: v for k, v in _OUTCOME_TYPES.items() if k not in ("task_id", "level")}
 
 
-def _parsed(path: str | Path, field: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with a ``ValueError`` it raises,
-    ``InvalidConfigError`` among them, as a ``TraceFormatError`` naming the
-    header ``field``."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise TraceFormatError(f"{path}: header field {field} is invalid: {exc}") from None
-
-
 def run_header(
     task: Task, config: AgentConfig, pricing: PricingTable, digest: str | None = None
 ) -> dict:
@@ -260,22 +245,27 @@ def run_header(
 def recorded_run(path: str | Path, header: dict) -> tuple[Task, AgentConfig, PricingTable]:
     """The task, config and pricing a trace header records: the inverse of
     ``run_header``. A missing or invalid field raises ``TraceFormatError``."""
-    head = read_fields(header, _HEADER_TYPES, TraceFormatError, f"{path}: header field ")
-    where = f"{path}: header field task."
-    info = read_fields(head["task"], _HEADER_TASK_TYPES, TraceFormatError, where)
+    field = f"{path}: header field "
+    head = read_fields(header, _HEADER_TYPES, TraceFormatError, field)
+    info = read_fields(head["task"], _HEADER_TASK_TYPES, TraceFormatError, f"{field}task.")
     names = info.pop("attachment_names")
     for name in names:
-        read_fields({"attachment_names": name}, {"attachment_names": str}, TraceFormatError, where)
-    # names only; replayed read_attachment events never touch disk
-    task = _parsed(path, "task", Task, head["task_id"], attachments=tuple(names), **info)
-    config = _parsed(path, "config", config_from_snapshot, head["config"])
-    pricing = _parsed(path, "pricing", PricingTable.from_snapshot, head["pricing"])
-    _parsed(path, "config", validate_config, config, pricing)
+        read_fields({"attachment_names": name}, {"attachment_names": str}, TraceFormatError,
+                    f"{field}task.")
+    # names only; replayed read_attachment events never touch disk. A value
+    # refused, InvalidConfigError among them, is refused naming its field
+    task = refused(TraceFormatError, f"{field}task is invalid: ", Task, head["task_id"],
+                   attachments=tuple(names), **info)
+    config = refused(TraceFormatError, f"{field}config is invalid: ", config_from_snapshot,
+                     head["config"])
+    pricing = refused(TraceFormatError, f"{field}pricing is invalid: ", PricingTable.from_snapshot,
+                      head["pricing"])
+    refused(TraceFormatError, f"{field}config is invalid: ", validate_config, config, pricing)
     derived = {"run_id": task.task_id, "config_hash": config_hash(config)}  # as run_header writes
-    for field in derived:
-        if head[field] != derived[field]:
-            raise TraceFormatError(f"{path}: header field {field} is invalid: {head[field]!r}, "
-                                   f"but the header's task and config give {derived[field]!r}")
+    for name, value in derived.items():
+        if head[name] != value:
+            raise TraceFormatError(f"{field}{name} is invalid: {head[name]!r}, "
+                                   f"but the header's task and config give {value!r}")
     return task, config, pricing
 
 
@@ -287,10 +277,7 @@ def recorded_outcome(path: str | Path, line: dict | None, task: Task) -> TaskOut
         raise TraceFormatError(f"{path}: no result line; the recording is incomplete")
     where = f"{path}: result field "
     values = read_fields(line, _RESULT_TYPES, TraceFormatError, where)
-    try:
-        return TaskOutcome(task.task_id, task.level, **values)
-    except ValueError as exc:
-        raise TraceFormatError(f"{where}{exc}") from None
+    return refused(TraceFormatError, where, TaskOutcome, task.task_id, task.level, **values)
 
 
 class ResultsFileError(InputError, ValueError):
@@ -301,28 +288,23 @@ def read_results(path: str | Path) -> tuple[str, list[TaskOutcome], list[Aggrega
     """The config hash, outcomes and aggregate rows of a ``bench --out``
     file. The rows are derived from the outcomes, as a benchmark derives
     them; a ``rows`` key, which files of earlier versions hold, is ignored."""
-    refused = f"{path} is not a results file written by bench --out: "
-    try:
-        payload = json.loads(read_text(path, ResultsFileError))
-    except json.JSONDecodeError as exc:
-        raise ResultsFileError(f"{refused}invalid JSON: {exc}") from None
+    not_ours = f"{path} is not a results file written by bench --out: "
+    payload = json_value(read_text(path, ResultsFileError), ResultsFileError,
+                         f"{not_ours}invalid JSON: ")
     if not isinstance(payload, dict):
-        raise ResultsFileError(f"{refused}it is not a JSON object")
+        raise ResultsFileError(f"{not_ours}it is not a JSON object")
     head = read_fields(payload, {"config_hash": str, "outcomes": list}, ResultsFileError,
-                       f"{refused}field ")
+                       f"{not_ours}field ")
     if not head["outcomes"]:
-        raise ResultsFileError(f"{refused}it holds no outcomes")
+        raise ResultsFileError(f"{not_ours}it holds no outcomes")
     outcomes = []
     for n, entry in enumerate(head["outcomes"], 1):
         if not isinstance(entry, dict):
-            raise ResultsFileError(f"{refused}outcome {n} is not a JSON object")
-        where = f"{refused}outcome {n} field "
+            raise ResultsFileError(f"{not_ours}outcome {n} is not a JSON object")
+        where = f"{not_ours}outcome {n} field "
         values = read_fields(entry, _OUTCOME_TYPES, ResultsFileError, where)
-        try:
-            outcomes.append(TaskOutcome(**values))
-        except ValueError as exc:
-            raise ResultsFileError(f"{where}{exc}") from None
-    _check_runs((o.task_id for o in outcomes), refused)
+        outcomes.append(refused(ResultsFileError, where, TaskOutcome, **values))
+    _check_runs((o.task_id for o in outcomes), not_ours)
     return head["config_hash"], outcomes, _tally(outcomes)
 
 

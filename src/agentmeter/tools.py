@@ -18,7 +18,6 @@ byte-stable for tests and replays.
 from __future__ import annotations
 
 import abc
-import json
 import logging
 import os
 import re
@@ -41,8 +40,10 @@ from .config import (
     InputError,
     PageStrategy,
     SourceSet,
+    json_value,
     read_fields,
     read_text,
+    refused,
     typed_value,
 )
 from . import prompts
@@ -137,19 +138,10 @@ class FixtureSearchProvider(SearchProvider):
         """The provider ``fixture`` of a ``searches.json`` file, which maps each
         query to a list of ``[title, url, snippet]`` rows of strings; any other
         file raises ``FixtureFileError``."""
-        try:
-            raw = json.loads(read_text(path, FixtureFileError))
-        except json.JSONDecodeError as exc:
-            raise FixtureFileError(f"{path}: invalid JSON: {exc}") from None
-        try:
-            responses = {
-                query: [_search_row(row) for row in typed_value(list, rows)]
-                for query, rows in typed_value(dict, raw).items()
-            }
-        except ValueError as exc:
-            message = "each query must map to a list of [title, url, snippet] rows"
-            raise FixtureFileError(f"{path}: {message}: {exc}") from None
-        return cls("fixture", responses)
+        raw = json_value(read_text(path, FixtureFileError), FixtureFileError,
+                         f"{path}: invalid JSON: ")
+        where = f"{path}: each query must map to a list of [title, url, snippet] rows: "
+        return cls("fixture", refused(FixtureFileError, where, _search_rows, raw))
 
     def search(self, query: str, limit: int) -> list[SearchResult]:
         rows = self._responses.get(query, [])[:limit]
@@ -157,6 +149,13 @@ class FixtureSearchProvider(SearchProvider):
             SearchResult(title=t, url=u, snippet=s, provider=self.name, rank=i + 1)
             for i, (t, u, s) in enumerate(rows)
         ]
+
+
+def _search_rows(raw) -> dict[str, list[tuple[str, str, str]]]:
+    """The rows of each query of a ``searches.json`` value; any other value
+    raises ``ValueError``."""
+    return {query: [_search_row(row) for row in typed_value(list, rows)]
+            for query, rows in typed_value(dict, raw).items()}
 
 
 def _search_row(row) -> tuple[str, str, str]:

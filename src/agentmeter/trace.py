@@ -47,7 +47,7 @@ from .backend import (
     TokenUsage,
     unit_vector_dim,
 )
-from .config import InputError, read_fields, typed_value
+from .config import InputError, json_value, read_fields, refused, typed_value
 from .tools import SearchResult, ToolError
 
 TRACE_VERSION = 2
@@ -93,6 +93,8 @@ class TraceWriter:
         # v2: the number of the tool call that first returned each page
         self._pages: dict[tuple[str, bool], int] | None = {} if version >= 2 else None
         self._closed = False
+        # made now, so a directory that cannot be made stops a run before its first call
+        self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def header(self, fields: dict) -> None:
         """The first line: ``fields`` with the line type and trace version."""
@@ -137,7 +139,6 @@ class TraceWriter:
         if self._closed:
             return
         self._closed = True
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         data = b"".join(map(_dump_line, self._events))
         # written under a name that is not a trace's, then renamed onto the
         # path, so a trace file is whole or absent even if the writer dies
@@ -248,20 +249,15 @@ def read_trace(path: str | Path) -> TraceData:
     for lineno, line in enumerate(io.BytesIO(raw), 1):
         if line.isspace():
             continue
-        try:
-            event = json.loads(line)
-        except ValueError as exc:  # bad JSON or bad UTF-8
-            raise TraceFormatError(f"{path}: line {lineno} is not JSON ({exc})") from None
+        event = json_value(line, TraceFormatError, f"{path}: line {lineno} is not JSON: ")
         if not isinstance(event, dict):
             raise TraceFormatError(f"{path}: line {lineno} is not a JSON object")
         lines.append((lineno, event))
     first = lines[0][1] if lines else {}
     if first.get("type") != "header":
         raise TraceFormatError(f"{path}: missing header line")
-    try:
-        version = typed_value(int, first.get("version"))
-    except ValueError as exc:
-        raise TraceFormatError(f"{path}: trace version: {exc}") from None
+    version = refused(TraceFormatError, f"{path}: trace version: ", typed_value, int,
+                      first.get("version"))
     if version not in _TABLES:
         raise TraceFormatError(f"{path}: unsupported trace version {version!r}")
     kinds, results = _TABLES[version]
@@ -292,10 +288,8 @@ def read_trace(path: str | Path) -> TraceData:
             if not _NUMBERS.issuperset(map(type, vector)):
                 i, x = next((i, x) for i, x in enumerate(vector) if type(x) not in _NUMBERS)
                 raise _invalid(where, f"vector[{i}]", x)
-            try:  # what a run's session would not have recorded
-                dim = unit_vector_dim(vector, dim)
-            except ValueError as exc:
-                raise TraceFormatError(f"{where}{exc}") from None
+            # what a run's session would not have recorded
+            dim = refused(TraceFormatError, where, unit_vector_dim, vector, dim)
         else:
             try:
                 record["usage"] = TokenUsage(*map(record.pop, _USAGE))

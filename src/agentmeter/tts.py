@@ -58,7 +58,7 @@ def extract_json_object(text: str) -> dict | None:
     while start != -1:
         try:
             return _DECODER.raw_decode(text, start)[0]
-        except ValueError:  # JSONDecodeError, or an integer past int's digit limit
+        except (ValueError, RecursionError):  # not JSON, too long an int, nested too deep
             start = text.find("{", start + 1)
     return None
 

@@ -665,6 +665,40 @@ NOT_A_NAME = "Expecting property name enclosed in double quotes: line 1 column 2
 SEARCHED = {"queries": next(e for e in trace_lines(LEVEL9) if e.get("tool") == "search")
             ["args"]["queries"], "providers": ["fixture"]}
 TMP = "<tmp>"  # in a message, the directory a row's files are written in
+# a JSON value nested past any recursion limit, and an integer past int's
+# 4,300-digit limit: every file the program decodes refuses both as invalid JSON
+TOO_DEEP, TOO_LONG = "[" * 100_000 + "]" * 100_000, "1" * 5_000
+# each file the program decodes: (its name, its text with %s where the value
+# goes, what the error line says before the decoder's reason)
+DECODED_FILES = {
+    "tasks": ("tasks.jsonl", '{"task_id": "t", "Level": %s}\n', "tasks.jsonl:1: invalid JSON: "),
+    "script": ("script.jsonl", '{"purpose": "actor", "response": "x", "times": %s}\n',
+               "script.jsonl:1: invalid JSON: "),
+    "searches": ("fixtures/searches.json", '{"q": %s}', "searches.json: invalid JSON: "),
+    "results": ("results.json", '{"config_hash": "abcd1234", "outcomes": [{"cost_pico": %s}]}',
+                NOT_RESULTS + "invalid JSON: "),
+}
+
+
+def decode_error(text) -> str:
+    """What this interpreter's JSON decoder says of ``text``, which it refuses:
+    the wording differs between Python versions."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError(f"{text[:40]!r}... decodes")
+
+
+def level9_with_line(lineno: int, text: str) -> dict:
+    """The level-9 fixture trace with its line ``lineno`` (from 1) replaced by
+    ``text``, which need not be JSON, as a trace directory."""
+    lines = gzip.decompress(LEVEL9.read_bytes()).splitlines(keepends=True)
+    lines[lineno - 1] = text.encode() + b"\n"
+    return {f"traces/{LEVEL9.name}": gzip.compress(b"".join(lines), mtime=0)}
+
+
+DEEP_MODEL_CALL = '{"type": "model_call", "response": %s}' % TOO_DEEP
 
 # (files written in place of the fixture bench's, extra arguments, what the one
 # error line ends with); a results.json runs report, a file under traces/
@@ -981,6 +1015,21 @@ OUTSIDE_INPUTS = {
         level9_with("tool_call", "args", {"providers": ["fixture"], "queries": ["acme"]}),
         (), "replay expected tool call tool='search' with args "
             f"{{'providers': ['fixture'], 'queries': ['acme']}}, got args {SEARCHED!r}",
+    ),
+    **{
+        f"{name}_{case}": ({file: text % value}, (), head + decode_error(text.strip() % value))
+        for name, (file, text, head) in DECODED_FILES.items()
+        for case, value in (("nested_too_deep", TOO_DEEP), ("integer_too_long", TOO_LONG))
+    },
+    "trace_line_nested_too_deep": (
+        level9_with_line(2, DEEP_MODEL_CALL), (), "line 2 is not JSON: " + decode_error(DEEP_MODEL_CALL),
+    ),
+    # blank lines only
+    "tasks_empty": ({"tasks.jsonl": "\n  \n"}, (), f"{TMP}/tasks.jsonl: it holds no tasks"),
+    # refused before the first run makes a model call
+    "trace_dir_a_file": (
+        {"trace-dir": "a file\n"}, ("--trace-dir", "trace-dir"),
+        f"[Errno 17] File exists: '{TMP}/trace-dir'",
     ),
 }
 

@@ -1,9 +1,11 @@
 import dataclasses
 import math
 from enum import Enum
+from pathlib import Path
 
 import pytest
 
+import agentmeter
 from agentmeter.config import (
     SWEEPABLE_FIELDS,
     AgentConfig,
@@ -22,8 +24,10 @@ from agentmeter.config import (
     default_config,
     default_pricing,
     efficient_config,
+    json_value,
     parse_config,
     read_fields,
+    refused,
     validate_config,
 )
 from agentmeter.harness import sweep_configs
@@ -328,6 +332,27 @@ def test_read_fields_types_each_field_of_a_record():
     assert read({"name": "a", "count": "3", "note": None}, text=True)["count"] == 3
     with pytest.raises(InvalidConfigError, match="field count is missing or invalid: '3'"):
         read({"name": "a", "count": "3", "note": None})
+
+
+def test_refused_turns_a_value_error_or_too_deep_a_value_into_the_readers_error():
+    assert refused(InvalidConfigError, "r.jsonl:1: ", int, "12") == 12
+    with pytest.raises(InvalidConfigError) as info:
+        refused(InvalidConfigError, "r.jsonl:1: ", int, "x")
+    assert str(info.value) == "r.jsonl:1: invalid literal for int() with base 10: 'x'"
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+    with pytest.raises(InvalidConfigError, match="^r.jsonl:1: invalid JSON: maximum recursion"):
+        json_value("[" * 100_000, InvalidConfigError, "r.jsonl:1: invalid JSON: ")
+    with pytest.raises(KeyError):  # any other error is the caller's fault, not the input's
+        refused(InvalidConfigError, "", {}.__getitem__, "k")
+
+
+def test_only_config_decodes_json_files():
+    # config.json_value is the one decoder of the files the program reads, so
+    # each of them refuses bad JSON the same way; replies from outside services
+    # (tts' raw_decode of a judge's reply, a response's .json()) are not files
+    package = Path(agentmeter.__file__).parent
+    decoding = {p.name for p in package.rglob("*.py") if "json.load" in p.read_text(encoding="utf-8")}
+    assert decoding == {"config.py"}
 
 
 def test_coerce_field_rejects_unknown_field():

@@ -4,11 +4,12 @@ import json
 import re
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from agentmeter.agent import TerminatedBy
-from agentmeter.backend import BackendError, Purpose, ScriptEntry, ScriptedBackend
+from agentmeter.backend import BackendError, OpenAIBackend, Purpose, ScriptEntry, ScriptedBackend
 from agentmeter.cli import main
 from agentmeter.config import (
     InvalidConfigError,
@@ -436,6 +437,35 @@ def test_read_results_gives_the_benchmark_outcomes_and_rows(tmp_path):
     results = tmp_path / "results.json"
     results.write_text(json.dumps(report.to_dict()), encoding="utf-8")
     assert read_results(results) == (report.config_hash, outcomes, list(report.rows))
+
+
+def test_a_trace_dir_that_cannot_be_made_stops_the_bench_before_any_call(tmp_path):
+    not_a_dir = tmp_path / "trace-dir"
+    not_a_dir.write_text("a file\n", encoding="utf-8")
+    backend = bench_backend()
+    with pytest.raises(FileExistsError):
+        run_bench(trace_dir=not_a_dir, backend=backend)
+    assert backend.calls == []
+
+
+def test_a_completion_body_nested_too_deep_is_a_failed_call_that_replays(tmp_path):
+    deep = "[" * 100_000 + "]" * 100_000
+    resp = mock.Mock(status_code=200, text=deep)
+    resp.json.side_effect = lambda: json.loads(deep)  # as requests decodes a body
+    task = load_tasks(BENCH / "tasks.jsonl")[0]
+    with mock.patch("requests.post", return_value=resp):
+        outcome, record = execute_run(task, bench_config(), OpenAIBackend(api_key="k"),
+                                      bench_pricing(), trace_dir=tmp_path / "live")
+    assert outcome.terminated_by is TerminatedBy.ERROR
+    (entry,) = record.ledger.entries
+    assert entry.purpose is Purpose.PLANNER
+    assert entry.error.startswith("completion body is not JSON: '[[[")
+    (trace,) = (tmp_path / "live").iterdir()
+    (call,) = [e for e in trace_lines(trace) if e["type"] == "model_call"]
+    assert call["error"] == entry.error
+    replayed, _ = replay_run(trace, trace_dir=tmp_path / "replay")
+    assert replayed == outcome
+    assert (tmp_path / "replay" / trace.name).read_bytes() == trace.read_bytes()
 
 
 def test_run_benchmark_rejects_empty_and_bad_workers():

@@ -233,7 +233,12 @@ def test_read_rejects_file_that_is_not_gzip(tmp_path):
         read_trace(path)
 
 
-@pytest.mark.parametrize("line", [b"{not json", b"\xff\xfe{}", b"[1, 2]"])
+@pytest.mark.parametrize("line", [
+    b"{not json", b"\xff\xfe{}", b"[1, 2]",
+    # past the recursion limit, and past int's 4,300-digit limit
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested_too_deep"),
+    pytest.param(b'{"n": ' + b"1" * 5_000 + b"}", id="integer_too_long"),
+])
 def test_read_rejects_line_that_is_not_a_json_object(tmp_path, line):
     path = tmp_path / "t.trace"
     path.write_bytes(gzip.compress(b'{"type":"header","version":1}\n' + line + b"\n"))

@@ -60,6 +60,8 @@ def test_extract_json_variants():
 
 def test_extract_json_skips_invalid_then_finds_valid():
     assert extract_json_object('{bad} then {"ok": 1}') == {"ok": 1}
+    # a value nested past the recursion limit is skipped like any other
+    assert extract_json_object('{"a": ' + "[" * 100_000 + ' then {"ok": 1}') == {"ok": 1}
 
 
 def test_extract_json_integer_past_digit_limit_is_unparsable():
@@ -195,6 +197,7 @@ def test_judge_score_reasks_once_then_succeeds(pricing):
 @pytest.mark.parametrize("bad", [
     '{"score": 11}', '{"score": -1}', '{"score": true}',
     '{"score": "7"}', '{"score": 6.5}', '{"analysis": "no score"}', "prose",
+    pytest.param('{"score": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested_too_deep"),
 ])
 def test_judge_score_falls_back_to_zero_after_two_bad(pricing, bad):
     session = make_session(ScriptedBackend([prm(bad, times=2)]), pricing)
