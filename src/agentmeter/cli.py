@@ -182,20 +182,13 @@ def _select_task(tasks: list[Task], task_id: str | None) -> Task:
     raise TaskFileError(f"no task with id {task_id!r}")
 
 
-def _write_file(text: str, out: str) -> None:
-    # the directory is made as --trace-dir is, so a finished run is not lost to it
-    path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
 def _write_json(payload: dict, out: str) -> None:
-    _write_file(json.dumps(payload, indent=2) + "\n", out)
+    Path(out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_out(text: str, out: str | None) -> None:
     if out:
-        _write_file(text, out)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -308,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if getattr(args, "out", None):
+            # made before the first run, so a directory that cannot be made costs no call
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -298,17 +298,6 @@ def validate_config(cfg: AgentConfig, pricing: PricingTable) -> AgentConfig:
     return cfg
 
 
-SWEEPABLE_FIELDS = (
-    "backbone_id",
-    "max_steps",
-    "plan_interval",
-    "source_set",
-    "query_expansion_count",
-    "bon_n",
-    "memory_mode",
-)
-
-
 def config_snapshot(cfg: AgentConfig) -> dict:
     """JSON-safe field dump (enum fields by value) of every field in
     ``SNAPSHOT_FIELDS`` and of each other field not at its default."""

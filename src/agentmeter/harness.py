@@ -32,7 +32,6 @@ from typing import Iterable, Sequence, get_type_hints
 from .agent import TaskRunRecord, TerminatedBy, run_task
 from .backend import Backend
 from .config import (
-    SWEEPABLE_FIELDS,
     AgentConfig,
     InputError,
     InvalidConfigError,
@@ -349,10 +348,6 @@ class BenchmarkAbortError(InputError, RuntimeError):
     pass
 
 
-class UnknownAxisError(InputError, ValueError):
-    pass
-
-
 def _run(
     task: Task,
     config: AgentConfig,
@@ -474,11 +469,8 @@ def run_benchmark(
 
 
 def sweep_configs(base: AgentConfig, axis: str, values: Sequence) -> list[AgentConfig]:
-    """One config per value, differing from base only on the swept axis."""
-    if axis not in SWEEPABLE_FIELDS:
-        raise UnknownAxisError(
-            f"axis {axis!r} is not sweepable; choose one of {', '.join(SWEEPABLE_FIELDS)}"
-        )
+    """One config per value, differing from base only on the swept axis, which
+    may be any AgentConfig field."""
     if not values:
         raise EmptyBenchmarkError(f"no values to sweep for axis {axis!r}")
     coerced = [coerce_field(axis, v) for v in values]

@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,8 @@ from xml.etree import ElementTree
 
 import pytest
 
-import agentmeter
 from agentmeter import cli
+from agentmeter.backend import ScriptedBackend
 from agentmeter.cli import main
 from agentmeter.config import SourceSet
 from agentmeter.tools import FixtureSearchProvider
@@ -34,9 +35,20 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+@pytest.fixture
+def agentmeter(capsys):
+    """``agentmeter(*argv) -> (exit code, stdout, stderr)``, run in this
+    process, as tests/installed_cli.py runs the installed script."""
+    def run(*argv):
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+    return run
+
+
 def test_the_program_imports_no_numpy():
     # a fresh interpreter, since this one's tests import numpy themselves
-    path = [str(Path(agentmeter.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     # nor the interpreter's html.parser: page text comes from the program's own tokenizer
     code = ("import sys, agentmeter, agentmeter.cli, agentmeter.tools; "
@@ -289,13 +301,22 @@ def test_sweep_renders_one_line_per_value(tmp_path, capsys):
     assert len(hashes) == 2  # each swept value is its own config
 
 
+@pytest.mark.parametrize("axis,values", [("page_strategy", "crawler_static,browser_complex"),
+                                         ("prm_mode", "score,list")])
+def test_sweep_varies_any_config_field(agentmeter, axis, values):
+    lines = succeeds(agentmeter, "sweep", *bench_args(), "--tasks", BENCH / "tasks.jsonl",
+                     "--axis", axis, "--values", values).splitlines()
+    assert lines[0].split()[0] == axis
+    assert [line.split()[0] for line in lines[2:]] == values.split(",")
+
+
 def test_sweep_unknown_axis_exits_two(capsys):
     code = run_cli(
         "sweep", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
-        "--axis", "temperature", "--values", "1",
+        "--axis", "bogus", "--values", "1",
     )
     assert code == 2
-    assert "not sweepable" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: AgentConfig has no field 'bogus'\n"
 
 
 @pytest.mark.parametrize("axis,value", [("memory_mode", "bogus"), ("max_steps", "x")])
@@ -377,21 +398,6 @@ def test_live_sweep_searches_each_values_own_engines(tmp_path, monkeypatch, caps
 # -- replay ------------------------------------------------------------------
 
 
-def test_replay_directory_matches_live_aggregate(tmp_path, capsys):
-    traces = tmp_path / "traces"
-    traces.mkdir()
-    run_cli(
-        "bench", *bench_args(), "--tasks", str(BENCH / "tasks.jsonl"),
-        "--trace-dir", str(traces),
-    )
-    live = capsys.readouterr().out
-
-    assert run_cli("replay", str(traces)) == 0
-    replayed = capsys.readouterr().out
-    assert replayed.splitlines()[0] == "replayed"
-    assert replayed.splitlines()[1:] == live.splitlines()[1:]
-
-
 def cut_to_300_bytes(trace):
     trace.write_bytes(trace.read_bytes()[:300])
 
@@ -419,37 +425,6 @@ def test_replay_of_a_damaged_trace_exits_two(tmp_path, capsys, damage):
     assert run_cli("replay", str(traces)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and trace.name in err
-
-
-def test_replay_reads_a_recorded_purpose_in_any_case(tmp_path, capsys):
-    # the one type rule reads an enum in any case; the re-recording is canonical
-    traces = tmp_path / "traces"
-    traces.mkdir()
-    (traces / LEVEL9.name).write_bytes(
-        level9_with("model_call", "purpose", "PLANNER")[f"traces/{LEVEL9.name}"]
-    )
-    assert run_cli("replay", str(LEVEL9.parent), "--format", "csv") == 0
-    unedited = capsys.readouterr().out
-    assert run_cli("replay", str(traces), "--format", "csv", "--trace-dir", str(tmp_path)) == 0
-    assert capsys.readouterr().out == unedited
-    assert trace_lines(tmp_path / LEVEL9.name) == trace_lines(LEVEL9)
-
-
-# the fixture bench in extra_hybrid memory, recorded by an earlier build with
-# the config and script beside it: its vectors are served back as recorded,
-# however a live run would draw them
-EMBED = FIXTURES / "embed"
-
-
-def test_recorded_embeddings_replay_to_the_same_bytes(tmp_path, capsys):
-    recorded = sorted(EMBED.glob("*.trace"))
-    assert len(recorded) == 3
-    for trace in recorded:
-        assert any(e["type"] == "embed" for e in trace_lines(trace))
-    assert run_cli("replay", str(EMBED), "--trace-dir", str(tmp_path), "--format", "csv") == 0
-    assert "66.6667" in capsys.readouterr().out  # 2 of the 3 tasks solved, as recorded
-    for trace in recorded:
-        assert (tmp_path / trace.name).read_bytes() == trace.read_bytes()
 
 
 def test_a_recorded_vector_no_embedder_returns_is_refused_before_the_replay(tmp_path, capsys):
@@ -499,25 +474,6 @@ def test_replay_refuses_a_repeated_task_id_before_replaying_it(tmp_path, capsys)
     first = sorted(traces.glob("*.trace"))[0]
     assert [p.name for p in out.iterdir()] == [first.name]
     assert (out / first.name).read_bytes() == first.read_bytes()
-
-
-def test_replay_re_records_task_ids_of_one_sanitized_form_apart(tmp_path, capsys):
-    first = json.loads((BENCH / "tasks.jsonl").read_text(encoding="utf-8").splitlines()[0])
-    tasks = tmp_path / "tasks.jsonl"
-    tasks.write_text("".join(json.dumps({**first, "task_id": i}) + "\n"
-                             for i in ("gaia/e1", "gaia_e1")), encoding="utf-8")
-    for task_id, traces in (("gaia/e1", "a"), ("gaia_e1", "b")):
-        assert run_cli("run", *bench_args(), "--tasks", str(tasks), "--task-id", task_id,
-                       "--trace-dir", str(tmp_path / traces)) == 0
-    capsys.readouterr()
-
-    out = tmp_path / "out"
-    assert run_cli("replay", str(tmp_path / "a"), str(tmp_path / "b"),
-                   "--trace-dir", str(out)) == 0
-    originals = [*(tmp_path / "a").iterdir(), *(tmp_path / "b").iterdir()]
-    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in originals)
-    for original in originals:
-        assert (out / original.name).read_bytes() == original.read_bytes()
 
 
 def test_a_task_id_too_long_for_a_file_name_benches_and_replays(tmp_path, capsys):
@@ -597,6 +553,10 @@ def test_run_with_unpriced_backbone_exits_two(tmp_path, capsys):
 
 DIRECTORY = object()  # a directory where the file should be
 LEVEL9 = next((FIXTURES / "level9").iterdir())
+# the fixture bench in extra_hybrid memory, recorded by an earlier build with
+# the config and script beside it: its vectors are served back as recorded,
+# however a live run would draw them
+EMBED = FIXTURES / "embed"
 
 
 def level9_edited(edit) -> dict:
@@ -664,7 +624,7 @@ NOT_A_NAME = "Expecting property name enclosed in double quotes: line 1 column 2
 # the args of the level-9 fixture's first search, as its replayed run asks for them
 SEARCHED = {"queries": next(e for e in trace_lines(LEVEL9) if e.get("tool") == "search")
             ["args"]["queries"], "providers": ["fixture"]}
-TMP = "<tmp>"  # in a message, the directory a row's files are written in
+TMP = "<tmp>"  # in a message or an argument, the directory a row's files are written in
 # a JSON value nested past any recursion limit, and an integer past int's
 # 4,300-digit limit: every file the program decodes refuses both as invalid JSON
 TOO_DEEP, TOO_LONG = "[" * 100_000 + "]" * 100_000, "1" * 5_000
@@ -702,8 +662,8 @@ DEEP_MODEL_CALL = '{"type": "model_call", "response": %s}' % TOO_DEEP
 
 # (files written in place of the fixture bench's, extra arguments, what the one
 # error line ends with); a results.json runs report, a file under traces/
-# replay, anything else bench. tests/installed_refusals.py sends each row
-# through the installed script as well
+# replay, anything else bench. tests/installed_cli.py sends each row through
+# the installed script as well
 OUTSIDE_INPUTS = {
     "workers_0": ({}, ("--workers", "0"), "workers must be >= 1, got 0"),
     "level_not_a_number": (
@@ -821,7 +781,7 @@ OUTSIDE_INPUTS = {
         {"config.ini": DIRECTORY}, (), f"[Errno 21] Is a directory: '{TMP}/config.ini'",
     ),
     "pricing_is_a_directory": (
-        {"pricing.ini": DIRECTORY}, ("--pricing", "pricing.ini"),
+        {"pricing.ini": DIRECTORY}, ("--pricing", f"{TMP}/pricing.ini"),
         f"[Errno 21] Is a directory: '{TMP}/pricing.ini'",
     ),
     "script_line_not_json": (
@@ -1028,8 +988,12 @@ OUTSIDE_INPUTS = {
     "tasks_empty": ({"tasks.jsonl": "\n  \n"}, (), f"{TMP}/tasks.jsonl: it holds no tasks"),
     # refused before the first run makes a model call
     "trace_dir_a_file": (
-        {"trace-dir": "a file\n"}, ("--trace-dir", "trace-dir"),
+        {"trace-dir": "a file\n"}, ("--trace-dir", f"{TMP}/trace-dir"),
         f"[Errno 17] File exists: '{TMP}/trace-dir'",
+    ),
+    "out_dir_a_file": (
+        {"out": "a file\n"}, ("--out", f"{TMP}/out/results.json"),
+        f"[Errno 17] File exists: '{TMP}/out'",
     ),
 }
 
@@ -1057,13 +1021,15 @@ def refusal_argv(case: str, root: Path) -> list[str]:
         return ["replay", str(paths["traces"])]
     return ["bench", "--config", str(paths["config.ini"]), "--script",
             str(paths["script.jsonl"]), "--fixtures", str(paths["fixtures"]),
-            "--tasks", str(paths["tasks.jsonl"]), *(str(paths.get(a, a)) for a in extra)]
+            "--tasks", str(paths["tasks.jsonl"]), *(a.replace(TMP, str(root)) for a in extra)]
 
 
-def check_refusal(case: str, root: Path, code: int, out: str, err: str) -> None:
-    """Assert that row ``case``, its files under ``root``, exited 2 and wrote
-    nothing but one ``error:`` line ending in the row's message."""
+def check_refusal(case: str, agentmeter, root: Path) -> None:
+    """Run row ``case`` through ``agentmeter``, its files under ``root``;
+    assert that it exited 2 and wrote nothing but one ``error:`` line ending
+    in the row's message."""
     files, _, message = OUTSIDE_INPUTS[case]
+    code, out, err = agentmeter(*refusal_argv(case, root))
     message = message.replace(TMP, str(root))
     assert code == 2 and out == "", f"exit code {code}, stdout {out!r}"
     assert err.startswith("error: ") and err.endswith(message + "\n") and err.count("\n") == 1, \
@@ -1074,10 +1040,152 @@ def check_refusal(case: str, root: Path, code: int, out: str, err: str) -> None:
 
 
 @pytest.mark.parametrize("case", list(OUTSIDE_INPUTS))
-def test_bad_outside_input_exits_two_with_error(tmp_path, capsys, case):
-    code = run_cli(*refusal_argv(case, tmp_path))
-    captured = capsys.readouterr()
-    check_refusal(case, tmp_path, code, captured.out, captured.err)
+def test_bad_outside_input_exits_two_with_error(tmp_path, agentmeter, case):
+    check_refusal(case, agentmeter, tmp_path)
+
+
+@pytest.mark.parametrize("command", [("bench",),
+                                     ("sweep", "--axis", "max_steps", "--values", "6,12")])
+def test_an_out_dir_that_cannot_be_made_stops_before_any_call(tmp_path, monkeypatch, agentmeter,
+                                                               command):
+    calls = []
+    complete = ScriptedBackend.complete
+    monkeypatch.setattr(ScriptedBackend, "complete",
+                        lambda self, request: calls.append(request) or complete(self, request))
+    not_a_dir = tmp_path / "out"
+    not_a_dir.write_text("a file\n", encoding="utf-8")
+    assert agentmeter(*command, *bench_args(), "--tasks", BENCH / "tasks.jsonl",
+                      "--out", not_a_dir / "results.json") == (
+        2, "", f"error: [Errno 17] File exists: '{not_a_dir}'\n")
+    assert calls == []
+
+
+# -- round trips -------------------------------------------------------------
+# Each row runs commands through ``agentmeter(*argv) -> (exit code, stdout,
+# stderr)``, writing under the directory ``root``, and asserts what they wrote.
+# Tier-1 runs each row in-process; tests/installed_cli.py sends each through
+# the installed script as well. So a new round trip is one row.
+
+
+def succeeds(agentmeter, *argv) -> str:
+    """The stdout of ``agentmeter *argv``, which must exit 0."""
+    code, out, err = agentmeter(*argv)
+    assert code == 0, f"agentmeter {argv[0]} exited {code}: {err}"
+    return out
+
+
+def fixture_bench(agentmeter, traces: Path, *extra, tasks=BENCH / "tasks.jsonl") -> str:
+    """The CSV of the fixture bench over ``tasks``, its traces written into ``traces``."""
+    return succeeds(agentmeter, "bench", *bench_args(), "--tasks", tasks, "--trace-dir", traces,
+                    "--format", "csv", *extra)
+
+
+def assert_same_traces(originals: Path, copies: Path) -> None:
+    """``copies`` holds the traces of ``originals`` under their names, byte for
+    byte, and nothing else."""
+    names = sorted(p.name for p in originals.glob("*.trace"))
+    assert sorted(p.name for p in copies.iterdir()) == names
+    for name in names:
+        assert (copies / name).read_bytes() == (originals / name).read_bytes(), f"{name} differs"
+
+
+def bench_replay_report(agentmeter, root):
+    # a bench's traces re-record to the same bytes, and its replay and the report
+    # of its saved outcomes give the live aggregate
+    results = root / "results.json"
+    live = fixture_bench(agentmeter, root / "t", "--out", results)
+    replayed = succeeds(agentmeter, "replay", root / "t", "--trace-dir", root / "t2",
+                        "--format", "csv")
+    assert replayed == live
+    assert_same_traces(root / "t", root / "t2")
+    assert succeeds(agentmeter, "report", "--results", results, "--format", "csv") == live
+    # a replay's table is titled as one, where a bench's names its config
+    table = succeeds(agentmeter, "replay", root / "t").splitlines()
+    reported = succeeds(agentmeter, "report", "--results", results).splitlines()
+    assert table == ["replayed", *reported[1:]]
+
+
+def two_workers(agentmeter, root):
+    # two workers share one page-text cache and still write the same trace bytes
+    fixture_bench(agentmeter, root / "one")
+    fixture_bench(agentmeter, root / "two", "--workers", 2)
+    assert_same_traces(root / "one", root / "two")
+
+
+def run_one_task(agentmeter, root):
+    # run writes the same trace bytes for a task as bench does
+    fixture_bench(agentmeter, root / "bench")
+    succeeds(agentmeter, "run", *bench_args(), "--tasks", BENCH / "tasks.jsonl",
+             "--task-id", "gaia-e1", "--trace-dir", root / "run")
+    (trace,) = (root / "run").iterdir()
+    assert trace.name.startswith("gaia-e1.")
+    assert trace.read_bytes() == (root / "bench" / trace.name).read_bytes()
+
+
+def task_ids_apart(agentmeter, root):
+    # task ids that differ only in case, or in a character a file name cannot
+    # hold, get trace names that differ even ignoring case; each re-records to its bytes
+    first = json.loads((BENCH / "tasks.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    tasks = root / "ids.jsonl"
+    tasks.write_text("".join(json.dumps({**first, "task_id": i}) + "\n"
+                             for i in ("Q1", "q1", "a/b", "a_b")), encoding="utf-8")
+    fixture_bench(agentmeter, root / "ids", tasks=tasks)
+    names = [p.name for p in (root / "ids").iterdir()]
+    assert len(names) == len({name.lower() for name in names}) == 4, names
+    succeeds(agentmeter, "replay", root / "ids", "--trace-dir", root / "ids2", "--format", "csv")
+    assert_same_traces(root / "ids", root / "ids2")
+
+
+def level9_replays(agentmeter, root):
+    # a trace recorded by an earlier version (v1, gzip level 9) passes the
+    # header checks and replays
+    succeeds(agentmeter, "replay", LEVEL9.parent, "--format", "csv")
+
+
+def embed_re_records(agentmeter, root):
+    # traces holding embeddings an earlier version drew re-record to their bytes
+    recorded = sorted(EMBED.glob("*.trace"))
+    assert len(recorded) == 3
+    for trace in recorded:
+        assert any(e["type"] == "embed" for e in trace_lines(trace))
+    out = succeeds(agentmeter, "replay", EMBED, "--trace-dir", root / "embed", "--format", "csv")
+    assert "66.6667" in out  # 2 of the 3 tasks solved, as recorded
+    assert_same_traces(EMBED, root / "embed")
+
+
+def purpose_in_upper_case(agentmeter, root):
+    # the one type rule reads a recorded purpose in any case; the re-recording
+    # writes it as a run does
+    fixture_bench(agentmeter, root / "t")
+    trace = next((root / "t").glob("gaia-e1.*"))
+    events = trace_lines(trace)
+    call = next(e for e in events if e["type"] == "model_call")
+    call["purpose"] = call["purpose"].upper()
+    (root / "upper").mkdir()
+    write_trace_lines(root / "upper" / trace.name, events)
+    unedited = succeeds(agentmeter, "replay", trace, "--format", "csv")
+    assert succeeds(agentmeter, "replay", root / "upper", "--trace-dir", root / "again",
+                    "--format", "csv") == unedited
+    assert (root / "again" / trace.name).read_bytes() == trace.read_bytes()
+
+
+ROUND_TRIPS = {row.__name__: row for row in (
+    bench_replay_report, two_workers, run_one_task, task_ids_apart, level9_replays,
+    embed_re_records, purpose_in_upper_case,
+)}
+
+
+@pytest.mark.parametrize("row", list(ROUND_TRIPS))
+def test_round_trip(tmp_path, agentmeter, row):
+    ROUND_TRIPS[row](agentmeter, tmp_path)
+
+
+def test_ci_runs_the_program_through_the_tables_alone():
+    # so a new check of the installed script is a row, not a workflow line
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    commands = [line.split("#")[0] for line in workflow.read_text(encoding="utf-8").splitlines()]
+    assert [c for c in commands if re.search(r"(?<![\w./-])agentmeter(?![\w./-])", c)] == []
+    assert any(c.strip() == "run: python tests/installed_cli.py" for c in commands)
 
 
 @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])

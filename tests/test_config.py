@@ -7,7 +7,6 @@ import pytest
 
 import agentmeter
 from agentmeter.config import (
-    SWEEPABLE_FIELDS,
     AgentConfig,
     InvalidConfigError,
     MemoryMode,
@@ -199,18 +198,6 @@ def test_a_field_added_later_leaves_recorded_configs_their_hash():
     assert config_hash(recorded) == header["config_hash"]
 
 
-def test_sweepable_fields():
-    assert set(SWEEPABLE_FIELDS) == {
-        "backbone_id",
-        "max_steps",
-        "plan_interval",
-        "source_set",
-        "query_expansion_count",
-        "bon_n",
-        "memory_mode",
-    }
-
-
 # -- INI round trip ----------------------------------------------------------
 
 
@@ -285,14 +272,12 @@ def test_every_field_round_trips_through_every_reader(name, value):
     raw = value.value if isinstance(value, Enum) else str(value)
     assert parse_config(f"[agent]\n{name} = {raw}\n")[0] == cfg
     assert config_from_snapshot(config_snapshot(cfg)) == cfg
-    if name in SWEEPABLE_FIELDS:
-        assert sweep_configs(default_config(), name, [raw]) == [cfg]
+    assert sweep_configs(default_config(), name, [raw]) == [cfg]
     if isinstance(value, Enum):
         upper = raw.upper()
         assert parse_config(f"[agent]\n{name} = {upper}\n")[0] == cfg
         assert config_from_snapshot({**config_snapshot(cfg), name: upper}) == cfg
-        if name in SWEEPABLE_FIELDS:
-            assert sweep_configs(default_config(), name, [upper]) == [cfg]
+        assert sweep_configs(default_config(), name, [upper]) == [cfg]
 
 
 def test_snapshot_values_must_have_the_field_type():

@@ -27,7 +27,6 @@ from agentmeter.harness import (
     Task,
     TaskFileError,
     TaskOutcome,
-    UnknownAxisError,
     execute_run,
     grade,
     load_tasks,
@@ -498,9 +497,9 @@ def test_sweep_configs_coerce_enum_axes():
     assert cfg.backbone_id == "gpt-4.1-mini"
 
 
-def test_sweep_unknown_axis_lists_choices():
-    with pytest.raises(UnknownAxisError, match="max_steps"):
-        sweep_configs(default_config(), "temperature", [1])
+def test_sweep_unknown_axis_is_refused():
+    with pytest.raises(InvalidConfigError, match="AgentConfig has no field 'bogus'"):
+        sweep_configs(default_config(), "bogus", [1])
 
 
 # -- replay ------------------------------------------------------------------
