@@ -14,9 +14,11 @@ for files on disk, so a benchmark can run with no credentials at all.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -302,7 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         if getattr(args, "out", None):
-            # made before the first run, so a directory that cannot be made costs no call
+            # checked before the first run, so a path that cannot be written costs no call
+            if Path(args.out).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args)
     except (InputError, OSError) as exc:

@@ -9,8 +9,8 @@ task id before aggregation, so worker count never changes the report.
 Live runs and replays share one run path: a replay restores the task,
 config and pricing from a trace header and runs them exactly as a live
 run does, with the recording as its backend. That is why a re-recorded
-replay matches its original byte for byte. ``run_header`` writes the
-header and ``recorded_run`` reads it back.
+replay of a trace in the current version matches it byte for byte.
+``run_header`` writes the header and ``recorded_run`` reads it back.
 
 Grading is quasi-exact match: both sides are normalized (whitespace,
 case, quotes, trailing periods), numbers compare numerically after
@@ -51,7 +51,6 @@ from .ledger import AggregateRow, EmptyBenchmarkError, aggregate
 from .session import RunSession
 from .tools import FixtureFetcher, FixtureSearchProvider, PageFetcher, SearchProvider, ToolBox
 from .trace import (
-    TRACE_VERSION,
     ReplayMismatchError,
     ReplaySource,
     TraceData,
@@ -221,11 +220,8 @@ _OUTCOME_TYPES = get_type_hints(TaskOutcome)
 _RESULT_TYPES = {k: v for k, v in _OUTCOME_TYPES.items() if k not in ("task_id", "level")}
 
 
-def run_header(
-    task: Task, config: AgentConfig, pricing: PricingTable, digest: str | None = None
-) -> dict:
-    """The header fields of a run's trace: what a replay needs to run it again.
-    ``digest`` is ``config_hash(config)`` when the caller already holds it."""
+def run_header(task: Task, config: AgentConfig, pricing: PricingTable) -> dict:
+    """The header fields of a run's trace: what a replay needs to run it again."""
     return {
         "run_id": task.task_id,
         "task_id": task.task_id,
@@ -236,7 +232,7 @@ def run_header(
             "attachment_names": [Path(p).name for p in task.attachments],
         },
         "config": config_snapshot(config),
-        "config_hash": config_hash(config) if digest is None else digest,
+        "config_hash": config_hash(config),
         "pricing": pricing.snapshot(),
     }
 
@@ -357,23 +353,21 @@ def _run(
     fetcher: PageFetcher | None = None,
     trace_dir: str | Path | None = None,
     timeout_s: float | None = None,
-    digest: str | None = None,
-    version: int = TRACE_VERSION,
 ) -> tuple[TaskOutcome, TaskRunRecord]:
     """The one run path of live runs and replays: trace, session, loop, grade.
 
     ``backend`` is where every external effect comes from: live
     collaborators, or for a replay the ReplaySource. The trace is written
-    in trace format ``version``, a replay's in that of its recording. A config that
-    ``validate_config`` refuses raises ``InvalidConfigError`` before any
-    call is made or any trace is opened.
+    in ``TRACE_VERSION``, a replay's too. A config that ``validate_config``
+    refuses raises ``InvalidConfigError`` before any call is made or any
+    trace is opened.
     """
     validate_config(config, pricing)
     writer = None
     if trace_dir is not None:
-        header = run_header(task, config, pricing, digest)
+        header = run_header(task, config, pricing)
         path = Path(trace_dir) / trace_filename(task.task_id, header["config_hash"])
-        writer = TraceWriter(path, version)
+        writer = TraceWriter(path)
         writer.header(header)
     session = RunSession(task.task_id, backend, pricing, writer, timeout_s)
     toolbox = ToolBox(
@@ -503,8 +497,8 @@ def replay_run(
     tool result and embedding, failures included. Task, config and
     pricing are restored from its header by ``recorded_run`` and go
     through the same run path as a live run. With ``trace_dir`` set, the
-    replay writes its own trace, which for a deterministic run is
-    byte-identical to the original.
+    replay writes its own trace in the current version: for a deterministic
+    run, byte-identical to an original in that version.
 
     A recording that ``read_trace`` or ``recorded_run`` refuses is refused;
     a replay that asks for another effect than the next recorded one or
@@ -528,10 +522,7 @@ def _replay(
     # engines of the recorded names, never called: a replay's searches ask with the recorded args
     names = next((e["args"] for e in data.events if e.get("tool") == "search"), {}).get("providers")
     inert = [FixtureSearchProvider(n, {}) for n in names] if type(names) is list else ()
-    # recorded_run checked that the header's config_hash is that of config
-    digest = data.header["config_hash"]
-    outcome, record = _run(task, config, source, pricing, inert, trace_dir=trace_dir, digest=digest,
-                           version=data.header["version"])
+    outcome, record = _run(task, config, source, pricing, inert, trace_dir=trace_dir)
     was, now = recorded.to_dict(with_task=False), outcome.to_dict(with_task=False)
     diverged = [
         f"{key} recorded {was[key]!r}, replayed {value!r}"

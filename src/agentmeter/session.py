@@ -104,6 +104,7 @@ class RunSession:
         return result
 
     def embed(self, text: str) -> Sequence[float]:
+        self.check_deadline()
         try:
             vector = self.backend.embed(text)
             # a vector that read_trace would refuse fails the run, recorded as a failure

@@ -10,14 +10,14 @@ re-run the task offline and reproduce the run event for event.
 
 Version 2 writes a page that the trace already holds as ``{"same_as": n}``,
 a reference to tool call n, and has a line for a failed embedding.
-Version 1 traces still read, and a replay re-records a trace in the
-version it was read in.
+Traces are written in ``TRACE_VERSION`` alone: version 1 traces still
+read, and a replay of one re-records it in the current version.
 
 Each trace is compressed once, when it closes, at gzip level 1: the
 fastest level, which costs a few percent of file size. Traces written
-by earlier versions at level 9 hold the same lines, so they replay to
-the same outcome; re-recording one gives the same decompressed lines in
-different compressed bytes.
+by earlier versions at level 9 hold the same records, so they replay to
+the same outcome; re-recording one gives the same records in different
+compressed bytes.
 """
 
 from __future__ import annotations
@@ -85,20 +85,18 @@ def text_digest(text: str) -> str:
 class TraceWriter:
     """Accumulates events and writes one deterministic trace file on close."""
 
-    def __init__(self, path: str | Path, version: int = TRACE_VERSION):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._version = version
         self._events: list[dict] = []
         self._tool_calls = 0
-        # v2: the number of the tool call that first returned each page
-        self._pages: dict[tuple[str, bool], int] | None = {} if version >= 2 else None
+        self._pages: dict[tuple[str, bool], int] = {}  # the first tool call to return each page
         self._closed = False
         # made now, so a directory that cannot be made stops a run before its first call
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def header(self, fields: dict) -> None:
         """The first line: ``fields`` with the line type and trace version."""
-        self._events.append({"type": "header", "version": self._version, **fields})
+        self._events.append({"type": "header", "version": TRACE_VERSION, **fields})
 
     def model_call(
         self, request: ModelRequest, response: ModelResponse | None = None, error: str | None = None
@@ -118,7 +116,7 @@ class TraceWriter:
         self._tool_calls += 1
         if error is not None:
             outcome = {"error": error}
-        elif tool == "fetch_page" and self._pages is not None:
+        elif tool == "fetch_page":
             # a live page text is the str PAGE_TEXTS holds, so its hash is computed once
             first = self._pages.setdefault((result["text"], result["truncated"]), self._tool_calls)
             outcome = {"result": result if first == self._tool_calls else {"same_as": first}}

@@ -995,6 +995,9 @@ OUTSIDE_INPUTS = {
         {"out": "a file\n"}, ("--out", f"{TMP}/out/results.json"),
         f"[Errno 17] File exists: '{TMP}/out'",
     ),
+    "out_a_directory": (
+        {"out": DIRECTORY}, ("--out", f"{TMP}/out"), f"[Errno 21] Is a directory: '{TMP}/out'",
+    ),
 }
 
 
@@ -1052,12 +1055,11 @@ def test_an_out_dir_that_cannot_be_made_stops_before_any_call(tmp_path, monkeypa
     complete = ScriptedBackend.complete
     monkeypatch.setattr(ScriptedBackend, "complete",
                         lambda self, request: calls.append(request) or complete(self, request))
-    not_a_dir = tmp_path / "out"
-    not_a_dir.write_text("a file\n", encoding="utf-8")
-    assert agentmeter(*command, *bench_args(), "--tasks", BENCH / "tasks.jsonl",
-                      "--out", not_a_dir / "results.json") == (
-        2, "", f"error: [Errno 17] File exists: '{not_a_dir}'\n")
-    assert calls == []
+    for case in ("out_dir_a_file", "out_a_directory"):  # each an OUTSIDE_INPUTS row
+        _, *argv = refusal_argv(case, tmp_path / case)  # bench and its arguments
+        message = OUTSIDE_INPUTS[case][2].replace(TMP, str(tmp_path / case))
+        assert agentmeter(*command, *argv) == (2, "", f"error: {message}\n"), case
+        assert calls == [], case
 
 
 # -- round trips -------------------------------------------------------------
@@ -1143,14 +1145,22 @@ def level9_replays(agentmeter, root):
 
 
 def embed_re_records(agentmeter, root):
-    # traces holding embeddings an earlier version drew re-record to their bytes
+    # v1 traces holding embeddings an earlier version drew re-record as v2 with
+    # the same lines, and the v2 re-recordings re-record to their own bytes
     recorded = sorted(EMBED.glob("*.trace"))
     assert len(recorded) == 3
     for trace in recorded:
         assert any(e["type"] == "embed" for e in trace_lines(trace))
     out = succeeds(agentmeter, "replay", EMBED, "--trace-dir", root / "embed", "--format", "csv")
     assert "66.6667" in out  # 2 of the 3 tasks solved, as recorded
-    assert_same_traces(EMBED, root / "embed")
+    assert sorted(p.name for p in (root / "embed").iterdir()) == [p.name for p in recorded]
+    for trace in recorded:
+        old, new = trace_lines(trace), trace_lines(root / "embed" / trace.name)
+        assert (old[0].pop("version"), new[0].pop("version")) == (1, 2)
+        assert new == old, f"{trace.name} differs"
+    assert succeeds(agentmeter, "replay", root / "embed", "--trace-dir", root / "again",
+                    "--format", "csv") == out
+    assert_same_traces(root / "embed", root / "again")
 
 
 def purpose_in_upper_case(agentmeter, root):

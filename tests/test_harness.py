@@ -1,5 +1,4 @@
 import dataclasses
-import gzip
 import json
 import re
 import time
@@ -542,9 +541,13 @@ def test_level_9_trace_of_an_earlier_version_replays(tmp_path):
     recorded = read_trace(LEVEL_9_TRACE).result
     assert outcome.solved and outcome.terminated_by is TerminatedBy.FINAL_ANSWER
     assert (outcome.solved, outcome.cost_pico) == (recorded["solved"], recorded["cost_pico"])
-    old, new = LEVEL_9_TRACE.read_bytes(), (tmp_path / LEVEL_9_TRACE.name).read_bytes()
-    assert gzip.decompress(new) == gzip.decompress(old)
-    assert (old[8], new[8]) == (2, 4)  # gzip XFL byte: level 9, then level 1
+    # re-recorded in the current version, with the same lines
+    copy = tmp_path / LEVEL_9_TRACE.name
+    old, new = trace_lines(LEVEL_9_TRACE), trace_lines(copy)
+    assert (old[0].pop("version"), new[0].pop("version")) == (1, 2)
+    assert new == old
+    # gzip XFL byte: level 9, then level 1
+    assert (LEVEL_9_TRACE.read_bytes()[8], copy.read_bytes()[8]) == (2, 4)
 
 
 def test_replay_refuses_a_recording_without_result_line(tmp_path):
@@ -922,15 +925,20 @@ def test_a_live_trace_holds_the_args_the_run_built(tmp_path):
 MIRROR_URL = "https://mirror.example.org/bridge"  # another URL of the same page
 
 
-def test_a_repeated_page_is_recorded_once_and_replays_exactly(tmp_path):
-    # the page is opened, opened again under another URL, then opened once more
+def run_opening_a_page_three_times(trace_dir):
+    """The outcome, record and trace of a live run that opens a page, opens it
+    again under another URL, then opens it once more."""
     actions = [f"open_url(url={GRID_URL})", f"open_url(url={MIRROR_URL})",
                f"open_url(url={GRID_URL})", "final_answer(answer=1931)"]
     pages = FixtureFetcher({GRID_URL: GRID_PAGE, MIRROR_URL: GRID_PAGE})
-    live, live_record = execute_run(BRIDGE, default_config(), failure_backend(actions),
-                                    bench_pricing(), fetcher=pages, trace_dir=tmp_path / "live")
+    live, record = execute_run(BRIDGE, default_config(), failure_backend(actions),
+                               bench_pricing(), fetcher=pages, trace_dir=trace_dir)
+    return live, record, next(trace_dir.glob("bridge.*"))
+
+
+def test_a_repeated_page_is_recorded_once_and_replays_exactly(tmp_path):
+    live, live_record, trace = run_opening_a_page_three_times(tmp_path / "live")
     assert live.solved
-    trace = next((tmp_path / "live").glob("bridge.*"))
     lines = trace_lines(trace)
     assert lines[0]["version"] == 2
     calls = [(e["args"]["url"], e["result"]) for e in lines if e["type"] == "tool_call"]
@@ -943,6 +951,23 @@ def test_a_repeated_page_is_recorded_once_and_replays_exactly(tmp_path):
     assert (tmp_path / "replay" / trace.name).read_bytes() == trace.read_bytes()
     assert replayed == live
     assert record.ledger.entries == live_record.ledger.entries
+
+
+def test_a_v1_trace_re_records_to_the_bytes_a_live_run_writes(tmp_path):
+    live, _, trace = run_opening_a_page_three_times(tmp_path / "live")
+    # the same run as v1 wrote it: each page in full
+    lines = trace_lines(trace)
+    lines[0]["version"] = 1
+    calls = [e for e in lines if e["type"] == "tool_call"]
+    for call in calls:
+        if "same_as" in call["result"]:
+            call["result"] = calls[call["result"]["same_as"] - 1]["result"]
+    assert [e["result"] for e in calls] == [calls[0]["result"]] * 3
+    (tmp_path / "v1").mkdir()
+    write_trace_lines(tmp_path / "v1" / trace.name, lines)
+    replayed, _ = replay_run(tmp_path / "v1" / trace.name, trace_dir=tmp_path / "replay")
+    assert replayed == live
+    assert (tmp_path / "replay" / trace.name).read_bytes() == trace.read_bytes()
 
 
 def test_empty_plans_are_asked_again_metered_and_replay_exactly(tmp_path):

@@ -48,12 +48,20 @@ def test_call_tool_executes_thunk(pricing):
     assert session.call_tool("search", {"q": 1}, lambda: ["row"]) == ["row"]
 
 
-def test_timeout_raises_before_external_calls(pricing):
-    session = make_session(actor_backend(), pricing, timeout_s=-1.0)
+def test_timeout_raises_before_external_calls(tmp_path, pricing):
+    writer = TraceWriter(tmp_path / "t.trace")
+    writer.header({"run_id": "r"})
+    session = make_session(actor_backend(), pricing, trace=writer, timeout_s=-1.0)
     with pytest.raises(RunTimeoutError):
         session.call_model(Purpose.ACTOR, "gpt-4.1", MSGS)
     with pytest.raises(RunTimeoutError):
         session.call_tool("search", {}, lambda: None)
+    with pytest.raises(RunTimeoutError):
+        session.embed("memory text")
+    writer.close()
+    # nothing was called, so nothing is recorded or metered
+    assert read_trace(tmp_path / "t.trace").events == ()
+    assert not session.ledger.entries
 
 
 def test_no_timeout_by_default(pricing):

@@ -178,30 +178,31 @@ def test_read_accepts_versions_1_and_2_only(tmp_path, version):
         read_trace(path)
 
 
-def write_pages(path, version):
-    """A trace of one page's text opened under several URLs, and read as an attachment."""
-    w = TraceWriter(path, version)
-    w.header({"run_id": "r"})
-    w.tool_call("fetch_page", {"url": "a"}, {"text": "p", "truncated": False})
-    w.tool_call("read_attachment", {"name": "n"}, {"text": "p", "truncated": False})
-    w.tool_call("fetch_page", {"url": "b"}, error="gone")
-    w.tool_call("fetch_page", {"url": "c"}, {"text": "p", "truncated": True})
-    w.tool_call("fetch_page", {"url": "d"}, {"text": "p", "truncated": False})
-    w.tool_call("fetch_page", {"url": "c"}, {"text": "p", "truncated": True})
-    w.close()
-    return path
-
-
 def test_v2_records_a_repeated_page_as_a_reference_to_its_first_copy(tmp_path):
+    # one page's text opened under several URLs, and read as an attachment
     page, cut = {"text": "p", "truncated": False}, {"text": "p", "truncated": True}
-    v1, v2 = write_pages(tmp_path / "v1.trace", 1), write_pages(tmp_path / "v2.trace", 2)
-    assert [line.get("result") for line in trace_lines(v1)[1:]] == [page, page, None, cut, page, cut]
-    assert [line.get("result") for line in trace_lines(v2)[1:]] == [
+    calls = [("fetch_page", {"url": "a"}, page), ("read_attachment", {"name": "n"}, page),
+             ("fetch_page", {"url": "b"}, None), ("fetch_page", {"url": "c"}, cut),
+             ("fetch_page", {"url": "d"}, page), ("fetch_page", {"url": "c"}, cut)]
+    w = TraceWriter(tmp_path / "v2.trace")
+    w.header({"run_id": "r"})
+    for tool, args, result in calls:
+        w.tool_call(tool, args, result, error="gone" if result is None else None)
+    w.close()
+    v2 = trace_lines(w.path)
+    assert v2[0]["version"] == 2
+    assert [line.get("result") for line in v2[1:]] == [
         page, page, None, cut, {"same_as": 1}, {"same_as": 4},
     ]
-    assert [trace_lines(path)[0]["version"] for path in (v1, v2)] == [1, 2]
+    # the same calls as v1 wrote them, each page in full
+    v1 = [{**v2[0], "version": 1}] + [
+        {"type": "tool_call", "tool": tool, "args": args,
+         **({"error": "gone"} if result is None else {"result": result})}
+        for tool, args, result in calls
+    ]
+    write_trace_lines(tmp_path / "v1.trace", v1)
     # the reader gives the page each reference names, so a replay serves the same
-    assert read_trace(v2).events == read_trace(v1).events
+    assert read_trace(w.path).events == read_trace(tmp_path / "v1.trace").events
 
 
 def gzip_at(level, data):
