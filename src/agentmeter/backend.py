@@ -73,7 +73,6 @@ class ModelResponse:
     text: str
     usage: TokenUsage
     model_id: str
-    latency_ms: int = 0
 
 
 def estimate_tokens(text: str) -> int:
@@ -83,6 +82,18 @@ def estimate_tokens(text: str) -> int:
 
 def estimate_prompt_tokens(messages: tuple[Message, ...]) -> int:
     return sum(estimate_tokens(m.content) for m in messages)
+
+
+def reply_usage(request: ModelRequest, text: str, prompt_tokens: int | None = None,
+                completion_tokens: int | None = None) -> TokenUsage:
+    """The token counts of reply ``text`` to ``request``: the one usage rule
+    of every backend. A count given is kept; a missing one is estimated, and
+    ``estimated`` marks a reply with either count estimated."""
+    return TokenUsage(
+        estimate_prompt_tokens(request.messages) if prompt_tokens is None else prompt_tokens,
+        estimate_tokens(text) if completion_tokens is None else completion_tokens,
+        estimated=prompt_tokens is None or completion_tokens is None,
+    )
 
 
 class BackendError(RuntimeError):
@@ -244,19 +255,8 @@ class ScriptedBackend(Backend):
                 continue
             if remaining[i] > 0:
                 remaining[i] -= 1
-            usage = TokenUsage(
-                prompt_tokens=(
-                    entry.prompt_tokens
-                    if entry.prompt_tokens is not None
-                    else estimate_prompt_tokens(request.messages)
-                ),
-                completion_tokens=(
-                    entry.completion_tokens
-                    if entry.completion_tokens is not None
-                    else estimate_tokens(entry.response)
-                ),
-                estimated=entry.prompt_tokens is None or entry.completion_tokens is None,
-            )
+            usage = reply_usage(request, entry.response, entry.prompt_tokens,
+                                entry.completion_tokens)
             return ModelResponse(text=entry.response, usage=usage, model_id=request.model_id)
         raise ScriptExhaustedError(request)
 
@@ -295,7 +295,6 @@ class OpenAIBackend(Backend):
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         last_error: Exception | None = None
-        started = time.monotonic()
         for attempt in range(COMPLETION_RETRIES + 1):
             if attempt:
                 time.sleep(min(2**attempt, 30))
@@ -314,15 +313,17 @@ class OpenAIBackend(Backend):
                 continue
             if resp.status_code != 200:
                 raise BackendError(f"HTTP {resp.status_code}: {resp.text[:500]}")
-            latency_ms = int((time.monotonic() - started) * 1000)
             try:
                 body = resp.json()
             except (ValueError, RecursionError):  # not JSON, or nested too deep
                 raise BackendError(f"completion body is not JSON: {resp.text[:200]!r}") from None
-            return self._parse(request, body, latency_ms)
-        raise BackendError(f"model call failed after {COMPLETION_RETRIES + 1} attempts") from last_error
+            return self._parse(request, body)
+        # the message names the last failure: a run records str() of the error alone
+        raise BackendError(
+            f"model call failed after {COMPLETION_RETRIES + 1} attempts: {last_error}"
+        ) from last_error
 
-    def _parse(self, request: ModelRequest, body: dict, latency_ms: int = 0) -> ModelResponse:
+    def _parse(self, request: ModelRequest, body: dict) -> ModelResponse:
         try:
             text = typed_value(str | None, body["choices"][0]["message"]["content"]) or ""
             model_id = typed_value(str, body.get("model", request.model_id))
@@ -330,25 +331,9 @@ class OpenAIBackend(Backend):
             raise BackendError(f"malformed completion payload: {body!r:.300}") from exc
         try:
             raw_usage = typed_value(dict | None, body.get("usage")) or {}
+            counts = {name: typed_value(int, raw_usage[name])
+                      for name in ("prompt_tokens", "completion_tokens") if name in raw_usage}
+            usage = reply_usage(request, text, **counts)
         except ValueError as exc:
             raise BackendError(f"bad usage in completion payload: {exc}") from None
-        if "prompt_tokens" in raw_usage and "completion_tokens" in raw_usage:
-            try:
-                usage = TokenUsage(
-                    prompt_tokens=typed_value(int, raw_usage["prompt_tokens"]),
-                    completion_tokens=typed_value(int, raw_usage["completion_tokens"]),
-                )
-            except ValueError as exc:
-                raise BackendError(f"bad usage in completion payload: {exc}") from None
-        else:
-            usage = TokenUsage(
-                prompt_tokens=estimate_prompt_tokens(request.messages),
-                completion_tokens=estimate_tokens(text),
-                estimated=True,
-            )
-        return ModelResponse(
-            text=text,
-            usage=usage,
-            model_id=model_id,
-            latency_ms=latency_ms,
-        )
+        return ModelResponse(text=text, usage=usage, model_id=model_id)

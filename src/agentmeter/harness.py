@@ -98,7 +98,8 @@ _TASK_LINE_TYPES = {"task_id": str | int | float, "Question": str | int | float,
 
 
 def load_tasks(path: str | Path) -> list[Task]:
-    """Parse a JSONL task file; attachment paths resolve beside the file."""
+    """Parse a JSONL task file; attachment paths resolve beside the file, and
+    a ``file_name`` that is absolute or holds a ``..`` part is refused."""
     path = Path(path)
     base = path.parent
     tasks: list[Task] = []
@@ -111,6 +112,9 @@ def load_tasks(path: str | Path) -> list[Task]:
             raise DuplicateTaskIdError(f"{path}:{lineno}: duplicate task_id {task_id!r}")
         seen.add(task_id)
         file_name = (values.get("file_name") or "").strip()
+        if Path(file_name).is_absolute() or ".." in Path(file_name).parts:
+            raise TaskFileError(f"{path}:{lineno}: field file_name is missing or invalid: "
+                                f"{values['file_name']!r}")
         attachments = (str(base / file_name),) if file_name else ()
         tasks.append(refused(TaskFileError, f"{path}:{lineno}: ", Task, task_id=task_id,
                              level=values["Level"], question=str(values["Question"]),

@@ -1,15 +1,18 @@
+import ast
 import hashlib
 import json
 import math
 import re
 import struct
 import threading
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import agentmeter
 from agentmeter.backend import (
     COMPLETION_RETRIES,
     BackendError,
@@ -26,6 +29,9 @@ from agentmeter.backend import (
 )
 from agentmeter.config import ModelPricing, PricingTable
 from agentmeter.session import RunSession
+from agentmeter.trace import TraceWriter
+
+from conftest import trace_lines
 
 
 def req(content="hello", purpose=Purpose.ACTOR, temperature=0.0):
@@ -221,6 +227,44 @@ def test_openai_bad_usage_count_fails_the_call(count):
                 backend.complete(req())
 
 
+@pytest.mark.parametrize("counts", [{"prompt_tokens": 12, "completion_tokens": 5},
+                                    {"prompt_tokens": 12}, {"completion_tokens": 5}, {}],
+                         ids=["both", "only_prompt", "only_completion", "neither"])
+def test_scripted_and_live_replies_share_one_usage_rule(counts):
+    # a reported count is kept and only a missing one estimated, whichever
+    # backend the reply came from
+    request = req("x" * 400)
+    scripted = ScriptedBackend([ScriptEntry(Purpose.ACTOR, "the reply", **counts)])
+    with mock.patch("requests.post", return_value=_http(200, _completion_body("the reply", counts))):
+        live = OpenAIBackend(api_key="k").complete(request)
+    expected = TokenUsage(counts.get("prompt_tokens", estimate_prompt_tokens(request.messages)),
+                          counts.get("completion_tokens", estimate_tokens("the reply")),
+                          estimated=len(counts) < 2)
+    assert scripted.complete(request).usage == live.usage == expected
+
+
+def estimator_uses(node, scope="<module>"):
+    """(enclosing function, name) of each use under ``node`` of a token estimator."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    if name in ("estimate_tokens", "estimate_prompt_tokens"):
+        yield scope, name
+    for child in ast.iter_child_nodes(node):
+        yield from estimator_uses(child, scope)
+
+
+def test_only_the_usage_rule_estimates_tokens():
+    # backend.reply_usage is the one place a missing count is estimated, so a
+    # new backend cannot grow a fallback of its own
+    package = Path(agentmeter.__file__).parent
+    uses = {(p.name, *use) for p in package.rglob("*.py")
+            for use in estimator_uses(ast.parse(p.read_text(encoding="utf-8")))}
+    assert uses == {("backend.py", "reply_usage", "estimate_prompt_tokens"),
+                    ("backend.py", "reply_usage", "estimate_tokens"),
+                    ("backend.py", "estimate_prompt_tokens", "estimate_tokens")}
+
+
 def _http_not_json(text):
     resp = _http(200, text=text)
     resp.json.side_effect = json.JSONDecodeError("Expecting value", text, 0)
@@ -280,6 +324,22 @@ def test_openai_gives_up_after_retries():
         with pytest.raises(BackendError, match=f"after {COMPLETION_RETRIES + 1} attempts"):
             backend.complete(req())
     assert post.call_count == COMPLETION_RETRIES + 1
+
+
+def test_openai_gives_up_naming_the_last_failure(tmp_path):
+    # a run records only the message, so it names why the last attempt failed
+    trace = TraceWriter(tmp_path / "r.trace")
+    pricing = PricingTable({"gpt-4.1": ModelPricing.per_million("1.00", "10.00")})
+    session = RunSession("r", OpenAIBackend(api_key="k"), pricing, trace=trace)
+    busy = _http(503, text="upstream overloaded, try later")
+    with mock.patch("requests.post", return_value=busy), mock.patch("agentmeter.backend.time.sleep"):
+        with pytest.raises(BackendError):
+            session.call_model(Purpose.ACTOR, "gpt-4.1", (Message("user", "hi"),))
+    trace.close()
+    message = (f"model call failed after {COMPLETION_RETRIES + 1} attempts: "
+               "HTTP 503: upstream overloaded, try later")
+    assert session.ledger.entries[-1].error == message
+    assert trace_lines(trace.path)[-1]["error"] == message
 
 
 def test_openai_client_error_fails_fast():

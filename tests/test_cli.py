@@ -693,6 +693,17 @@ OUTSIDE_INPUTS = {
                         '"file_name": {"name": "notes.txt"}}\n'},
         (), "tasks.jsonl:1: field file_name is missing or invalid: {'name': 'notes.txt'}",
     ),
+    # a name resolves beside the task file, so one that leaves its directory is refused
+    "tasks_file_name_absolute": (
+        {"tasks.jsonl": '{"task_id": "t", "Level": 1, "Question": "q", "Final answer": "a", '
+                        '"file_name": "/etc/hostname"}\n'},
+        (), "tasks.jsonl:1: field file_name is missing or invalid: '/etc/hostname'",
+    ),
+    "tasks_file_name_parent": (
+        {"tasks.jsonl": '{"task_id": "t", "Level": 1, "Question": "q", "Final answer": "a", '
+                        '"file_name": "../../../etc/hostname"}\n'},
+        (), "tasks.jsonl:1: field file_name is missing or invalid: '../../../etc/hostname'",
+    ),
     "task_line_is_a_list": (
         {"tasks.jsonl": '["t", 1]\n'}, (), "tasks.jsonl:1: a task must be a JSON object",
     ),

@@ -140,6 +140,18 @@ def test_load_tasks_reads_text_fields_from_strings_and_numbers_only(tmp_path):
                 load_tasks(p)
 
 
+def test_load_tasks_keeps_attachments_inside_the_task_directory(tmp_path):
+    # a name resolves beside the task file, so none may leave its directory
+    names = ["offline-0001.txt", "sub/notes.txt", "a..b.txt", "./notes.txt"]
+    p = write_tasks(tmp_path, [task_line(f"t{i}", file_name=n) for i, n in enumerate(names)])
+    assert [t.attachments for t in load_tasks(p)] == [(str(tmp_path / n),) for n in names]
+    for name in ("sub/../../notes.txt", "sub/.."):  # a `..` past the first part, as the rows' are not
+        p = write_tasks(tmp_path, [task_line(), task_line("t2", file_name=name)])
+        with pytest.raises(TaskFileError, match=rf"^{re.escape(str(p))}:2: field file_name is "
+                                                rf"missing or invalid: {re.escape(repr(name))}$"):
+            load_tasks(p)
+
+
 def test_load_tasks_rejects_duplicate_ids(tmp_path):
     p = write_tasks(tmp_path, [task_line("same"), task_line("same")])
     with pytest.raises(DuplicateTaskIdError, match="same"):

@@ -41,7 +41,7 @@ def sample_request(purpose=Purpose.ACTOR):
 
 
 def sample_response(text="out"):
-    return ModelResponse(text=text, usage=TokenUsage(10, 2), model_id="gpt-4.1", latency_ms=123)
+    return ModelResponse(text=text, usage=TokenUsage(10, 2), model_id="gpt-4.1")
 
 
 # one search result row, as a live search records it
@@ -122,12 +122,6 @@ def test_lines_are_compact_sorted_json(tmp_path):
     with gzip.open(path, "rt", encoding="utf-8") as f:
         first = f.readline().rstrip("\n")
     assert first == json.dumps(json.loads(first), sort_keys=True, separators=(",", ":"))
-
-
-def test_latency_is_not_recorded(tmp_path):
-    # wall-clock noise would break byte-identical replay
-    line = trace_lines(write_sample(tmp_path / "t.trace"))[1]
-    assert line["type"] == "model_call" and "latency" not in json.dumps(line)
 
 
 def test_a_trace_whose_write_fails_leaves_no_file(tmp_path, monkeypatch):
