@@ -42,14 +42,6 @@ class LedgerEntry:
         return self.input_cost_pico + self.output_cost_pico
 
 
-@dataclass(frozen=True)
-class PurposeTotals:
-    calls: int
-    prompt_tokens: int
-    completion_tokens: int
-    cost_pico: int
-
-
 def call_cost_pico(usage: TokenUsage, pricing: ModelPricing) -> tuple[int, int]:
     """Exact (input, output) cost of one call in pico-dollars."""
     return (
@@ -105,27 +97,8 @@ class RunLedger:
     def completion_tokens(self) -> int:
         return sum(e.completion_tokens for e in self._entries)
 
-    @property
-    def any_estimated(self) -> bool:
-        return any(e.estimated for e in self._entries)
-
     def entries_for(self, purpose: Purpose) -> tuple[LedgerEntry, ...]:
         return tuple(e for e in self._entries if e.purpose is purpose)
-
-    def by_purpose(self) -> dict[Purpose, PurposeTotals]:
-        """Totals grouped by call purpose; only purposes that occurred appear."""
-        out: dict[Purpose, PurposeTotals] = {}
-        for purpose in Purpose:
-            rows = self.entries_for(purpose)
-            if not rows:
-                continue
-            out[purpose] = PurposeTotals(
-                calls=len(rows),
-                prompt_tokens=sum(e.prompt_tokens for e in rows),
-                completion_tokens=sum(e.completion_tokens for e in rows),
-                cost_pico=sum(e.cost_pico for e in rows),
-            )
-        return out
 
 
 # -- aggregate metrics -------------------------------------------------------
@@ -169,11 +142,6 @@ class AggregateRow:
             raise ValueError("a row needs at least one task")
         if not 0 <= self.solved_count <= self.task_count:
             raise ValueError("solved count out of range")
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction solved, in [0, 1]."""
-        return self.solved_count / self.task_count
 
     @property
     def accuracy_pct(self) -> float:
@@ -252,16 +220,6 @@ def aggregate(outcomes: Iterable[tuple[int, bool, int, int]]) -> list[AggregateR
 class ComparisonMetrics:
     cost_reduction_pct: float
     performance_retention_pct: float
-
-
-def comparison_metrics(ours: AggregateRow, baseline: AggregateRow) -> ComparisonMetrics:
-    """How much cheaper we run and how much accuracy we keep, both in percent."""
-    return comparison_metrics_values(
-        ours_cost=ours.mean_cost_usd,
-        ours_accuracy=ours.accuracy,
-        baseline_cost=baseline.mean_cost_usd,
-        baseline_accuracy=baseline.accuracy,
-    )
 
 
 def comparison_metrics_values(

@@ -16,13 +16,7 @@ import math
 from html import escape
 from typing import Iterable, Sequence
 
-from .ledger import (
-    AggregateRow,
-    ComparisonMetrics,
-    EmptyBenchmarkError,
-    Scope,
-    comparison_metrics,
-)
+from .ledger import AggregateRow, EmptyBenchmarkError, Scope
 
 _SCOPE_LABEL = {
     Scope.ALL: "all",
@@ -229,22 +223,6 @@ def render_report(rows: Sequence[AggregateRow], fmt: str, title: str = "") -> st
     if fmt == "svg":
         return render_svg(rows, title=title or "accuracy vs mean cost")
     raise ValueError(f"unknown format {fmt!r}; choose one of {', '.join(FORMATS)}")
-
-
-def render_comparison(
-    ours: AggregateRow, baseline: AggregateRow, metrics: ComparisonMetrics | None = None
-) -> str:
-    """Two-row summary plus the cost-reduction / retention deltas."""
-    m = metrics or comparison_metrics(ours, baseline)
-    lines = [
-        render_table([baseline], title="baseline").rstrip(),
-        "",
-        render_table([ours], title="candidate").rstrip(),
-        "",
-        f"cost reduction:        {m.cost_reduction_pct:.1f}%",
-        f"performance retention: {m.performance_retention_pct:.1f}%",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def render_sweep_table(

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from agentmeter.ledger import AggregateRow, Scope, comparison_metrics
+from agentmeter.ledger import AggregateRow, Scope
 from agentmeter.report import (
     filter_scope,
     format_cost,
-    render_comparison,
     render_csv,
     render_report,
     render_svg,
@@ -141,16 +140,6 @@ def test_render_report_dispatch():
     assert render_report(SAMPLE, "svg").startswith("<svg")
     with pytest.raises(ValueError, match="table, csv, svg"):
         render_report(SAMPLE, "pdf")
-
-
-def test_render_comparison_lines():
-    baseline = row(Scope.ALL, 10, 6, 0.398)
-    ours = row(Scope.ALL, 10, 6, 0.285)
-    out = render_comparison(ours, baseline)
-    assert "baseline" in out and "candidate" in out
-    m = comparison_metrics(ours, baseline)
-    assert f"cost reduction:        {m.cost_reduction_pct:.1f}%" in out
-    assert "performance retention: 100.0%" in out
 
 
 def test_render_sweep_table():
