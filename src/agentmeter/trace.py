@@ -1,6 +1,6 @@
 """Run traces: deterministic capture of every external effect, plus replay.
 
-A trace is a gzip-compressed JSONL file holding one header line, one
+A trace is a JSONL file in a gzip container, holding one header line, one
 effect line per model call, tool call and embedding, with the fields
 ``_EFFECTS`` lists (a failed call has ``error`` in place of its outcome),
 and a final result line. Writing is fully deterministic (sorted keys,
@@ -13,11 +13,14 @@ a reference to tool call n, and has a line for a failed embedding.
 Traces are written in ``TRACE_VERSION`` alone: version 1 traces still
 read, and a replay of one re-records it in the current version.
 
-Each trace is compressed once, when it closes, at gzip level 1: the
-fastest level, which costs a few percent of file size. Traces written
-by earlier versions at level 9 hold the same records, so they replay to
-the same outcome; re-recording one gives the same records in different
-compressed bytes.
+Each trace is written once, when it closes, as one gzip member at level
+0: stored deflate blocks, not compressed, since compression was the
+largest cost of closing a trace. A trace is about four times the size it
+would be at level 1, but the gzip CRC-32 and length still refuse a cut
+or damaged trace, and ``zcat`` still reads it. The reader takes a trace
+at any gzip level: traces written by earlier versions at levels 9 and 1
+hold the same records, so they replay to the same outcome, and
+re-recording one gives the same records in level-0 bytes.
 """
 
 from __future__ import annotations
@@ -52,9 +55,11 @@ from .tools import SearchResult, ToolError
 
 TRACE_VERSION = 2
 TRACE_SUFFIX = ".trace"
-# compression is most of the cost of writing a trace; levels 6 and 9 take
-# about four times as long as level 1 for files about a tenth smaller
-GZIP_LEVEL = 1
+# stored, not compressed: level 1 took nearly half a close's time for files
+# a quarter the size; the container keeps its CRC, so damage is still refused
+GZIP_LEVEL = 0
+# one encoder for every line: json.dumps with these options builds a new one a call
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 _PLAIN_ID = re.compile(r"[a-z0-9._-]+")
 _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9._-]")
@@ -72,10 +77,6 @@ def trace_filename(task_id: str, config_hash: str) -> str:
         return name + tail
     digest = "~" + text_digest(task_id)[:16]
     return name[: FILENAME_MAX_BYTES - len(tail) - len(digest)] + digest + tail
-
-
-def _dump_line(event: dict) -> bytes:
-    return (json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def text_digest(text: str) -> str:
@@ -137,7 +138,7 @@ class TraceWriter:
         if self._closed:
             return
         self._closed = True
-        data = b"".join(map(_dump_line, self._events))
+        data = "".join([_LINE_ENCODER.encode(e) + "\n" for e in self._events]).encode()
         # written under a name that is not a trace's, then renamed onto the
         # path, so a trace file is whole or absent even if the writer dies
         part = self.path.with_name(f".{os.getpid()}-{threading.get_ident()}.part")

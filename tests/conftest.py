@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import io
 import json
 from pathlib import Path
 
@@ -120,6 +121,14 @@ def bench_pricing() -> PricingTable:
 
 def trace_lines(path) -> list[dict]:
     return [json.loads(line) for line in gzip.decompress(Path(path).read_bytes()).splitlines()]
+
+
+def gzip_at(level, data: bytes) -> bytes:
+    """``data`` gzipped through TraceWriter's container at ``level``."""
+    buf = io.BytesIO()
+    with gzip.GzipFile(filename="", mode="wb", fileobj=buf, compresslevel=level, mtime=0) as gz:
+        gz.write(data)
+    return buf.getvalue()
 
 
 def trace_bytes(events) -> bytes:

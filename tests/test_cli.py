@@ -16,7 +16,8 @@ from agentmeter.cli import main
 from agentmeter.config import SourceSet
 from agentmeter.tools import FixtureSearchProvider
 
-from conftest import BENCH, FIXTURES, bench_fetcher, trace_bytes, trace_lines, write_trace_lines
+from conftest import (BENCH, FIXTURES, bench_fetcher, gzip_at, trace_bytes, trace_lines,
+                      write_trace_lines)
 
 AGENT_SECTION = "[agent]\nbackbone_id = gpt-4.1\n"
 PRICED = "[pricing.gpt-4.1]\ninput = 1.00\noutput = 10.00\n"
@@ -660,6 +661,20 @@ def level9_with_line(lineno: int, text: str) -> dict:
 
 DEEP_MODEL_CALL = '{"type": "model_call", "response": %s}' % TOO_DEEP
 
+
+def byte_flipped(data: bytes) -> bytes:
+    """``data`` with its middle byte changed."""
+    flipped = bytearray(data)
+    flipped[len(data) // 2] ^= 1
+    return bytes(flipped)
+
+
+# the level-9 fixture trace's lines in a level-0 container, as traces are
+# written now, with one byte of its stored lines changed: only the CRC tells;
+# Python 3.10's gzip names both checksums in the error
+FLIPPED = byte_flipped(gzip_at(0, gzip.decompress(LEVEL9.read_bytes())))
+CRC_FAILED = "CRC check failed" + (" 0x464de63 != 0x60177ab" if sys.version_info < (3, 11) else "")
+
 # (files written in place of the fixture bench's, extra arguments, what the one
 # error line ends with); a results.json runs report, a file under traces/
 # replay, anything else bench. tests/installed_cli.py sends each row through
@@ -881,6 +896,10 @@ OUTSIDE_INPUTS = {
         {f"traces/{LEVEL9.name}": LEVEL9.read_bytes()[:300]},
         (), "not a complete gzip trace "
             "(Compressed file ended before the end-of-stream marker was reached)",
+    ),
+    "trace_level_0_byte_flipped": (
+        {f"traces/{LEVEL9.name}": FLIPPED}, (),
+        f"not a complete gzip trace ({CRC_FAILED})",
     ),
     "trace_version_true": (
         level9_with("header", "version", True), (), "trace version: True is not a valid int",
@@ -1155,6 +1174,20 @@ def level9_replays(agentmeter, root):
     succeeds(agentmeter, "replay", LEVEL9.parent, "--format", "csv")
 
 
+def level_1_traces_re_record(agentmeter, root):
+    # traces in the level-1 containers earlier versions wrote replay, and
+    # re-record to the level-0 bytes a bench writes now
+    fixture_bench(agentmeter, root / "t")
+    (root / "level1").mkdir()
+    for trace in (root / "t").iterdir():
+        level_1 = gzip_at(1, gzip.decompress(trace.read_bytes()))
+        assert level_1 != trace.read_bytes()
+        (root / "level1" / trace.name).write_bytes(level_1)
+    succeeds(agentmeter, "replay", root / "level1", "--trace-dir", root / "again",
+             "--format", "csv")
+    assert_same_traces(root / "t", root / "again")
+
+
 def embed_re_records(agentmeter, root):
     # v1 traces holding embeddings an earlier version drew re-record as v2 with
     # the same lines, and the v2 re-recordings re-record to their own bytes
@@ -1192,7 +1225,7 @@ def purpose_in_upper_case(agentmeter, root):
 
 ROUND_TRIPS = {row.__name__: row for row in (
     bench_replay_report, two_workers, run_one_task, task_ids_apart, level9_replays,
-    embed_re_records, purpose_in_upper_case,
+    level_1_traces_re_record, embed_re_records, purpose_in_upper_case,
 )}
 
 

@@ -558,8 +558,8 @@ def test_level_9_trace_of_an_earlier_version_replays(tmp_path):
     old, new = trace_lines(LEVEL_9_TRACE), trace_lines(copy)
     assert (old[0].pop("version"), new[0].pop("version")) == (1, 2)
     assert new == old
-    # gzip XFL byte: level 9, then level 1
-    assert (LEVEL_9_TRACE.read_bytes()[8], copy.read_bytes()[8]) == (2, 4)
+    # gzip XFL byte: level 9, then level 0
+    assert (LEVEL_9_TRACE.read_bytes()[8], copy.read_bytes()[8]) == (2, 0)
 
 
 def test_replay_refuses_a_recording_without_result_line(tmp_path):

@@ -1,5 +1,4 @@
 import gzip
-import io
 import json
 import re
 
@@ -28,7 +27,7 @@ from agentmeter.trace import (
     trace_filename,
 )
 
-from conftest import trace_lines, write_trace_lines
+from conftest import gzip_at, trace_lines, write_trace_lines
 
 
 def sample_request(purpose=Purpose.ACTOR):
@@ -199,19 +198,11 @@ def test_v2_records_a_repeated_page_as_a_reference_to_its_first_copy(tmp_path):
     assert read_trace(w.path).events == read_trace(tmp_path / "v1.trace").events
 
 
-def gzip_at(level, data):
-    """``data`` gzipped through TraceWriter's container at ``level``."""
-    buf = io.BytesIO()
-    with gzip.GzipFile(filename="", mode="wb", fileobj=buf, compresslevel=level, mtime=0) as gz:
-        gz.write(data)
-    return buf.getvalue()
-
-
-def test_trace_is_compressed_at_level_1(tmp_path):
+def test_trace_is_stored_at_level_0(tmp_path):
     raw = write_sample(tmp_path / "t.trace").read_bytes()
-    assert raw[8] == 4  # gzip XFL byte: 4 = fastest, 2 = best (level 9)
-    assert raw == gzip_at(1, gzip.decompress(raw))
-    assert raw != gzip_at(9, gzip.decompress(raw))
+    assert raw[8] == 0  # gzip XFL byte: 0 = stored or default, 4 = fastest, 2 = best
+    assert raw == gzip_at(0, gzip.decompress(raw))
+    assert raw != gzip_at(1, gzip.decompress(raw))
 
 
 def test_read_rejects_truncated_trace(tmp_path):
