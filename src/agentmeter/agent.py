@@ -13,12 +13,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 from .actions import Action, ActionName, UnparsableActionError, parse_action
 from .backend import Message, Purpose, TokenUsage
 from .config import AgentConfig, InputError
 from .ledger import RunLedger
-from .memory import RunMemory, full_block
+from .memory import RunMemory
 from .session import RunSession, RunTimeoutError
 from .tools import ToolBox
 from . import prompts, tts
@@ -105,20 +106,20 @@ def should_replan(step_index: int, plan_interval: int) -> bool:
 
 
 def _history_text(state: AgentState) -> str:
-    blocks = state.memory.context_blocks(state.steps, state.retrieval_query())
-    return "\n\n".join(blocks)
+    memory = state.memory
+    query = state.retrieval_query() if memory.layout.summaries else ""
+    return "\n\n".join(memory.context_blocks(state.steps, query))
 
 
 def _planner_context(state: AgentState) -> str:
-    parts = []
+    # one join over the pieces, so the long history is copied once
+    pieces = []
     if state.current_plan is not None:
-        parts.append(f"Previous plan:\n{state.current_plan.text}")
+        pieces += ("\nPrevious plan:\n", state.current_plan.text, "\n")
     history = _history_text(state)
     if history:
-        parts.append(f"Progress so far:\n{history}")
-    if not parts:
-        return ""
-    return "\n" + "\n\n".join(parts) + "\n"
+        pieces += ("\nProgress so far:\n", history, "\n")
+    return "".join(pieces)
 
 
 def generate_plan(state: AgentState, step_index: int) -> Plan | None:
@@ -145,27 +146,33 @@ def generate_plan(state: AgentState, step_index: int) -> Plan | None:
     return None
 
 
+@cache
+def _system_message() -> Message:
+    # the system prompt has no placeholders, so one rendering serves the process
+    return Message("system", prompts.render(prompts.SYSTEM))
+
+
 def _actor_messages(state: AgentState) -> tuple[Message, ...]:
-    system = prompts.render(prompts.SYSTEM)
-    parts = [f"Task:\n{state.question}"]
+    # one join over the pieces, so the long history is copied once
+    pieces = ["Task:\n", state.question]
     if state.toolbox.attachments:
         names = ", ".join(sorted(state.toolbox.attachments))
-        parts.append(f"Attached files (use read_attachment): {names}")
+        pieces += ("\n\nAttached files (use read_attachment): ", names)
     if state.current_plan is not None:
-        parts.append(f"Current plan:\n{state.current_plan.text}")
+        pieces += ("\n\nCurrent plan:\n", state.current_plan.text)
     history = _history_text(state)
     if history:
-        parts.append(f"History:\n{history}")
-    parts.append("Decide your next action.")
-    return (Message("system", system), Message("user", "\n\n".join(parts)))
+        pieces += ("\n\nHistory:\n", history)
+    pieces.append("\n\nDecide your next action.")
+    return (_system_message(), Message("user", "".join(pieces)))
 
 
 def _judge_history(state: AgentState) -> str:
     parts = [f"TaskStep: {state.question}"]
     if state.current_plan is not None:
         parts.append(f"PlanningStep:\n{state.current_plan.text}")
-    for step in state.steps:
-        parts.append(full_block(step))
+    if state.steps:
+        parts.append(state.memory.full_history(state.steps))
     return "\n\n".join(parts)
 
 

@@ -11,13 +11,20 @@ The memory mode decides what the actor sees of its own past each step:
 
 Summaries are embedded and ranked by the dot product of unit vectors, with a
 deterministic tiebreak, so rendering is reproducible for a fixed store.
+
+A run renders each step's block once. ``RunMemory`` keeps the blocks it has
+rendered and their join by blank lines, and serves a step list from them only
+when that list starts with the very steps it rendered, checked by identity
+(``Step`` is frozen, and a run's steps only grow); any other list is rendered
+afresh. That joined text is the history every prompt of a step shows: planner,
+actor, judge and forced answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import is_, mul
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .backend import Message, Purpose
@@ -137,6 +144,36 @@ _LAYOUT = {
 }
 
 
+class _RenderedSteps:
+    """A run's steps as rendered by one block function, each step once.
+
+    ``text`` joins the blocks of ``steps`` by blank lines.
+    """
+
+    def __init__(self, render: Callable[["Step"], str]):
+        self.render = render
+        self.steps: list["Step"] = []
+        self.text = ""
+
+    def join(self, steps: Sequence["Step"]) -> str:
+        """The blocks of ``steps``, joined by blank lines."""
+        done = self.steps
+        if len(done) > len(steps) or not all(map(is_, done, steps)):
+            # not the run's steps as rendered so far: start over from this list
+            done.clear()
+            self.text = ""
+        if len(steps) > len(done):
+            self._add(steps[len(done):])
+        return self.text
+
+    def _add(self, new: Sequence["Step"]) -> None:
+        blocks = [self.render(step) for step in new]
+        if self.steps:
+            blocks.insert(0, self.text)
+        self.steps.extend(new)
+        self.text = "\n\n".join(blocks)
+
+
 # -- model-backed maintenance ------------------------------------------------
 
 
@@ -175,7 +212,13 @@ class RunMemory:
     ``observe_step`` runs the mode's bookkeeping after each step (summary
     plus embedding, note rewrite, both, or nothing). ``context_blocks``
     renders what the actor should see, embedding the retrieval query only
-    when summaries are in play.
+    when summaries are in play; ``full_history`` is the judge's view of the
+    steps.
+
+    Each step is rendered once per run: a step list is served from the
+    blocks already joined when it starts with the very steps they came from
+    (checked by identity), and any other list is rendered afresh. The joined
+    text is the history that every prompt of a step shows.
     """
 
     def __init__(
@@ -192,6 +235,12 @@ class RunMemory:
         self.retrieval_k = retrieval_k
         self.store = VectorStore()
         self.note = LongTermNote("", note_max_chars)
+        self._full = _RenderedSteps(full_block)
+        # the steps as the actor sees them: the full blocks, other blocks, or none
+        shown = self.layout.step_block
+        self._shown = (
+            self._full if shown is full_block else _RenderedSteps(shown) if shown else None
+        )
 
     def observe_step(self, step: "Step") -> None:
         if self.layout.summaries:
@@ -203,10 +252,16 @@ class RunMemory:
         if self.layout.note:
             self.note = update_long_term_note(self.note, step, self.session, self.model_id)
 
+    def full_history(self, steps: Sequence["Step"]) -> str:
+        """The full blocks of ``steps``, joined by blank lines."""
+        return self._full.join(steps)
+
     def context_blocks(self, steps: Sequence["Step"], query_text: str) -> list[str]:
-        """The history portion of the actor context for the memory mode."""
+        """The history portion of the actor context for the memory mode,
+        as blocks to join by blank lines: the steps' blocks first, as one."""
         layout = self.layout
-        blocks = [layout.step_block(s) for s in steps] if layout.step_block else []
+        history = self._shown.join(steps) if self._shown else ""
+        blocks = [history] if history else []
         if layout.summaries and len(self.store):
             query_embedding = self.session.embed(query_text)
             blocks.extend(

@@ -9,12 +9,17 @@ from agentmeter.agent import (
     AgentState,
     Plan,
     PlanEmptyError,
+    Step,
     TerminatedBy,
+    _history_text,
+    _judge_history,
     run_task,
     should_replan,
 )
-from agentmeter.backend import Purpose, ScriptEntry, ScriptedBackend
+from agentmeter.actions import Action, ActionName
+from agentmeter.backend import Purpose, ScriptEntry, ScriptedBackend, TokenUsage
 from agentmeter.config import MemoryMode, PrmMode, default_config
+from agentmeter.memory import RunMemory, full_block
 
 from conftest import actor_entry, make_session, make_toolbox, planner_entry
 
@@ -186,6 +191,25 @@ def test_retrieval_query_prefers_plan_and_last_observation(pricing):
     assert state.retrieval_query() == QUESTION  # nothing else yet
     state.plans.append(Plan(text="1. look it up", created_at_step=0))
     assert state.retrieval_query() == "1. look it up"
+
+
+@pytest.mark.parametrize("mode", list(MemoryMode), ids=lambda m: m.value)
+def test_step_histories_equal_the_join_from_scratch_at_every_step(mode, pricing):
+    session = make_session(ScriptedBackend([]), pricing)
+    memory = RunMemory(mode, session, "gpt-4.1", retrieval_k=2, note_max_chars=100)
+    state = AgentState(question=QUESTION, config=cfg(memory_mode=mode), session=session,
+                       toolbox=make_toolbox(session), memory=memory)
+    render = memory.layout.step_block
+    for i in range(5):
+        shown = [render(s) for s in state.steps] if render else []
+        assert _history_text(state) == "\n\n".join(shown)
+        judged = [f"TaskStep: {QUESTION}"]
+        judged += [f"PlanningStep:\n{state.current_plan.text}"] if state.plans else []
+        assert _judge_history(state) == "\n\n".join(judged + [full_block(s) for s in state.steps])
+        state.plans.append(Plan(text=f"{i}. look it up", created_at_step=i))
+        state.steps.append(Step(index=i, model_output=f"thought {i}",
+                                action=Action(ActionName.SEARCH, {"query": f"q{i}"}),
+                                observation=f"obs {i}", usage=TokenUsage(1, 1)))
 
 
 def test_plan_validation():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import time
@@ -754,36 +755,85 @@ def grid_backend(n):
 
 
 GRID_BON = [(1, PrmMode.SCORE), (3, PrmMode.SCORE), (3, PrmMode.LIST)]
+GRID_TASK = Task(task_id="bridge", level=1, question="When did the bridge open?",
+                 expected_answer="1931")
+
+
+def grid_run(config, backend, trace_dir=None):
+    """The grid's task, run live under ``config`` against ``backend``."""
+    rows = [("Bridge history", GRID_URL, "When the bridge opened")]
+    return execute_run(
+        GRID_TASK, config, backend, bench_pricing(),
+        providers=[FixtureSearchProvider("fixture", {"bridge opening year": rows})],
+        fetcher=FixtureFetcher({GRID_URL: GRID_PAGE}), trace_dir=trace_dir,
+    )
+
+
+def grid_config(**fields):
+    return dataclasses.replace(default_config(), query_expansion_count=2, **fields)
 
 
 @pytest.mark.parametrize("bon_n,prm_mode", GRID_BON, ids=lambda v: getattr(v, "value", v))
 @pytest.mark.parametrize("page_strategy", list(PageStrategy), ids=lambda m: m.value)
 @pytest.mark.parametrize("memory_mode", list(MemoryMode), ids=lambda m: m.value)
 def test_every_config_replays_exactly(tmp_path, memory_mode, page_strategy, bon_n, prm_mode):
-    config = dataclasses.replace(
-        default_config(), memory_mode=memory_mode, page_strategy=page_strategy,
-        bon_n=bon_n, prm_mode=prm_mode, query_expansion_count=2,
-    )
-    task = Task(task_id="bridge", level=1, question="When did the bridge open?",
-                expected_answer="1931")
-    rows = [("Bridge history", GRID_URL, "When the bridge opened")]
-    live, record = execute_run(
-        task, config, grid_backend(bon_n), bench_pricing(),
-        providers=[FixtureSearchProvider("fixture", {"bridge opening year": rows})],
-        fetcher=FixtureFetcher({GRID_URL: GRID_PAGE}), trace_dir=tmp_path / "live",
-    )
+    config = grid_config(memory_mode=memory_mode, page_strategy=page_strategy,
+                         bon_n=bon_n, prm_mode=prm_mode)
+    live, record = grid_run(config, grid_backend(bon_n), trace_dir=tmp_path / "live")
     assert live.solved and len(record.steps) == len(GRID_ACTIONS)
     scrolled = f"[{GRID_URL} | viewport 2/3]"
     if page_strategy is not PageStrategy.BROWSER_COMPLEX:
         scrolled = "page_down is only available"
     assert record.steps[2].observation.startswith(scrolled)
 
-    original = tmp_path / "live" / trace_filename(task.task_id, config_hash(config))
+    original = tmp_path / "live" / trace_filename(GRID_TASK.task_id, config_hash(config))
     replayed, _ = replay_run(original, trace_dir=tmp_path / "replay")
     assert (tmp_path / "replay" / original.name).read_bytes() == original.read_bytes()
     assert replayed == live
     ledger_sum = sum(entry.cost_pico for entry in record.ledger.entries)
     assert ledger_sum == live.cost_pico == read_trace(original).result["cost_pico"]
+
+
+def grid_runs(max_steps):
+    """The grid's run, once per config, with a step budget of ``max_steps``."""
+    for memory_mode in MemoryMode:
+        for page_strategy in PageStrategy:
+            for bon_n, prm_mode in GRID_BON:
+                config = grid_config(memory_mode=memory_mode, page_strategy=page_strategy,
+                                     bon_n=bon_n, prm_mode=prm_mode, max_steps=max_steps)
+                backend = grid_backend(bon_n)
+                outcome, _ = grid_run(config, backend)
+                yield outcome, backend.calls
+
+
+def framed(*fields):
+    """Each field's UTF-8 bytes behind their length, so no two field lists frame alike."""
+    out = bytearray()
+    for text in fields:
+        data = text.encode("utf-8")
+        out += len(data).to_bytes(8, "big") + data
+    return bytes(out)
+
+
+# the sha256 of every request the grid makes; it moves when any prompt changes by a byte
+GRID_PROMPTS_SHA256 = "813e447ce555d05cccc6cfdc54641bea05f4ff08bb884fb497126d1bdba27ea4"
+
+
+def test_every_prompt_of_the_grid_is_pinned():
+    digest = hashlib.sha256()
+    requests = 0
+    # a budget of 12 ends each run with final_answer, one of 3 with forced_answer
+    for max_steps, terminated_by in ((12, TerminatedBy.FINAL_ANSWER), (3, TerminatedBy.STEP_BUDGET)):
+        for outcome, calls in grid_runs(max_steps):
+            assert outcome.solved and outcome.terminated_by == terminated_by
+            for request in calls:
+                requests += 1
+                digest.update(framed(
+                    request.purpose.value, request.model_id, repr(request.temperature),
+                    str(len(request.messages)),
+                    *(text for m in request.messages for text in (m.role, m.content)),
+                ))
+    assert (requests, digest.hexdigest()) == (2196, GRID_PROMPTS_SHA256)
 
 
 # runs that fail part-way: each must replay to the live outcome and ledger

@@ -13,8 +13,10 @@ from agentmeter.memory import (
     SummaryEntry,
     VectorStore,
     full_block,
+    note_block,
     retrieve_top_k,
     simple_block,
+    summary_block,
     summarize_step,
     update_long_term_note,
 )
@@ -124,13 +126,50 @@ def rendering_memory(mode, pricing, query=(1, 0)):
     return run_memory(mode, session, k=1)
 
 
+def history(mem, steps):
+    return "\n\n".join(mem.context_blocks(steps, "q"))
+
+
 def test_context_blocks_simple_vs_no_extra(pricing):
     steps = [step(0), step(1)]
-    simple = rendering_memory(MemoryMode.SIMPLE, pricing).context_blocks(steps, "q")
-    full = rendering_memory(MemoryMode.NO_EXTRA, pricing).context_blocks(steps, "q")
-    assert len(simple) == len(full) == 2
-    assert all("Model output" not in b for b in simple)
-    assert all("Model output" in b for b in full)
+    simple = history(rendering_memory(MemoryMode.SIMPLE, pricing), steps)
+    full = history(rendering_memory(MemoryMode.NO_EXTRA, pricing), steps)
+    assert simple == "\n\n".join(map(simple_block, steps))
+    assert full == "\n\n".join(map(full_block, steps))
+    assert "Model output" not in simple and full.count("Model output") == 2
+
+
+def distinct_steps(count, tag=""):
+    return [step(i, model_output=f"thought {tag}{i}", observation=f"obs {tag}{i}")
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("mode", list(MemoryMode), ids=lambda m: m.value)
+def test_history_built_step_by_step_equals_the_join_from_scratch(mode, pricing):
+    mem = rendering_memory(mode, pricing)
+    mem.store.add(entry(0, [1, 0], text="past step"))
+    mem.note = LongTermNote("remember the date", max_chars=100)
+    extra = [summary_block(mem.store.entries[0])] if mem.layout.summaries else []
+    extra += [note_block(mem.note)] if mem.layout.note else []
+    render = mem.layout.step_block
+    steps = distinct_steps(6)
+    for n in range(len(steps) + 1):
+        prefix = steps[:n]  # a run's list grows in place; a fresh slice must serve alike
+        shown = [render(s) for s in prefix] if render else []
+        assert history(mem, prefix) == "\n\n".join(shown + extra)
+        assert mem.full_history(prefix) == "\n\n".join(map(full_block, prefix))
+
+
+@pytest.mark.parametrize("mode", [MemoryMode.SIMPLE, MemoryMode.NO_EXTRA])
+def test_a_list_the_memory_did_not_render_is_rendered_afresh(mode, pricing):
+    mem = rendering_memory(mode, pricing)
+    render = mem.layout.step_block
+    steps = distinct_steps(4)
+    other = distinct_steps(4, tag="other ")
+    assert history(mem, steps) == "\n\n".join(map(render, steps))
+    for asked in (steps[:2], other, other[:3], [*steps[:2], other[2]], steps, []):
+        assert history(mem, asked) == "\n\n".join(map(render, asked))
+        assert mem.full_history(asked) == "\n\n".join(map(full_block, asked))
 
 
 def test_summarized_mode_replaces_history(pricing):
