@@ -108,7 +108,7 @@ def should_replan(step_index: int, plan_interval: int) -> bool:
 def _history_text(state: AgentState) -> str:
     memory = state.memory
     query = state.retrieval_query() if memory.layout.summaries else ""
-    return "\n\n".join(memory.context_blocks(state.steps, query))
+    return "\n\n".join(memory.context_blocks(query))
 
 
 def _planner_context(state: AgentState) -> str:
@@ -172,7 +172,7 @@ def _judge_history(state: AgentState) -> str:
     if state.current_plan is not None:
         parts.append(f"PlanningStep:\n{state.current_plan.text}")
     if state.steps:
-        parts.append(state.memory.full_history(state.steps))
+        parts.append(state.memory.full_history())
     return "\n\n".join(parts)
 
 
@@ -248,13 +248,7 @@ def run_task(
         config=config,
         session=session,
         toolbox=toolbox,
-        memory=RunMemory(
-            config.memory_mode,
-            session,
-            config.backbone_id,
-            config.retrieval_k,
-            config.note_max_chars,
-        ),
+        memory=RunMemory(config, session),
     )
     final_answer = ""
     terminated_by = TerminatedBy.STEP_BUDGET

@@ -12,23 +12,22 @@ The memory mode decides what the actor sees of its own past each step:
 Summaries are embedded and ranked by the dot product of unit vectors, with a
 deterministic tiebreak, so rendering is reproducible for a fixed store.
 
-A run renders each step's block once. ``RunMemory`` keeps the blocks it has
-rendered and their join by blank lines, and serves a step list from them only
-when that list starts with the very steps it rendered, checked by identity
-(``Step`` is frozen, and a run's steps only grow); any other list is rendered
-afresh. That joined text is the history every prompt of a step shows: planner,
-actor, judge and forced answer.
+A run renders each step once, when ``RunMemory.observe_step`` is given it, and
+only with the block functions whose history the run reads: the blocks the
+layout shows, and the full blocks when best-of-N judges. Each history is the
+blocks of the observed steps joined by blank lines, and it is the text every
+prompt of a step shows: planner, actor, judge and forced answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import is_, mul
+from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .backend import Message, Purpose
-from .config import MemoryMode
+from .config import AgentConfig, MemoryMode
 from . import prompts
 
 if TYPE_CHECKING:
@@ -144,36 +143,6 @@ _LAYOUT = {
 }
 
 
-class _RenderedSteps:
-    """A run's steps as rendered by one block function, each step once.
-
-    ``text`` joins the blocks of ``steps`` by blank lines.
-    """
-
-    def __init__(self, render: Callable[["Step"], str]):
-        self.render = render
-        self.steps: list["Step"] = []
-        self.text = ""
-
-    def join(self, steps: Sequence["Step"]) -> str:
-        """The blocks of ``steps``, joined by blank lines."""
-        done = self.steps
-        if len(done) > len(steps) or not all(map(is_, done, steps)):
-            # not the run's steps as rendered so far: start over from this list
-            done.clear()
-            self.text = ""
-        if len(steps) > len(done):
-            self._add(steps[len(done):])
-        return self.text
-
-    def _add(self, new: Sequence["Step"]) -> None:
-        blocks = [self.render(step) for step in new]
-        if self.steps:
-            blocks.insert(0, self.text)
-        self.steps.extend(new)
-        self.text = "\n\n".join(blocks)
-
-
 # -- model-backed maintenance ------------------------------------------------
 
 
@@ -209,40 +178,37 @@ def update_long_term_note(
 class RunMemory:
     """Per-run memory state driven by the agent loop.
 
-    ``observe_step`` runs the mode's bookkeeping after each step (summary
-    plus embedding, note rewrite, both, or nothing). ``context_blocks``
-    renders what the actor should see, embedding the retrieval query only
-    when summaries are in play; ``full_history`` is the judge's view of the
-    steps.
+    ``observe_step`` renders the step into each history the run reads, then
+    runs the mode's bookkeeping (summary plus embedding, note rewrite, both,
+    or nothing). ``context_blocks`` gives what the actor should see,
+    embedding the retrieval query only when summaries are in play;
+    ``full_history`` is the best-of-N judge's view of the steps.
 
-    Each step is rendered once per run: a step list is served from the
-    blocks already joined when it starts with the very steps they came from
-    (checked by identity), and any other list is rendered afresh. The joined
-    text is the history that every prompt of a step shows.
+    Each step is rendered once, when observed, and only by the block
+    functions whose history the run reads: the layout's step blocks, and the
+    full blocks when ``bon_n > 1``. A layout that shows full blocks keeps one
+    text for the actor and the judge.
     """
 
-    def __init__(
-        self,
-        mode: MemoryMode,
-        session: "RunSession",
-        model_id: str,
-        retrieval_k: int,
-        note_max_chars: int,
-    ):
-        self.layout = _LAYOUT[mode]
+    def __init__(self, config: AgentConfig, session: "RunSession"):
+        self.layout = _LAYOUT[config.memory_mode]
         self.session = session
-        self.model_id = model_id
-        self.retrieval_k = retrieval_k
+        self.model_id = config.backbone_id
+        self.retrieval_k = config.retrieval_k
         self.store = VectorStore()
-        self.note = LongTermNote("", note_max_chars)
-        self._full = _RenderedSteps(full_block)
-        # the steps as the actor sees them: the full blocks, other blocks, or none
-        shown = self.layout.step_block
-        self._shown = (
-            self._full if shown is full_block else _RenderedSteps(shown) if shown else None
-        )
+        self.note = LongTermNote("", config.note_max_chars)
+        judged = full_block if config.bon_n > 1 else None
+        # block function -> its blocks of the observed steps, joined by blank lines
+        self._histories = dict.fromkeys(filter(None, (self.layout.step_block, judged)), "")
 
     def observe_step(self, step: "Step") -> None:
+        # rebuilt in one comprehension, so each previous history is freed
+        # before the model calls below; a loop variable would keep the last
+        # one alive through those calls
+        self._histories = {
+            render: "\n\n".join((text, render(step))) if text else render(step)
+            for render, text in self._histories.items()
+        }
         if self.layout.summaries:
             summary = summarize_step(step, self.session, self.model_id)
             embedding = self.session.embed(summary)
@@ -252,15 +218,16 @@ class RunMemory:
         if self.layout.note:
             self.note = update_long_term_note(self.note, step, self.session, self.model_id)
 
-    def full_history(self, steps: Sequence["Step"]) -> str:
-        """The full blocks of ``steps``, joined by blank lines."""
-        return self._full.join(steps)
+    def full_history(self) -> str:
+        """The full blocks of the observed steps, joined by blank lines; kept
+        when the layout shows them or ``bon_n > 1``."""
+        return self._histories[full_block]
 
-    def context_blocks(self, steps: Sequence["Step"], query_text: str) -> list[str]:
+    def context_blocks(self, query_text: str) -> list[str]:
         """The history portion of the actor context for the memory mode,
         as blocks to join by blank lines: the steps' blocks first, as one."""
         layout = self.layout
-        history = self._shown.join(steps) if self._shown else ""
+        history = self._histories.get(layout.step_block, "")
         blocks = [history] if history else []
         if layout.summaries and len(self.store):
             query_embedding = self.session.embed(query_text)

@@ -19,7 +19,7 @@ from agentmeter.agent import (
 from agentmeter.actions import Action, ActionName
 from agentmeter.backend import Purpose, ScriptEntry, ScriptedBackend, TokenUsage
 from agentmeter.config import MemoryMode, PrmMode, default_config
-from agentmeter.memory import RunMemory, full_block
+from agentmeter.memory import RunMemory, full_block, note_block, summary_block
 
 from conftest import actor_entry, make_session, make_toolbox, planner_entry
 
@@ -195,21 +195,31 @@ def test_retrieval_query_prefers_plan_and_last_observation(pricing):
 
 @pytest.mark.parametrize("mode", list(MemoryMode), ids=lambda m: m.value)
 def test_step_histories_equal_the_join_from_scratch_at_every_step(mode, pricing):
-    session = make_session(ScriptedBackend([]), pricing)
-    memory = RunMemory(mode, session, "gpt-4.1", retrieval_k=2, note_max_chars=100)
-    state = AgentState(question=QUESTION, config=cfg(memory_mode=mode), session=session,
-                       toolbox=make_toolbox(session), memory=memory)
-    render = memory.layout.step_block
-    for i in range(5):
-        shown = [render(s) for s in state.steps] if render else []
-        assert _history_text(state) == "\n\n".join(shown)
-        judged = [f"TaskStep: {QUESTION}"]
-        judged += [f"PlanningStep:\n{state.current_plan.text}"] if state.plans else []
-        assert _judge_history(state) == "\n\n".join(judged + [full_block(s) for s in state.steps])
-        state.plans.append(Plan(text=f"{i}. look it up", created_at_step=i))
-        state.steps.append(Step(index=i, model_output=f"thought {i}",
-                                action=Action(ActionName.SEARCH, {"query": f"q{i}"}),
-                                observation=f"obs {i}", usage=TokenUsage(1, 1)))
+    for bon_n in (1, 3):
+        config = cfg(memory_mode=mode, bon_n=bon_n, retrieval_k=1)
+        session = make_session(ScriptedBackend([ScriptEntry(
+            Purpose.MEMORY, "kept in mind", times=0, prompt_tokens=50, completion_tokens=10)]), pricing)
+        session.embed = lambda text: (1.0, 0.0)  # every summary ties: the earliest is retrieved
+        memory = RunMemory(config, session)
+        state = AgentState(question=QUESTION, config=config, session=session,
+                           toolbox=make_toolbox(session), memory=memory)
+        render = memory.layout.step_block
+        for i in range(5):
+            shown = [render(s) for s in state.steps] if render else []
+            shown += [summary_block(e) for e in memory.store.entries[:1]]
+            shown += [note_block(memory.note)] if memory.note.text else []
+            assert _history_text(state) == "\n\n".join(shown)
+            if bon_n > 1:
+                judged = [f"TaskStep: {QUESTION}"]
+                judged += [f"PlanningStep:\n{state.current_plan.text}"] if state.plans else []
+                judged += [full_block(s) for s in state.steps]
+                assert _judge_history(state) == "\n\n".join(judged)
+            state.plans.append(Plan(text=f"{i}. look it up", created_at_step=i))
+            step = Step(index=i, model_output=f"thought {i}",
+                        action=Action(ActionName.SEARCH, {"query": f"q{i}"}),
+                        observation=f"obs {i}", usage=TokenUsage(1, 1))
+            state.steps.append(step)
+            memory.observe_step(step)
 
 
 def test_plan_validation():

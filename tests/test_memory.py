@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from agentmeter.actions import Action, ActionName
 from agentmeter.agent import Step
 from agentmeter.backend import Purpose, ScriptEntry, ScriptedBackend, TokenUsage
-from agentmeter.config import MemoryMode
+from agentmeter.config import MemoryMode, default_config
 from agentmeter.memory import (
     LongTermNote,
     RunMemory,
@@ -119,78 +121,111 @@ def test_simple_block_hides_model_output():
     assert "REASONING_SENTINEL" in full_block(s)
 
 
-def rendering_memory(mode, pricing, query=(1, 0)):
-    """A RunMemory that makes no model call and whose retrieval query embeds to ``query``."""
-    session = make_session(ScriptedBackend([]), pricing)
-    session.embed = lambda text: unit(query)
-    return run_memory(mode, session, k=1)
+def rendering_memory(mode, pricing, bon_n=1, answer="text"):
+    """A RunMemory whose memory calls answer ``answer`` and whose embeddings are all
+    one vector, so every summary ties and k=1 retrieves the earliest."""
+    session = make_session(memory_backend(answer), pricing)
+    session.embed = lambda text: unit([1, 0])
+    return run_memory(mode, session, k=1, bon_n=bon_n)
 
 
-def history(mem, steps):
-    return "\n\n".join(mem.context_blocks(steps, "q"))
+def observed(mem, steps):
+    for s in steps:
+        mem.observe_step(s)
+    return mem
+
+
+def history(mem):
+    return "\n\n".join(mem.context_blocks("q"))
 
 
 def test_context_blocks_simple_vs_no_extra(pricing):
     steps = [step(0), step(1)]
-    simple = history(rendering_memory(MemoryMode.SIMPLE, pricing), steps)
-    full = history(rendering_memory(MemoryMode.NO_EXTRA, pricing), steps)
+    simple = history(observed(rendering_memory(MemoryMode.SIMPLE, pricing), steps))
+    full = history(observed(rendering_memory(MemoryMode.NO_EXTRA, pricing), steps))
     assert simple == "\n\n".join(map(simple_block, steps))
     assert full == "\n\n".join(map(full_block, steps))
     assert "Model output" not in simple and full.count("Model output") == 2
 
 
-def distinct_steps(count, tag=""):
-    return [step(i, model_output=f"thought {tag}{i}", observation=f"obs {tag}{i}")
-            for i in range(count)]
+def distinct_steps(count):
+    return [step(i, model_output=f"thought {i}", observation=f"obs {i}") for i in range(count)]
 
 
 @pytest.mark.parametrize("mode", list(MemoryMode), ids=lambda m: m.value)
 def test_history_built_step_by_step_equals_the_join_from_scratch(mode, pricing):
-    mem = rendering_memory(mode, pricing)
-    mem.store.add(entry(0, [1, 0], text="past step"))
-    mem.note = LongTermNote("remember the date", max_chars=100)
-    extra = [summary_block(mem.store.entries[0])] if mem.layout.summaries else []
-    extra += [note_block(mem.note)] if mem.layout.note else []
-    render = mem.layout.step_block
-    steps = distinct_steps(6)
-    for n in range(len(steps) + 1):
-        prefix = steps[:n]  # a run's list grows in place; a fresh slice must serve alike
-        shown = [render(s) for s in prefix] if render else []
-        assert history(mem, prefix) == "\n\n".join(shown + extra)
-        assert mem.full_history(prefix) == "\n\n".join(map(full_block, prefix))
+    for bon_n in (1, 3):
+        mem = rendering_memory(mode, pricing, bon_n=bon_n)
+        render = mem.layout.step_block
+        steps = distinct_steps(6)
+        for n in range(len(steps) + 1):
+            seen = steps[:n]
+            shown = [render(s) for s in seen] if render else []
+            shown += [summary_block(e) for e in mem.store.entries[:1]]
+            shown += [note_block(mem.note)] if mem.note.text else []
+            assert history(mem) == "\n\n".join(shown)
+            if bon_n > 1:
+                assert mem.full_history() == "\n\n".join(map(full_block, seen))
+            if n < len(steps):
+                mem.observe_step(steps[n])
 
 
-@pytest.mark.parametrize("mode", [MemoryMode.SIMPLE, MemoryMode.NO_EXTRA])
-def test_a_list_the_memory_did_not_render_is_rendered_afresh(mode, pricing):
-    mem = rendering_memory(mode, pricing)
-    render = mem.layout.step_block
-    steps = distinct_steps(4)
-    other = distinct_steps(4, tag="other ")
-    assert history(mem, steps) == "\n\n".join(map(render, steps))
-    for asked in (steps[:2], other, other[:3], [*steps[:2], other[2]], steps, []):
-        assert history(mem, asked) == "\n\n".join(map(render, asked))
-        assert mem.full_history(asked) == "\n\n".join(map(full_block, asked))
+class ModelOutputReads:
+    """A step that counts how often its model output is read: once per full block."""
+
+    def __init__(self, step):
+        self._step = step
+        self.reads = 0
+
+    def __getattr__(self, name):
+        return getattr(self._step, name)
+
+    @property
+    def model_output(self):
+        self.reads += 1
+        return self._step.model_output
+
+
+@pytest.mark.parametrize(
+    "mode, reads_by_bon_n",
+    [
+        (MemoryMode.SIMPLE, {1: 0, 3: 1}),
+        (MemoryMode.SUMMARIZED, {1: 1, 3: 2}),  # the summarizer's prompt is one full block
+        (MemoryMode.NO_EXTRA, {1: 1, 3: 1}),  # the actor and the judge share one text
+    ],
+    ids=["simple", "summarized", "no_extra"],
+)
+def test_only_the_histories_the_run_reads_are_rendered(mode, reads_by_bon_n, pricing):
+    for bon_n, reads in reads_by_bon_n.items():
+        mem = rendering_memory(mode, pricing, bon_n=bon_n)
+        steps = distinct_steps(3)
+        for s in steps:
+            counted = ModelOutputReads(s)
+            mem.observe_step(counted)
+            assert counted.reads == reads
+        if bon_n > 1:
+            assert mem.full_history() == "\n\n".join(map(full_block, steps))
 
 
 def test_summarized_mode_replaces_history(pricing):
-    mem = rendering_memory(MemoryMode.SUMMARIZED, pricing)
-    mem.store.add(entry(0, [1, 0], text="did a thing"))
-    assert mem.context_blocks([step(0)], "q") == ["Summary of step 0:\ndid a thing"]
+    mem = observed(rendering_memory(MemoryMode.SUMMARIZED, pricing, answer="did a thing"), [step(0)])
+    assert mem.context_blocks("q") == ["Summary of step 0:\ndid a thing"]
 
 
 def test_extra_modes_append_summaries_and_note(pricing):
-    mem = rendering_memory(MemoryMode.EXTRA_HYBRID, pricing)
-    mem.store.add(entry(0, [1, 0], text="past step"))
+    mem = observed(rendering_memory(MemoryMode.EXTRA_HYBRID, pricing), [step(1)])
+    mem.store.add(entry(0, [1, 0], text="past step"))  # ties with step 1's: retrieved first
     mem.note = LongTermNote("remember the date", max_chars=100)
-    blocks = mem.context_blocks([step(1)], "q")
+    blocks = mem.context_blocks("q")
     assert any(b.startswith("Step 1:") for b in blocks)
     assert any("past step" in b for b in blocks)
     assert blocks[-1] == "Long-term memory:\nremember the date"
 
 
 def test_empty_note_is_omitted(pricing):
-    blocks = rendering_memory(MemoryMode.EXTRA_FIXED, pricing).context_blocks([step(0)], "q")
-    assert not any("Long-term" in b for b in blocks)
+    mem = observed(rendering_memory(MemoryMode.EXTRA_FIXED, pricing, answer=""), [step(0)])
+    blocks = mem.context_blocks("q")
+    assert blocks and not any("Long-term" in b for b in blocks)
 
 
 # -- model-backed updates ----------------------------------------------------
@@ -230,8 +265,10 @@ def test_note_update_empty_response_keeps_note(pricing):
 # -- RunMemory ---------------------------------------------------------------
 
 
-def run_memory(mode, session, k=3, note_chars=2000):
-    return RunMemory(mode, session, "gpt-4.1", retrieval_k=k, note_max_chars=note_chars)
+def run_memory(mode, session, k=3, note_chars=2000, bon_n=1):
+    config = replace(default_config(), memory_mode=mode, retrieval_k=k,
+                     note_max_chars=note_chars, bon_n=bon_n)
+    return RunMemory(config, session)
 
 
 @pytest.mark.parametrize("mode", [MemoryMode.SIMPLE, MemoryMode.NO_EXTRA])
@@ -239,7 +276,7 @@ def test_cheap_modes_never_touch_model_or_embedder(mode, pricing):
     session = make_session(ScriptedBackend([]), pricing)  # any call would raise
     mem = run_memory(mode, session)
     mem.observe_step(step(0))
-    blocks = mem.context_blocks([step(0)], "query")
+    blocks = mem.context_blocks("query")
     assert blocks
     assert len(session.ledger.entries) == 0
     assert len(mem.store) == 0
@@ -278,8 +315,8 @@ def test_query_embedded_only_when_store_nonempty(pricing):
     original = session.embed
     session.embed = lambda text: embeds.append(text) or original(text)
 
-    mem.context_blocks([], "first query")  # empty store: no embed call
+    mem.context_blocks("first query")  # empty store: no embed call
     assert embeds == []
     mem.observe_step(step(0))
-    mem.context_blocks([step(0)], "second query")
+    mem.context_blocks("second query")
     assert "second query" in embeds
