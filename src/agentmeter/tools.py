@@ -1,10 +1,11 @@
 """Web information tools: query expansion, multi-engine search, page reading.
 
 Search fans each expanded query out to every engine in the configured
-source set. The requests of one search run at once, on one bounded pool
-shared by the whole process, and their answers are merged in the calling
-thread with URL deduplication in a fixed order, so the result list is
-deterministic for deterministic providers. Each distinct
+source set. The calling thread runs the requests of its search, and
+helpers on one bounded pool shared by the whole process take those of
+engines that block, so those wait at once; the answers are merged in the
+calling thread with URL deduplication in a fixed order, so the result list
+is deterministic for deterministic providers. Each distinct
 page is reduced to static text once per process (a cache shared by every
 run and worker, bounded by size) and cut at the crawler limit; the three
 page strategies differ only in how much of that text a single
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from html import unescape
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .actions import Action, ActionName
 from .backend import Message, Purpose
@@ -56,7 +57,7 @@ log = logging.getLogger("agentmeter.tools")
 VIEWPORT_CHARS = 8000
 CRAWLER_MAX_CHARS = 40000
 ATTACHMENT_MAX_CHARS = 40000
-PAGE_CACHE_MAX_BYTES = 32 * 2**20  # HTML plus text held by the page-text cache
+PAGE_CACHE_MAX_BYTES = 32 * 2**20  # HTML, text and text JSON held by the page-text cache
 DEFAULT_PER_QUERY_LIMIT = 5
 SERP_GATEWAY_ENV = "AGENTMETER_SERP_URL"
 WIKIPEDIA_API = "https://en.wikipedia.org/w/api.php"
@@ -65,8 +66,9 @@ SEARCH_TIMEOUT_S = 15.0
 FETCH_TIMEOUT_S = 30.0
 FETCH_DELAY_S = 0.5  # between two live fetches from one host
 URL_KEYS_CACHED = 4096  # search merge keys kept per process
-# provider requests the process runs at once: the widest preset search, 5
-# queries on 5 engines (the default's is 10 on 2)
+# the search pool's threads: the requests of the widest preset search, 5
+# queries on 5 engines (the default's is 10 on 2). Each calling thread also
+# runs requests of its own search, so one search can have them all in flight
 SEARCH_REQUESTS_IN_FLIGHT = 25
 
 
@@ -119,6 +121,9 @@ def _merge_key(url: str) -> str | None:
 
 
 class SearchProvider(abc.ABC):
+    """A search engine. ``search`` is called from any thread, the searching
+    thread's included, and for one engine from several threads at once."""
+
     name: str
 
     @abc.abstractmethod
@@ -145,10 +150,8 @@ class FixtureSearchProvider(SearchProvider):
 
     def search(self, query: str, limit: int) -> list[SearchResult]:
         rows = self._responses.get(query, [])[:limit]
-        return [
-            SearchResult(title=t, url=u, snippet=s, provider=self.name, rank=i + 1)
-            for i, (t, u, s) in enumerate(rows)
-        ]
+        # positional: keyword construction of the frozen rows is measurably slower
+        return [SearchResult(t, u, s, self.name, rank) for rank, (t, u, s) in enumerate(rows, 1)]
 
 
 def _search_rows(raw) -> dict[str, list[tuple[str, str, str]]]:
@@ -296,8 +299,64 @@ def live_providers(source_set: SourceSet) -> list[SearchProvider]:
     return built
 
 
-# every search's provider requests, whichever run or worker makes it
+# the helpers of every search, whichever run or worker makes it
 _SEARCH_POOL = ThreadPoolExecutor(SEARCH_REQUESTS_IN_FLIGHT, thread_name_prefix="agentmeter-search")
+
+
+class _Wave:
+    """The provider requests of one search, taken in order by the calling
+    thread and by the helpers handed to ``_SEARCH_POOL`` (see ``search``)."""
+
+    def __init__(self, requests: list[tuple[SearchProvider, str]], limit: int):
+        # each request's rows, or what its engine raised
+        self.answers: list[tuple] = [(None, None)] * len(requests)
+        self._requests = requests
+        self._limit = limit
+        self._next = 0  # the next request to take
+        self._handed = False  # a helper is handed and has not started
+        self._helpers = 0  # helpers handed and not yet gone
+        self._changed = threading.Condition()
+
+    def run(self) -> None:
+        """Answer every request; return once every helper has left."""
+        try:
+            self._take_requests()
+        finally:
+            with self._changed:
+                self._changed.wait_for(lambda: not self._helpers)
+
+    def _help(self) -> None:
+        with self._changed:
+            self._handed = False
+        try:
+            self._take_requests()
+        finally:
+            with self._changed:
+                self._helpers -= 1
+                if not self._helpers:
+                    self._changed.notify()
+
+    def _take_requests(self) -> None:
+        n = len(self._requests)
+        while True:
+            with self._changed:
+                i = self._next
+                if i == n:
+                    return
+                if not self._handed and i + 1 < n:
+                    # submitted before counted, so a refused submit leaves no helper to wait for
+                    _SEARCH_POOL.submit(self._help)
+                    self._handed = True
+                    self._helpers += 1
+                self._next = i + 1
+            provider, query = self._requests[i]
+            try:
+                self.answers[i] = provider.search(query, self._limit), None
+            except BaseException as exc:  # raised again by the merge, an Exception as a warning
+                self.answers[i] = None, exc
+                if not isinstance(exc, Exception):  # an interrupt or exit ends the wave
+                    with self._changed:
+                        self._next = n
 
 
 def search(
@@ -307,23 +366,30 @@ def search(
 ) -> list[SearchResult]:
     """Fan out, merge, dedup.
 
-    Every (distinct query, provider) request is sent at once on the
-    process's search pool; a repeated query is asked only at its first
-    position. The answers are merged here, in (query position, provider
-    position, provider rank) order, and the first occurrence of a
-    normalized URL wins. Provider failures and non-absolute URLs are
-    dropped with a warning, logged in that same order.
+    Every (distinct query, provider) request is asked once; a repeated
+    query only at its first position. The calling thread answers the
+    requests in order. Whoever takes a request, the caller or a helper,
+    first hands a helper to the process's search pool, unless one handed
+    for this search has not started yet. So engines that answer at once
+    run here at the cost of one hand-off, and engines that block all wait
+    at once. The search returns when every request is answered and every
+    helper has left. The answers are merged here, in (query position,
+    provider position, provider rank) order, and the first occurrence of
+    a normalized URL wins. Provider failures and non-absolute URLs are
+    dropped with a warning, logged in that same order; an engine's
+    ``BaseException`` that is not an ``Exception`` is raised here.
     """
     if not queries:
         raise ValueError("at least one query required")
-    pairs = [(query, provider) for query in dict.fromkeys(queries) for provider in providers]
-    answers = [_SEARCH_POOL.submit(p.search, q, per_query_limit) for q, p in pairs]
+    requests = [(provider, query) for query in dict.fromkeys(queries) for provider in providers]
+    wave = _Wave(requests, per_query_limit)
+    wave.run()
     merged: list[SearchResult] = []
     seen: set[str] = set()
-    for (query, provider), answer in zip(pairs, answers):
-        try:
-            rows = answer.result()
-        except Exception as exc:
+    for (provider, query), (rows, exc) in zip(requests, wave.answers):
+        if exc is not None:
+            if not isinstance(exc, Exception):
+                raise exc
             log.warning("provider %s failed for %r: %s", provider.name, query, exc)
             continue
         for row in rows:
@@ -670,20 +736,22 @@ def extract_static_text(html: str) -> str:
 
 
 class PageTextCache:
-    """``page_text`` of the pages seen lately, keyed by their HTML.
+    """``page_text`` of the pages seen lately, keyed by their HTML, and the
+    trace JSON of each text held once a trace has written it.
 
     One instance serves every run and worker of the process. The lock is
-    held only to look up and insert, never during extraction, so two
-    threads opening a new page at once may both extract it: that costs
-    CPU, never a different text. Once the HTML and text held take more
-    than ``max_bytes`` as ``sys.getsizeof`` counts them (1 to 4 bytes a
-    character, by the widest character of the string), the least recently
-    used pages go first.
+    held only to look up and insert, never during extraction or encoding,
+    so two threads opening a new page at once may both extract it: that
+    costs CPU, never a different text. Once the HTML, text and JSON held
+    take more than ``max_bytes`` as ``sys.getsizeof`` counts them (1 to 4
+    bytes a character, by the widest character of the string), the least
+    recently used pages go first, each with the JSON of its text.
     """
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self._texts: OrderedDict[str, tuple[str, bool]] = OrderedDict()
+        self._json: dict[str, str | None] = {}  # each text held: its JSON, once made
         self._bytes = 0
         self._lock = threading.Lock()
 
@@ -698,19 +766,40 @@ class PageTextCache:
         with self._lock:
             if html not in self._texts:  # another thread may have put it in meanwhile
                 self._texts[html] = value
-                self._bytes += _entry_bytes(html, value)
-                while self._bytes > self.max_bytes:
-                    self._bytes -= _entry_bytes(*self._texts.popitem(last=False))
+                self._json.setdefault(value[0], None)
+                self._bytes += sys.getsizeof(html) + sys.getsizeof(value[0])
+                self._evict()
         return value
+
+    def text_json(self, text: str, encode: Callable[[str], str]) -> str | None:
+        """``encode(text)`` for a text the cache holds, made the first time it
+        is asked for and then held with its page; None for any other text,
+        which is not kept."""
+        with self._lock:
+            made = self._json.get(text, "")
+        if made is None:
+            made = encode(text)
+            with self._lock:
+                if self._json.get(text, "") is None:  # still held, and not yet made
+                    self._json[text] = made
+                    self._bytes += sys.getsizeof(made)
+                    self._evict()
+        return made or None
+
+    def _evict(self) -> None:
+        """Drop the least recently used pages while over budget; lock held."""
+        while self._bytes > self.max_bytes:
+            html, (text, _) = self._texts.popitem(last=False)
+            made = self._json.pop(text, None)
+            self._bytes -= sys.getsizeof(html) + sys.getsizeof(text)
+            if made is not None:
+                self._bytes -= sys.getsizeof(made)
 
     def clear(self) -> None:
         with self._lock:
             self._texts.clear()
+            self._json.clear()
             self._bytes = 0
-
-
-def _entry_bytes(html: str, value: tuple[str, bool]) -> int:
-    return sys.getsizeof(html) + sys.getsizeof(value[0])
 
 
 PAGE_TEXTS = PageTextCache(PAGE_CACHE_MAX_BYTES)

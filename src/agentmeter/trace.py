@@ -51,7 +51,7 @@ from .backend import (
     unit_vector_dim,
 )
 from .config import InputError, json_value, read_fields, refused, typed_value
-from .tools import SearchResult, ToolError
+from .tools import PAGE_TEXTS, SearchResult, ToolError
 
 TRACE_VERSION = 2
 TRACE_SUFFIX = ".trace"
@@ -88,7 +88,7 @@ class TraceWriter:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._events: list[dict] = []
+        self._events: list[dict | tuple[dict, str]] = []  # a page event with its text's JSON
         self._tool_calls = 0
         self._pages: dict[tuple[str, bool], int] = {}  # the first tool call to return each page
         self._closed = False
@@ -115,15 +115,22 @@ class TraceWriter:
 
     def tool_call(self, tool: str, args: dict, result=None, error: str | None = None) -> None:
         self._tool_calls += 1
+        event = {"type": "tool_call", "tool": tool, "args": args}
+        text_json = None
         if error is not None:
-            outcome = {"error": error}
-        elif tool == "fetch_page":
+            event["error"] = error
+        elif tool != "fetch_page":
+            event["result"] = result
+        else:
             # a live page text is the str PAGE_TEXTS holds, so its hash is computed once
             first = self._pages.setdefault((result["text"], result["truncated"]), self._tool_calls)
-            outcome = {"result": result if first == self._tool_calls else {"same_as": first}}
-        else:
-            outcome = {"result": result}
-        self._events.append({"type": "tool_call", "tool": tool, "args": args, **outcome})
+            if first != self._tool_calls:
+                event["result"] = {"same_as": first}
+            else:
+                event["result"] = result
+                # a held page's text is encoded once per process, and close splices it in
+                text_json = PAGE_TEXTS.text_json(result["text"], _LINE_ENCODER.encode)
+        self._events.append(event if text_json is None else (event, text_json))
 
     def embed(
         self, text: str, vector: Sequence[float] | None = None, error: str | None = None
@@ -138,7 +145,10 @@ class TraceWriter:
         if self._closed:
             return
         self._closed = True
-        data = "".join([_LINE_ENCODER.encode(e) + "\n" for e in self._events]).encode()
+        data = "".join([
+            (_LINE_ENCODER.encode(e) if type(e) is dict else _page_line(*e)) + "\n"
+            for e in self._events
+        ]).encode()
         # written under a name that is not a trace's, then renamed onto the
         # path, so a trace file is whole or absent even if the writer dies
         part = self.path.with_name(f".{os.getpid()}-{threading.get_ident()}.part")
@@ -156,6 +166,16 @@ class TraceWriter:
         except BaseException:
             part.unlink(missing_ok=True)
             raise
+
+
+def _page_line(event: dict, text_json: str) -> str:
+    """``_LINE_ENCODER.encode(event)`` for a ``fetch_page`` call whose page
+    text encodes to ``text_json``. The line is encoded with an empty text,
+    whose ``"text":""`` is the last in it: keys are sorted, and after the
+    result come only the tool's name and the line type."""
+    page = {**event["result"], "text": ""}
+    head, tail = _LINE_ENCODER.encode({**event, "result": page}).rsplit('"text":""', 1)
+    return f'{head}"text":{text_json}{tail}'
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import sys
 import threading
@@ -164,6 +165,126 @@ def test_a_concurrent_search_merges_as_a_serial_one(seed, caplog):
         assert search(engines, queries, per_query_limit=3) == expected
     assert [r.getMessage() for r in caplog.records] == warnings
     assert "provider flaky failed for 'q1': flaky down" in warnings
+
+
+POOL = tools._SEARCH_POOL  # the real one, to which HeldBackPool hands the helpers
+
+
+class HeldBackPool:
+    """The search pool, counting hand-offs and starting each helper only once
+    ``release`` is set and ``delay`` has passed; ``entered`` counts the
+    helpers that began their part of a wave."""
+
+    def __init__(self, release, delay=0.0):
+        self.release = release
+        self.delay = delay
+        self.submits = 0
+        self.entered = 0
+
+    def submit(self, fn):
+        self.submits += 1
+
+        def helper():
+            self.release.wait(timeout=5)
+            time.sleep(self.delay)
+            self.entered += 1
+            fn()
+
+        return POOL.submit(helper)
+
+
+class RecordingProvider(FixtureSearchProvider):
+    """A fixture engine that notes the thread of every request and calls
+    ``after(number of requests so far)`` once it has answered."""
+
+    def __init__(self, name, responses, calls, after=lambda count: None):
+        super().__init__(name, responses)
+        self.calls = calls
+        self.after = after
+
+    def search(self, query, limit):
+        rows = super().search(query, limit)
+        self.calls.append(threading.get_ident())
+        self.after(len(self.calls))
+        return rows
+
+
+def test_engines_that_answer_at_once_run_on_the_calling_thread(monkeypatch):
+    release = threading.Event()
+    pool = HeldBackPool(release, delay=0.05)
+    monkeypatch.setattr(tools, "_SEARCH_POOL", pool)
+    queries = [f"q{i}" for i in range(4)]
+    rows = {q: [(q, f"http://{q}.com/", "s")] for q in queries}
+    calls = []
+    engines = [RecordingProvider(f"e{j}", rows, calls, lambda count: count % 20 or release.set())
+               for j in range(5)]
+    for n in range(1, 4):
+        release.clear()
+        assert [r.url for r in search(engines, queries)] == [f"http://{q}.com/" for q in queries]
+        # one hand-off a search, and it returned only after its helper had come and gone
+        assert (pool.submits, pool.entered) == (n, n)
+    assert calls == [threading.get_ident()] * 60
+
+
+def test_a_search_returns_with_no_engine_call_in_flight():
+    active, threads = [], set()
+    lock = threading.Lock()
+
+    class Slow(FixtureSearchProvider):
+        def search(self, query, limit):
+            with lock:
+                active.append(query)
+                threads.add(threading.get_ident())
+            time.sleep(0.005)
+            with lock:
+                active.remove(query)
+            return super().search(query, limit)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            engines = [Slow(f"e{j}", {}) for j in range(5)]
+            assert search(engines, [f"q{i}" for i in range(4)]) == []
+            assert active == []
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) > 1  # engines that block go out on helpers
+
+
+class Halt(BaseException):
+    pass
+
+
+def test_an_engines_base_exception_reaches_the_caller_when_run_inline():
+    calls = []
+
+    def halt(count):
+        raise Halt("stop")
+
+    with pytest.raises(Halt, match="stop"):
+        search([RecordingProvider("e", {}, calls, halt)], ["q"])
+    assert calls == [threading.get_ident()]
+
+
+def test_an_engines_base_exception_reaches_the_caller_when_run_on_a_helper():
+    second_asked = threading.Event()
+    threads = {}
+
+    class HaltsSecond(SearchProvider):
+        name = "halts"
+
+        def search(self, query, limit):
+            threads[query] = threading.get_ident()
+            if query == "q0":  # the caller holds the first until a helper has the second
+                second_asked.wait(timeout=5)
+                return []
+            second_asked.set()
+            raise Halt(query)
+
+    with pytest.raises(Halt, match="q1"):
+        search([HaltsSecond()], ["q0", "q1"])
+    assert threads["q0"] == threading.get_ident() != threads["q1"]
 
 
 def test_a_gateway_less_engine_warns_once_under_concurrency(monkeypatch, caplog):
@@ -926,6 +1047,41 @@ def test_a_page_extracted_by_two_threads_at_once_is_held_once(monkeypatch):
     assert tools.PAGE_TEXTS._bytes == sys.getsizeof(html) + sys.getsizeof("new page")
     page_text(html)
     assert len(extracted) == 2
+
+
+def test_page_cache_holds_a_texts_json_in_its_budget_and_drops_it_with_its_page():
+    cache = tools.PageTextCache(max_bytes=10**6)
+    encoded = []
+
+    def encode(text):
+        encoded.append(text)
+        return json.dumps(text)
+
+    a, b = ("<p>" + k * 400 + "</p>" for k in "ab")
+    text_a, _ = cache.get(a)
+    text_b, _ = cache.get(b)
+    pages = cache._bytes
+    assert pages == sum(map(sys.getsizeof, (a, text_a, b, text_b)))
+    made = cache.text_json(text_a, encode)
+    assert made == json.dumps(text_a) and cache._bytes == pages + sys.getsizeof(made)
+    assert cache.text_json(text_a, encode) is made and encoded == [text_a]
+    # b's JSON takes the budget past its bound, so a, the least recently used, goes with its JSON
+    cache.max_bytes = cache._bytes + 1
+    cache.text_json(text_b, encode)
+    assert cache._bytes == sum(map(sys.getsizeof, (b, text_b, json.dumps(text_b))))
+    assert cache.text_json(text_a, encode) is None and encoded == [text_a, text_b]
+    cache.get(b)
+    assert cache.text_json(text_b, encode) == json.dumps(text_b) and len(encoded) == 2
+
+
+def test_a_text_the_page_cache_does_not_hold_gets_no_json_and_is_not_kept():
+    cache = tools.PageTextCache(max_bytes=10**6)
+    text, _ = cache.get("<p>held</p>")
+    held = cache._bytes
+    for _ in range(2):
+        assert cache.text_json("not held", pytest.fail) is None
+        assert cache._bytes == held
+    assert cache.text_json(text, json.dumps) == '"held"'
 
 
 def test_toolbox_paging_requires_complex_strategy_and_open_page(pricing):

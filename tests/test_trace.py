@@ -1,6 +1,7 @@
 import gzip
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from agentmeter.backend import (
     RunTimeoutError,
     TokenUsage,
 )
+from agentmeter import tools
 from agentmeter.tools import ToolError
 from agentmeter.trace import (
+    _LINE_ENCODER,
     ReplayMismatchError,
     ReplaySource,
     TraceFormatError,
@@ -196,6 +199,34 @@ def test_v2_records_a_repeated_page_as_a_reference_to_its_first_copy(tmp_path):
     write_trace_lines(tmp_path / "v1.trace", v1)
     # the reader gives the page each reference names, so a replay serves the same
     assert read_trace(w.path).events == read_trace(tmp_path / "v1.trace").events
+
+
+PAGE_CHARS = st.one_of(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\x85 é￿\U0001F600\U0010FFFF'),
+    st.characters(exclude_categories=("Cs",)),
+)
+
+
+@given(text=st.text(PAGE_CHARS), truncated=st.booleans(), url=st.text(PAGE_CHARS))
+def test_a_held_pages_spliced_line_is_the_encoders_line(tmp_path_factory, text, truncated, url):
+    tools.PAGE_TEXTS.clear()
+    with mock.patch.object(tools, "extract_static_text", lambda html: text):
+        held = tools.page_text("<p>page</p>")[0]
+    pages = [{"text": held, "truncated": truncated}, {"text": held + "!", "truncated": truncated}]
+    w = TraceWriter(tmp_path_factory.getbasetemp() / "held.trace")
+    w.header({"run_id": "r"})
+    for i, page in enumerate(pages):  # the held text, then one the cache does not hold
+        w.tool_call("fetch_page", {"url": url, "i": i}, page)
+    w.close()
+    lines = gzip.decompress(w.path.read_bytes()).decode().splitlines(keepends=True)
+    assert lines[1:] == [
+        _LINE_ENCODER.encode({"type": "tool_call", "tool": "fetch_page",
+                              "args": {"url": url, "i": i}, "result": page}) + "\n"
+        for i, page in enumerate(pages)
+    ]
+    # the held text's JSON was made for this trace and is kept; the other was not
+    assert tools.PAGE_TEXTS.text_json(held, pytest.fail) == json.dumps(held)
+    assert tools.PAGE_TEXTS.text_json(held + "!", pytest.fail) is None
 
 
 def test_trace_is_stored_at_level_0(tmp_path):
